@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .config import PipelineConfig
-from .identify import identify_all
+from .identify import apply_match_results, identify_all
 from .merge import merge_all
 from .models import (
     AgentCluster,
@@ -301,6 +301,7 @@ def mask_and_rerun(
     snapshots["normalization"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
     results = identify_all(masked, lots, registry, config)
+    apply_match_results(masked, results)
     leaked = [
         r.occurrence_id
         for r in results

@@ -288,6 +288,22 @@ def _identify_payload(
     return best, None, len(pool), len(by_name)
 
 
+def _match_result(
+    occurrence_id: int,
+    solved: tuple[CandidateScore | None, str | None, int, int],
+) -> MatchResult:
+    best, reason, block_size, survivors = solved
+    return MatchResult(
+        occurrence_id=occurrence_id,
+        source="matched" if best else "none",
+        identifier=full_siret(best.siret) if best else None,
+        reason=reason,
+        best=best,
+        block_size=block_size,
+        name_survivors=survivors,
+    )
+
+
 def identify_occurrence(
     occurrence: AgentOccurrence,
     lot: LotRecord,
@@ -296,17 +312,9 @@ def identify_occurrence(
     cpv_map: dict[str, list[str]] | None = None,
 ) -> MatchResult:
     """Run the full filter pipeline for one occurrence."""
-    best, reason, block_size, survivors = _identify_payload(
-        payload_of(occurrence, lot), registry, config, cpv_map
-    )
-    return MatchResult(
-        occurrence_id=occurrence.occurrence_id,
-        source="matched" if best else "none",
-        identifier=full_siret(best.siret) if best else None,
-        reason=reason,
-        best=best,
-        block_size=block_size,
-        name_survivors=survivors,
+    return _match_result(
+        occurrence.occurrence_id,
+        _identify_payload(payload_of(occurrence, lot), registry, config, cpv_map),
     )
 
 
@@ -319,8 +327,8 @@ def identify_all(
     """Identify every occurrence without an identifier, in occurrence order.
 
     Repeated payloads (same name, address, lot date, activity) are solved
-    once; repeats of one agent dominate real corpora. Side effect: sets
-    occ.identifier / occ.identifier_source on successful matches.
+    once; repeats of one agent dominate real corpora. The occurrences are
+    not changed: apply_match_results records the matches on them.
     """
     lots_by_id = {lot.lot_id: lot for lot in lots}
     cache: dict[Payload, tuple[CandidateScore | None, str | None, int, int]] = {}
@@ -337,22 +345,20 @@ def identify_all(
         payload = payload_of(occ, lot)
         if payload not in cache:
             cache[payload] = _identify_payload(payload, registry, config.match, config.cpv_activity_map)
-        best, reason, block_size, survivors = cache[payload]
-        if best is not None:
-            occ.identifier = full_siret(best.siret)
-            occ.identifier_source = "matched"
-        results.append(
-            MatchResult(
-                occurrence_id=occ.occurrence_id,
-                source="matched" if best else "none",
-                identifier=occ.identifier if best else None,
-                reason=reason,
-                best=best,
-                block_size=block_size,
-                name_survivors=survivors,
-            )
-        )
+        results.append(_match_result(occ.occurrence_id, cache[payload]))
     return results
+
+
+def apply_match_results(
+    occurrences: list[AgentOccurrence], results: list[MatchResult]
+) -> None:
+    """Set identifier and identifier_source on each matched occurrence."""
+    by_id = {occ.occurrence_id: occ for occ in occurrences}
+    for result in results:
+        if result.source == "matched":
+            occ = by_id[result.occurrence_id]
+            occ.identifier = result.identifier
+            occ.identifier_source = "matched"
 
 
 def write_match_log(results: list[MatchResult], path: str, delimiter: str = ",") -> None:

@@ -215,16 +215,10 @@ def _merge_members(
     )
 
 
-def merge_records(cluster: AgentCluster, members: list[AgentOccurrence]) -> CanonicalAgent:
-    """Majority-merge one cluster's members into a canonical agent."""
-    return _merge_members(cluster.resolved_identifier, members, [cluster.case_kind])
-
-
 @dataclass
 class MergeResult:
     clusters: list[AgentCluster] = field(default_factory=list)
     agents: list[CanonicalAgent] = field(default_factory=list)
-    occurrence_to_agent: dict[int, Identifier] = field(default_factory=dict)
 
 
 def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> MergeResult:
@@ -259,7 +253,6 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
             if occ.identifier != resolved:
                 occ.identifier = resolved
                 occ.identifier_source = "merged"
-            result.occurrence_to_agent[occ.occurrence_id] = resolved
 
     for ident in sorted(groups, key=lambda i: (i.kind.value, i.value)):
         clusters = groups[ident]

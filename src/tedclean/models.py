@@ -224,7 +224,7 @@ class AgentCluster:
 @dataclass
 class CanonicalAgent:
     agent_id: Identifier
-    names: list[str]
+    names: list[str] = field(default_factory=list)
     street: str | None = None
     zipcode: str | None = None
     city: str | None = None

@@ -11,7 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .models import AgentOccurrence, Identifier, IdentifierKind
+from .models import AgentOccurrence
 
 # Ligatures and letters NFKD leaves alone.
 _FOLD_TABLE = str.maketrans(
@@ -178,26 +178,22 @@ def normalize_occurrence(
     occ.department = department_of(occ.zipcode)
 
 
-def merge_by_declared_siret(occurrences: list[AgentOccurrence]) -> dict[int, str]:
-    """Group occurrences that already share a valid declared 14-digit SIRET.
+def merge_by_declared_siret(occurrences: list[AgentOccurrence]) -> None:
+    """Identify occurrences by their valid declared SIRET or SIREN.
 
-    Side effect: sets occ.identifier from the declared value (full SIRET or
-    bare SIREN); malformed declarations are treated as absent. Returns
-    occurrence_id -> pre-merge agent key; only full SIRETs form keys.
+    Sets occ.identifier from the declared value (full SIRET or bare
+    SIREN); malformed declarations are treated as absent, and an
+    occurrence that already has an identifier is left alone.
     """
     from .registry import validate_siret  # local import: registry folds names via this module
 
-    keys: dict[int, str] = {}
     for occ in occurrences:
         if occ.identifier is not None:
             continue
         if not occ.declared_siret:
             continue
-        ident: Identifier | None = validate_siret(occ.declared_siret)
+        ident = validate_siret(occ.declared_siret)
         if ident is None:
             continue
         occ.identifier = ident
         occ.identifier_source = "declared"
-        if ident.kind is IdentifierKind.FULL_SIRET:
-            keys[occ.occurrence_id] = ident.value
-    return keys

@@ -3,42 +3,64 @@
 Every stage reads the previous stage's checkpoint files from disk and
 writes its own under <out>/checkpoints/<stage>/, so running `pipeline` is
 the same computation as running the stages one by one, and any stage can
-be rerun in isolation. Checkpoint serialization is lossless: absent values
-are empty cells, and no pipeline value is an empty string.
+be rerun in isolation.
+
+One codec, `_dump` / `_load`, serializes every checkpoint record type from
+its dataclass fields:
+
+- Columns are the fields in declaration order, camelCased, with three
+  renames (number_of_offers -> numberOffers, criterion_class -> class,
+  member_occurrence_ids -> memberIds). CanonicalAgent.names is left out;
+  agent_names.csv holds it, one row per name.
+- Cells follow the field type: None is an empty cell, bool is 1/0, date is
+  ISO, Decimal is str(), Enum is its value, list[int] is space-joined and
+  list[Enum] is "+"-joined. An Identifier takes two columns,
+  identifierKind and identifierValue. A `str` field keeps "", while a
+  `str | None` field reads "" back as None; no optional pipeline value is
+  an empty string, so the round trip is lossless.
+
+A checkpoint is written to a temp file and renamed into place, so a killed
+run cannot leave a truncated file for the next stage. A header, row or
+cell that does not parse is an InvariantError naming the file and line.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
+import functools
 import json
 import logging
+import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from decimal import Decimal
+from contextlib import contextmanager
+from decimal import Decimal, InvalidOperation
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .identify import MatchResult, identify_all, write_match_log
+from .identify import MatchResult, apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all, write_merge_log
 from .models import (
     AgentCluster,
     AgentOccurrence,
     CanonicalAgent,
-    CaseKind,
     ConfigError,
-    ContractType,
     CriteriaRaw,
     Criterion,
-    CriterionClass,
     Identifier,
     IdentifierKind,
     InputError,
     InvariantError,
     LotRecord,
-    Role,
+    RowRejection,
 )
 from .normalize import (
     PostalTable,
@@ -74,209 +96,202 @@ class Checkpoints:
                 f"stage depends on the '{stage}' checkpoint; missing: {', '.join(missing)}"
             )
 
+    def load(self, stage: str, name: str, cls: type) -> list:
+        self.require(stage, name)
+        return _load(self.path(stage, name), cls)
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+# ---------------------------------------------------------------- codec
+
+_RENAMES = {
+    "number_of_offers": "numberOffers",
+    "criterion_class": "class",
+    "member_occurrence_ids": "memberIds",
+}
+_OMITTED = {(CanonicalAgent, "names")}
+_PARSE_ERRORS = (ValueError, InvalidOperation, csv.Error)
+
+
+@dataclasses.dataclass
+class _AgentName:
+    """One row of agent_names.csv: a canonical agent and one of its names."""
+
+    agent_id: Identifier
+    name: str
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.title() for part in rest)
+
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 1 or 0, got {cell!r}")
+    return cell == "1"
+
+
+def _cell_plan(tp: type) -> tuple[Callable[[str], object], Callable | None]:
+    """(parse, encode) of one column; encode None leaves the value to the
+    csv writer, which writes str() and None as an empty cell."""
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        if item is int:
+            return (lambda cell: [int(i) for i in cell.split()]), (
+                lambda ids: " ".join(map(str, ids))
+            )
+        return (lambda cell: [item(k) for k in cell.split("+") if k]), (
+            lambda kinds: "+".join(k.value for k in kinds)
+        )
+    if tp is bool:
+        return _parse_bool, int
+    if tp is dt.date:
+        return dt.date.fromisoformat, None
+    # the csv writer writes a str Enum member as its value
+    if tp in (int, str, Decimal) or (issubclass(tp, Enum) and issubclass(tp, str)):
+        return tp, None
+    raise TypeError(f"no checkpoint codec for {tp!r}")
+
+
+def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
+    if parse is str:
+        return lambda cell: cell or None
+    return lambda cell: parse(cell) if cell else None
+
+
+@dataclasses.dataclass
+class _Codec:
+    columns: list[str]
+    parsers: list[Callable[[str], object]]
+    encode: Callable[[object], list]
+    decode: Callable[[list[str]], object]
+
+
+@functools.cache
+def _codec(cls: type) -> _Codec:
+    """Plan a record dataclass's columns once, so that the per-row work is
+    a few list operations plus the conversions its field types need."""
+    hints = typing.get_type_hints(cls)
+    names: list[str] = []
+    columns: list[str] = []
+    parsers: list[Callable[[str], object]] = []
+    encoders: list[tuple[int, Callable]] = []  # (field index, value -> cell)
+    identifiers: list[tuple[int, int]] = []  # (field index, column), right to left
+    omitted: list[tuple[int, Callable]] = []  # (init argument index, default factory)
+    for position, f in enumerate(dataclasses.fields(cls)):
+        if (cls, f.name) in _OMITTED:
+            omitted.append((position, f.default_factory))
+            continue
+        tp = hints[f.name]
+        optional = type(None) in typing.get_args(tp)
+        if optional:
+            (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        if tp is Identifier:
+            identifiers.insert(0, (len(names), len(columns)))
+            columns += ["identifierKind", "identifierValue"]
+            parsers += [_optional(IdentifierKind) if optional else IdentifierKind, str]
+        else:
+            parse, encode = _cell_plan(tp)
+            columns.append(_RENAMES.get(f.name, _camel(f.name)))
+            parsers.append(_optional(parse) if optional else parse)
+            if encode is not None:
+                encoders.append((len(names), encode))
+        names.append(f.name)
+
+    get = attrgetter(*names)
+
+    # identifiers are spliced right to left, so the indexes still to do stay valid
+    def encode_row(record: object) -> list:
+        row = list(get(record))
+        for i, encode in encoders:
+            row[i] = encode(row[i])
+        for i, _ in identifiers:
+            ident = row[i]
+            row[i : i + 1] = ("", "") if ident is None else (ident.kind.value, ident.value)
+        return row
+
+    def decode_row(row: list[str]) -> object:
+        values = [parse(cell) for parse, cell in zip(parsers, row)]
+        for _, c in identifiers:
+            kind, value = values[c], values[c + 1]
+            values[c : c + 2] = [None if kind is None else Identifier(kind, value)]
+        for position, default in omitted:
+            values.insert(position, default())
+        return cls(*values)
+
+    return _Codec(columns, parsers, encode_row, decode_row)
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces `path` only once it is completely written."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _dump(path: Path, cls: type, records: Iterable) -> None:
+    codec = _codec(cls)
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(codec.columns)
+        writer.writerows(map(codec.encode, records))
 
 
-def _read_table(path: Path) -> list[dict[str, str]]:
+def _dump_json(path: Path, data: dict) -> None:
+    with _replacing(path) as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
+
+
+def _bad_column(codec: _Codec, row: list[str]) -> str:
+    for column, parse, cell in zip(codec.columns, codec.parsers, row):
+        try:
+            parse(cell)
+        except _PARSE_ERRORS:
+            return f"column {column}: "
+    return ""
+
+
+def _load(path: Path, cls: type) -> list:
+    codec = _codec(cls)
+    width = len(codec.columns)
+    records: list = []
+    row: list[str] = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != codec.columns:
+                raise InvariantError(f"{path}: header {header} is not {codec.columns}")
+            for row in reader:
+                if len(row) != width:
+                    raise InvariantError(
+                        f"{path}, line {reader.line_num}: {len(row)} cells, expected {width}"
+                    )
+                records.append(codec.decode(row))
     except OSError as exc:
         raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-
-
-def _opt(value: str) -> str | None:
-    return value if value else None
-
-
-def _date(value: str) -> dt.date | None:
-    return dt.date.fromisoformat(value) if value else None
-
-
-# ---------------------------------------------------------------- lots
-
-_LOT_HEADER = [
-    "lotId", "noticeId", "lotNumber", "publicationDate", "awardDate",
-    "contractType", "activityCode", "numberOffers", "awardedValue",
-    "currency", "cancelled", "contractNoticeRef", "sourceFile", "sourceLine",
-]
-
-
-def _lot_to_row(lot: LotRecord) -> list:
-    return [
-        lot.lot_id, lot.notice_id, lot.lot_number,
-        lot.publication_date.isoformat(),
-        lot.award_date.isoformat() if lot.award_date else "",
-        lot.contract_type.value if lot.contract_type else "",
-        lot.activity_code or "",
-        "" if lot.number_of_offers is None else lot.number_of_offers,
-        "" if lot.awarded_value is None else str(lot.awarded_value),
-        lot.currency or "",
-        1 if lot.cancelled else 0,
-        lot.contract_notice_ref or "",
-        lot.source_file, lot.source_line,
-    ]
-
-
-def _lot_from_row(row: dict[str, str]) -> LotRecord:
-    return LotRecord(
-        lot_id=int(row["lotId"]),
-        notice_id=row["noticeId"],
-        lot_number=row["lotNumber"],
-        publication_date=dt.date.fromisoformat(row["publicationDate"]),
-        award_date=_date(row["awardDate"]),
-        contract_type=ContractType(row["contractType"]) if row["contractType"] else None,
-        activity_code=_opt(row["activityCode"]),
-        number_of_offers=int(row["numberOffers"]) if row["numberOffers"] else None,
-        awarded_value=Decimal(row["awardedValue"]) if row["awardedValue"] else None,
-        currency=_opt(row["currency"]),
-        cancelled=row["cancelled"] == "1",
-        contract_notice_ref=_opt(row["contractNoticeRef"]),
-        source_file=row["sourceFile"],
-        source_line=int(row["sourceLine"]),
-    )
-
-
-# ---------------------------------------------------------------- occurrences
-
-_OCC_HEADER = [
-    "occurrenceId", "lotId", "role", "rawName", "street", "zipcode", "city",
-    "country", "declaredSiret", "normalizedName", "department",
-    "identifierKind", "identifierValue", "identifierSource", "splitConflict",
-]
-
-
-def _occ_to_row(occ: AgentOccurrence) -> list:
-    return [
-        occ.occurrence_id, occ.lot_id, occ.role.value, occ.raw_name,
-        occ.street or "", occ.zipcode or "", occ.city or "", occ.country or "",
-        occ.declared_siret or "", occ.normalized_name or "", occ.department or "",
-        occ.identifier.kind.value if occ.identifier else "",
-        occ.identifier.value if occ.identifier else "",
-        occ.identifier_source or "",
-        1 if occ.split_conflict else 0,
-    ]
-
-
-def _occ_from_row(row: dict[str, str]) -> AgentOccurrence:
-    identifier = None
-    if row["identifierKind"]:
-        identifier = Identifier(IdentifierKind(row["identifierKind"]), row["identifierValue"])
-    return AgentOccurrence(
-        occurrence_id=int(row["occurrenceId"]),
-        lot_id=int(row["lotId"]),
-        role=Role(row["role"]),
-        raw_name=row["rawName"],
-        street=_opt(row["street"]),
-        zipcode=_opt(row["zipcode"]),
-        city=_opt(row["city"]),
-        country=_opt(row["country"]),
-        declared_siret=_opt(row["declaredSiret"]),
-        normalized_name=_opt(row["normalizedName"]),
-        department=_opt(row["department"]),
-        identifier=identifier,
-        identifier_source=_opt(row["identifierSource"]),
-        split_conflict=row["splitConflict"] == "1",
-    )
-
-
-# ---------------------------------------------------------------- criteria
-
-_CRITERIA_RAW_HEADER = ["lotId", "namesField", "weightsField", "priceField"]
-_CRITERION_HEADER = ["lotId", "rawName", "class", "weight", "weightIsNormalized"]
-
-
-def _criterion_to_row(c: Criterion) -> list:
-    return [
-        c.lot_id, c.raw_name, c.criterion_class.value,
-        "" if c.weight is None else str(c.weight),
-        1 if c.weight_is_normalized else 0,
-    ]
-
-
-def _criterion_from_row(row: dict[str, str]) -> Criterion:
-    return Criterion(
-        lot_id=int(row["lotId"]),
-        raw_name=row["rawName"],
-        criterion_class=CriterionClass(row["class"]),
-        weight=Decimal(row["weight"]) if row["weight"] else None,
-        weight_is_normalized=row["weightIsNormalized"] == "1",
-    )
-
-
-# ---------------------------------------------------------------- clusters / agents
-
-_CLUSTER_HEADER = ["clusterId", "memberIds", "caseKind", "identifierKind", "identifierValue"]
-_AGENT_HEADER = [
-    "identifierKind", "identifierValue", "street", "zipcode", "city",
-    "department", "country", "caseKinds", "memberIds",
-]
-
-
-def _cluster_to_row(c: AgentCluster) -> list:
-    return [
-        c.cluster_id,
-        " ".join(str(i) for i in c.member_occurrence_ids),
-        c.case_kind.value,
-        c.resolved_identifier.kind.value,
-        c.resolved_identifier.value,
-    ]
-
-
-def _cluster_from_row(row: dict[str, str]) -> AgentCluster:
-    return AgentCluster(
-        cluster_id=int(row["clusterId"]),
-        member_occurrence_ids=[int(i) for i in row["memberIds"].split()],
-        case_kind=CaseKind(row["caseKind"]),
-        resolved_identifier=Identifier(
-            IdentifierKind(row["identifierKind"]), row["identifierValue"]
-        ),
-    )
-
-
-def _agent_to_row(a: CanonicalAgent) -> list:
-    return [
-        a.agent_id.kind.value, a.agent_id.value,
-        a.street or "", a.zipcode or "", a.city or "",
-        a.department or "", a.country or "",
-        "+".join(k.value for k in a.case_kinds),
-        " ".join(str(i) for i in a.member_occurrence_ids),
-    ]
-
-
-def _agent_from_row(row: dict[str, str], names: list[str]) -> CanonicalAgent:
-    return CanonicalAgent(
-        agent_id=Identifier(IdentifierKind(row["identifierKind"]), row["identifierValue"]),
-        names=names,
-        street=_opt(row["street"]),
-        zipcode=_opt(row["zipcode"]),
-        city=_opt(row["city"]),
-        department=_opt(row["department"]),
-        country=_opt(row["country"]),
-        case_kinds=[CaseKind(k) for k in row["caseKinds"].split("+") if k],
-        member_occurrence_ids=[int(i) for i in row["memberIds"].split()],
-    )
+    except _PARSE_ERRORS as exc:
+        raise InvariantError(
+            f"{path}, line {reader.line_num}: {_bad_column(codec, row)}{exc}"
+        ) from None
+    return records
 
 
 # ---------------------------------------------------------------- stage runners
 
 
 def _load_lots(checkpoints: Checkpoints) -> list[LotRecord]:
-    checkpoints.require("ingest", "lots.csv")
-    return [_lot_from_row(r) for r in _read_table(checkpoints.path("ingest", "lots.csv"))]
+    return checkpoints.load("ingest", "lots.csv", LotRecord)
 
 
 def _load_occurrences(checkpoints: Checkpoints, stage: str) -> list[AgentOccurrence]:
-    checkpoints.require(stage, "occurrences.csv")
-    return [
-        _occ_from_row(r)
-        for r in _read_table(checkpoints.path(stage, "occurrences.csv"))
-    ]
+    return checkpoints.load(stage, "occurrences.csv", AgentOccurrence)
 
 
 def _load_registry_from_config(config: PipelineConfig) -> Registry:
@@ -299,20 +314,10 @@ def stage_ingest(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
     result = run_ingest(config)
     out = checkpoints.stage_dir("ingest")
-    _write_table(out / "lots.csv", _LOT_HEADER, [_lot_to_row(l) for l in result.lots])
-    _write_table(
-        out / "occurrences.csv", _OCC_HEADER, [_occ_to_row(o) for o in result.occurrences]
-    )
-    _write_table(
-        out / "criteria_raw.csv",
-        _CRITERIA_RAW_HEADER,
-        [[c.lot_id, c.names_field, c.weights_field, c.price_field] for c in result.criteria_raw],
-    )
-    _write_table(
-        out / "rejections.csv",
-        ["sourceFile", "sourceLine", "reason"],
-        [[r.source_file, r.source_line, r.reason] for r in result.rejections],
-    )
+    _dump(out / "lots.csv", LotRecord, result.lots)
+    _dump(out / "occurrences.csv", AgentOccurrence, result.occurrences)
+    _dump(out / "criteria_raw.csv", CriteriaRaw, result.criteria_raw)
+    _dump(out / "rejections.csv", RowRejection, result.rejections)
     stats = {
         "lots": len(result.lots),
         "occurrences": len(result.occurrences),
@@ -321,33 +326,22 @@ def stage_ingest(config: PipelineConfig) -> None:
         "duplicate_identities": result.duplicate_identities,
         "descriptions_before_split": result.descriptions_before_split,
     }
-    (out / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    _dump_json(out / "stats.json", stats)
     log.info("ingest: %(lots)d lots, %(occurrences)d occurrences", stats)
 
 
 def stage_criteria(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
-    checkpoints.require("ingest", "criteria_raw.csv")
-    raw = [
-        CriteriaRaw(
-            lot_id=int(r["lotId"]),
-            names_field=r["namesField"],
-            weights_field=r["weightsField"],
-            price_field=r["priceField"],
-        )
-        for r in _read_table(checkpoints.path("ingest", "criteria_raw.csv"))
-    ]
+    raw = checkpoints.load("ingest", "criteria_raw.csv", CriteriaRaw)
     result = repair_criteria(raw, config)
     out = checkpoints.stage_dir("criteria")
-    _write_table(
-        out / "criteria.csv", _CRITERION_HEADER, [_criterion_to_row(c) for c in result.criteria]
-    )
+    _dump(out / "criteria.csv", Criterion, result.criteria)
     flags = {
         "misaligned_lots": sorted(result.misaligned_lots),
         "conflict_lots": sorted(result.conflict_lots),
         "unnormalized_lots": sorted(result.unnormalized_lots),
     }
-    (out / "flags.json").write_text(json.dumps(flags, indent=2) + "\n", encoding="utf-8")
+    _dump_json(out / "flags.json", flags)
     log.info("criteria: %d rows repaired", len(result.criteria))
 
 
@@ -365,7 +359,7 @@ def stage_normalize(config: PipelineConfig) -> None:
         normalize_occurrence(occ, postal, config.postal_tokens)
     merge_by_declared_siret(occurrences)
     out = checkpoints.stage_dir("normalize")
-    _write_table(out / "occurrences.csv", _OCC_HEADER, [_occ_to_row(o) for o in occurrences])
+    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
     log.info("normalize: %d occurrences", len(occurrences))
 
 
@@ -374,15 +368,32 @@ def _identify_chunk(args: tuple) -> list[MatchResult]:
     return identify_all(occurrences, lots, registry, config)
 
 
-def _apply_match_results(
-    occurrences: list[AgentOccurrence], results: list[MatchResult]
-) -> None:
-    by_id = {occ.occurrence_id: occ for occ in occurrences}
-    for result in results:
-        if result.source == "matched":
-            occ = by_id[result.occurrence_id]
-            occ.identifier = result.identifier
-            occ.identifier_source = "matched"
+def _identify_parallel(
+    occurrences: list[AgentOccurrence],
+    lots: list[LotRecord],
+    registry: Registry,
+    config: PipelineConfig,
+) -> list[MatchResult]:
+    # fixed-size chunks in occurrence order; collection re-sorts, so
+    # the schedule cannot change the output
+    ordered = sorted(occurrences, key=lambda o: o.occurrence_id)
+    step = (len(ordered) + config.jobs - 1) // config.jobs
+    chunks = [ordered[i : i + step] for i in range(0, len(ordered), step)]
+    lots_by_id = {lot.lot_id: lot for lot in lots}
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        parts = pool.map(
+            _identify_chunk,
+            [
+                (
+                    chunk,
+                    [lots_by_id[i] for i in sorted({o.lot_id for o in chunk})],
+                    registry,
+                    config,
+                )
+                for chunk in chunks
+            ],
+        )
+    return sorted((r for part in parts for r in part), key=lambda r: r.occurrence_id)
 
 
 def stage_identify(config: PipelineConfig) -> None:
@@ -391,35 +402,13 @@ def stage_identify(config: PipelineConfig) -> None:
     lots = _load_lots(checkpoints)
     registry = _load_registry_from_config(config)
 
-    if config.jobs <= 1 or len(occurrences) < 2 * config.jobs:
-        results = identify_all(occurrences, lots, registry, config)
-    else:
-        # fixed-size chunks in occurrence order; collection re-sorts, so
-        # the schedule cannot change the output
-        ordered = sorted(occurrences, key=lambda o: o.occurrence_id)
-        step = (len(ordered) + config.jobs - 1) // config.jobs
-        chunks = [ordered[i : i + step] for i in range(0, len(ordered), step)]
-        lots_by_id = {lot.lot_id: lot for lot in lots}
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            parts = pool.map(
-                _identify_chunk,
-                [
-                    (
-                        chunk,
-                        [lots_by_id[i] for i in sorted({o.lot_id for o in chunk})],
-                        registry,
-                        config,
-                    )
-                    for chunk in chunks
-                ],
-            )
-        results = sorted(
-            (r for part in parts for r in part), key=lambda r: r.occurrence_id
-        )
-        _apply_match_results(occurrences, results)
+    serial = config.jobs <= 1 or len(occurrences) < 2 * config.jobs
+    identify = identify_all if serial else _identify_parallel
+    results = identify(occurrences, lots, registry, config)
+    apply_match_results(occurrences, results)
 
     out = checkpoints.stage_dir("identify")
-    _write_table(out / "occurrences.csv", _OCC_HEADER, [_occ_to_row(o) for o in occurrences])
+    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
     write_match_log(results, str(out / "match_log.csv"), config.delimiter)
     matched = sum(1 for r in results if r.source == "matched")
     log.info("identify: %d matched of %d", matched, len(results))
@@ -430,13 +419,13 @@ def stage_merge(config: PipelineConfig) -> None:
     occurrences = _load_occurrences(checkpoints, "identify")
     result: MergeResult = merge_all(occurrences, config)
     out = checkpoints.stage_dir("merge")
-    _write_table(out / "occurrences.csv", _OCC_HEADER, [_occ_to_row(o) for o in occurrences])
-    _write_table(out / "clusters.csv", _CLUSTER_HEADER, [_cluster_to_row(c) for c in result.clusters])
-    _write_table(out / "agents.csv", _AGENT_HEADER, [_agent_to_row(a) for a in result.agents])
-    _write_table(
+    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
+    _dump(out / "clusters.csv", AgentCluster, result.clusters)
+    _dump(out / "agents.csv", CanonicalAgent, result.agents)
+    _dump(
         out / "agent_names.csv",
-        ["identifierKind", "identifierValue", "name"],
-        [[a.agent_id.kind.value, a.agent_id.value, n] for a in result.agents for n in a.names],
+        _AgentName,
+        (_AgentName(a.agent_id, n) for a in result.agents for n in a.names),
     )
     write_merge_log(result.clusters, str(out / "merge_log.csv"), config.delimiter)
     log.info("merge: %d clusters, %d agents", len(result.clusters), len(result.agents))
@@ -447,27 +436,20 @@ def _load_merge_outputs(
 ) -> tuple[list[AgentOccurrence], list[AgentCluster], list[CanonicalAgent]]:
     checkpoints.require("merge", "occurrences.csv", "clusters.csv", "agents.csv", "agent_names.csv")
     occurrences = _load_occurrences(checkpoints, "merge")
-    clusters = [
-        _cluster_from_row(r) for r in _read_table(checkpoints.path("merge", "clusters.csv"))
-    ]
-    names: dict[tuple[str, str], list[str]] = {}
-    for row in _read_table(checkpoints.path("merge", "agent_names.csv")):
-        names.setdefault((row["identifierKind"], row["identifierValue"]), []).append(row["name"])
-    agents = [
-        _agent_from_row(r, names.get((r["identifierKind"], r["identifierValue"]), []))
-        for r in _read_table(checkpoints.path("merge", "agents.csv"))
-    ]
+    clusters = checkpoints.load("merge", "clusters.csv", AgentCluster)
+    names: dict[Identifier, list[str]] = {}
+    for row in checkpoints.load("merge", "agent_names.csv", _AgentName):
+        names.setdefault(row.agent_id, []).append(row.name)
+    agents = checkpoints.load("merge", "agents.csv", CanonicalAgent)
+    for agent in agents:
+        agent.names = names.get(agent.agent_id, [])
     return occurrences, clusters, agents
 
 
 def stage_emit(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
     lots = _load_lots(checkpoints)
-    checkpoints.require("criteria", "criteria.csv")
-    criteria = [
-        _criterion_from_row(r)
-        for r in _read_table(checkpoints.path("criteria", "criteria.csv"))
-    ]
+    criteria = checkpoints.load("criteria", "criteria.csv", Criterion)
     occurrences, _, agents = _load_merge_outputs(checkpoints)
     occurrence_to_agent = {
         occ.occurrence_id: occ.identifier for occ in occurrences if occ.identifier

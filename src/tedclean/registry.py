@@ -1,8 +1,8 @@
 """The national registry of entities and facilities matched against.
 
 Loaded once from delimiter-separated extracts, then read-only. Facilities
-carry back-references to their parent entity; three indexes (department,
-activity prefix, name token) support candidate blocking.
+carry back-references to their parent entity; two indexes (department,
+activity prefix) support candidate blocking.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .models import (
     Identifier,
-    IdentifierKind,
     InputError,
     RegistryEntity,
     RegistryFacility,
@@ -41,11 +40,6 @@ def validate_siret(raw: str | None) -> Identifier | None:
     return None
 
 
-def split_siret(siret: str) -> tuple[str, str]:
-    """(entity prefix, facility suffix) of a 14-digit identifier."""
-    return siret[:9], siret[9:]
-
-
 @dataclass
 class Registry:
     entities: dict[str, RegistryEntity] = field(default_factory=dict)
@@ -53,7 +47,6 @@ class Registry:
     activity_prefix_length: int = 2
     by_department: dict[str, set[str]] = field(default_factory=dict)
     by_activity_prefix: dict[str, set[str]] = field(default_factory=dict)
-    by_name_token: dict[str, set[str]] = field(default_factory=dict)
 
     def add_entity(self, entity: RegistryEntity) -> None:
         self.entities[entity.siren] = entity
@@ -68,9 +61,6 @@ class Registry:
         if code:
             prefix = code[: self.activity_prefix_length]
             self.by_activity_prefix.setdefault(prefix, set()).add(facility.siret)
-        for name in self.candidate_names(facility):
-            for token in name.split():
-                self.by_name_token.setdefault(token, set()).add(facility.siret)
 
     def parent_entity(self, facility: RegistryFacility) -> RegistryEntity | None:
         return self.entities.get(facility.parent_siren)
@@ -129,7 +119,7 @@ def load_registry(
     activity_prefix_length: int = 2,
     name_list_separator: str = "|",
 ) -> Registry:
-    """Build the in-memory registry with its three lookup indexes.
+    """Build the in-memory registry with its two lookup indexes.
 
     Facilities whose parent entity is missing are kept and flagged orphan.
     Names are folded at load so every later comparison is fold-to-fold.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,30 @@ def cli_run(tmp_path_factory):
     code = main(["pipeline", "--config", config_path])
     assert code == EXIT_OK
     return config_path, out
+
+
+@pytest.fixture(scope="module")
+def normalized(tmp_path_factory):
+    """Checkpoints up to normalize, copied by the corrupted-checkpoint tests."""
+    base = tmp_path_factory.mktemp("normalized")
+    config_path = write_corpus_config(base / "in", base / "out", rows=6, seed=19)
+    code = main(["pipeline", "--config", config_path, "--stage-to", "normalize"])
+    assert code == EXIT_OK
+    return config_path, base / "out" / "checkpoints"
+
+
+def _corrupt(normalized, tmp_path, stage, name, edit):
+    """Copy the checkpoints, rewrite one file's rows through edit(rows),
+    and return the CLI arguments that point a stage at the copy."""
+    config_path, checkpoints = normalized
+    out = tmp_path / "out"
+    shutil.copytree(checkpoints, out / "checkpoints")
+    path = out / "checkpoints" / stage / name
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+    return ["--config", config_path, "--out", str(out)]
 
 
 def test_parser_identity_and_subcommands():
@@ -149,3 +174,39 @@ class TestExitCodes:
         names.write_text(",".join(names_header) + "\n", encoding="utf-8")
         assert main(["emit", "--config", config_path]) == EXIT_INVARIANT
         assert "invariant violated" in capsys.readouterr().err
+
+    def test_corrupted_int_cell(self, normalized, tmp_path, capsys):
+        def edit(rows):
+            rows[1][rows[0].index("lotId")] = "x"
+            return rows
+
+        args = _corrupt(normalized, tmp_path, "ingest", "occurrences.csv", edit)
+        assert main(["normalize"] + args) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "occurrences.csv, line 2: column lotId" in err
+
+    def test_dropped_column(self, normalized, tmp_path, capsys):
+        def edit(rows):
+            return [row[:-1] for row in rows]
+
+        args = _corrupt(normalized, tmp_path, "ingest", "criteria_raw.csv", edit)
+        assert main(["criteria"] + args) == EXIT_INVARIANT
+        assert "criteria_raw.csv: header" in capsys.readouterr().err
+
+    def test_bad_awarded_value(self, normalized, tmp_path, capsys):
+        def edit(rows):
+            rows[1][rows[0].index("awardedValue")] = "12 000 EUR"
+            return rows
+
+        args = _corrupt(normalized, tmp_path, "ingest", "lots.csv", edit)
+        assert main(["identify"] + args) == EXIT_INVARIANT
+        assert "lots.csv, line 2: column awardedValue" in capsys.readouterr().err
+
+    def test_truncated_row(self, normalized, tmp_path, capsys):
+        def edit(rows):
+            rows[-1] = rows[-1][:5]
+            return rows
+
+        args = _corrupt(normalized, tmp_path, "normalize", "occurrences.csv", edit)
+        assert main(["identify"] + args) == EXIT_INVARIANT
+        assert "cells, expected 15" in capsys.readouterr().err

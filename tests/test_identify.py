@@ -12,6 +12,7 @@ from tedclean.identify import (
     REASON_NO_NAME,
     REASON_UNBLOCKABLE,
     address_score,
+    apply_match_results,
     candidate_block,
     identify_all,
     identify_occurrence,
@@ -364,6 +365,8 @@ class TestIdentifyAll:
         results = identify_all(occs, lots, registry, PipelineConfig())
         assert [r.identifier for r in results] == [r.identifier for r in individual]
         assert [r.reason for r in results] == [r.reason for r in individual]
+        assert all(o.identifier is None for o in occs)  # identify_all only reports
+        apply_match_results(occs, results)
         assert occs[0].identifier == full_siret("11111111100011")
         assert occs[0].identifier_source == "matched"
         assert occs[2].identifier is None
@@ -373,6 +376,7 @@ class TestIdentifyAll:
         occ.identifier = full_siret("99999999900011")
         results = identify_all([occ], [make_lot(1)], registry, PipelineConfig())
         assert results[0].source == "declared"
+        apply_match_results([occ], results)
         assert occ.identifier == full_siret("99999999900011")
 
     def test_unknown_lot_raises(self, registry):

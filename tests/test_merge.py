@@ -9,14 +9,13 @@ from tedclean.merge import (
     blocking_key,
     cluster_occurrences,
     field_completeness,
+    _merge_members,
     merge_all,
-    merge_records,
     pair_similarity,
     resolve_cluster,
     write_merge_log,
 )
 from tedclean.models import (
-    AgentCluster,
     CaseKind,
     IdentifierKind,
     full_siret,
@@ -261,13 +260,8 @@ class TestResolveCluster:
 
 
 class TestMergeRecords:
-    def cluster(self, members, case=CaseKind.SINGLE_IDENTIFIED):
-        return AgentCluster(
-            cluster_id=1,
-            member_occurrence_ids=[m.occurrence_id for m in members],
-            case_kind=case,
-            resolved_identifier=SIRET_A,
-        )
+    def merge(self, members):
+        return _merge_members(SIRET_A, members, [CaseKind.SINGLE_IDENTIFIED])
 
     def test_majority(self):
         members = [
@@ -275,7 +269,7 @@ class TestMergeRecords:
             occ(2, "MAIRIE DE LYON", "1 RUE X", "69001", "LYON"),
             occ(3, "VILLE DE LYON", "2 RUE Y", "69002", "LYON"),
         ]
-        agent = merge_records(self.cluster(members), members)
+        agent = self.merge(members)
         assert agent.street == "1 RUE X"
         assert agent.zipcode == "69001"
         assert agent.city == "LYON"
@@ -284,7 +278,7 @@ class TestMergeRecords:
 
     def test_absent_values_ignored(self):
         members = [occ(1, "X", None, None, None), occ(2, "X", "1 RUE X", None, None)]
-        agent = merge_records(self.cluster(members), members)
+        agent = self.merge(members)
         assert agent.street == "1 RUE X"
         assert agent.zipcode is None
 
@@ -293,17 +287,17 @@ class TestMergeRecords:
             occ(1, "X", "2 RUE Y"),
             occ(2, "X", "1 RUE X", "69001", "LYON"),
         ]
-        agent = merge_records(self.cluster(members), members)
+        agent = self.merge(members)
         assert agent.street == "1 RUE X"
 
     def test_tie_then_lexicographic(self):
         members = [occ(1, "X", "B RUE"), occ(2, "X", "A RUE")]
-        agent = merge_records(self.cluster(members), members)
+        agent = self.merge(members)
         assert agent.street == "A RUE"
 
     def test_raw_name_fallback(self):
         a, b = make_occurrence(1, raw_name="Nom Brut"), make_occurrence(2, raw_name="Nom Brut")
-        agent = merge_records(self.cluster([a, b]), [a, b])
+        agent = self.merge([a, b])
         assert agent.names == ["Nom Brut"]
 
     def test_permutation_invariant(self):
@@ -312,10 +306,10 @@ class TestMergeRecords:
             occ(2, "VILLE DE LYON", "2 RUE Y", "69002", "LYON"),
             occ(3, "MAIRIE DE LYON", "2 RUE Y", "69001", None),
         ]
-        base = merge_records(self.cluster(members), members)
+        base = self.merge(members)
         for _ in range(5):
             random.Random(42).shuffle(members)
-            again = merge_records(self.cluster(members), members)
+            again = self.merge(members)
             assert (again.street, again.zipcode, again.city, again.names) == (
                 base.street, base.zipcode, base.city, base.names,
             )
@@ -351,11 +345,10 @@ class TestMergeAll:
             occ(1, "MAIRIE DE LYON", "1 RUE X", "69001", "LYON", identifier=SIRET_A),
             occ(2, "MAIRIE DE LYON", "1 RUE X", "69001", "LYON"),
         ]
-        result = merge_all(occs, PipelineConfig())
-        assert occs[1].identifier == SIRET_A
+        merge_all(occs, PipelineConfig())
+        assert [o.identifier for o in occs] == [SIRET_A, SIRET_A]
         assert occs[1].identifier_source == "merged"
         assert occs[0].identifier_source is None
-        assert result.occurrence_to_agent == {1: SIRET_A, 2: SIRET_A}
 
     def test_agents_sorted_by_kind_then_value(self):
         occs = [

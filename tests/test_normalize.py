@@ -173,8 +173,7 @@ class TestMergeByDeclaredSiret:
             make_occurrence(4, declared_siret="nonsense"),
             make_occurrence(5),
         ]
-        keys = merge_by_declared_siret(occs)
-        assert keys == {1: "12345678900011", 2: "12345678900011"}
+        merge_by_declared_siret(occs)
         assert occs[0].identifier.kind is IdentifierKind.FULL_SIRET
         assert occs[2].identifier.kind is IdentifierKind.SIREN_ONLY
         assert occs[2].identifier_source == "declared"

@@ -1,7 +1,8 @@
 """Checkpoint serialization and stage orchestration.
 
-The serde tests check the lossless round-trip contract: absent values are
-empty cells and no pipeline value is an empty string. The orchestration
+The serde tests check the lossless round-trip contract of the checkpoint
+codec: absent values are empty cells, a plain `str` field keeps "", and
+the column layout of every checkpoint stays pinned. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
 reruns are byte-identical, and that parallel identification cannot change
 the output.
@@ -12,7 +13,6 @@ import datetime as dt
 import json
 import shutil
 import tempfile
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -28,13 +28,16 @@ from tedclean.models import (
     CaseKind,
     ConfigError,
     ContractType,
+    CriteriaRaw,
     Criterion,
     CriterionClass,
     Identifier,
     IdentifierKind,
     InputError,
+    InvariantError,
     LotRecord,
     Role,
+    RowRejection,
 )
 from tedclean.pipeline import (
     STAGE_ORDER,
@@ -58,10 +61,10 @@ def _opt(strategy):
     return st.none() | strategy
 
 
-def _roundtrip(header, rows, from_row, name):
+def _roundtrip(cls, records, name):
     path = _SERDE_DIR / name
-    pl._write_table(path, header, rows)
-    return [from_row(r) for r in pl._read_table(path)]
+    pl._dump(path, cls, records)
+    return pl._load(path, cls)
 
 
 _dates = st.dates(dt.date(2010, 1, 1), dt.date(2020, 12, 31))
@@ -121,6 +124,15 @@ _criteria = st.builds(
     weight_is_normalized=st.booleans(),
 )
 
+_criteria_raw = st.builds(
+    CriteriaRaw,
+    lot_id=st.integers(1, 10**6),
+    # raw fields are kept verbatim, so an empty one must stay empty
+    names_field=st.just("") | _text,
+    weights_field=st.just("") | _text,
+    price_field=st.just("") | _text,
+)
+
 _member_ids = st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(sorted)
 
 _clusters = st.builds(
@@ -145,50 +157,106 @@ _agents = st.builds(
 )
 
 
+# Every checkpoint's columns, spelled out, so that a field rename in
+# models.py cannot silently change checkpoint bytes.
+_GOLDEN_HEADERS = {
+    LotRecord: [
+        "lotId", "noticeId", "lotNumber", "publicationDate", "awardDate",
+        "contractType", "activityCode", "numberOffers", "awardedValue",
+        "currency", "cancelled", "contractNoticeRef", "sourceFile", "sourceLine",
+    ],
+    AgentOccurrence: [
+        "occurrenceId", "lotId", "role", "rawName", "street", "zipcode", "city",
+        "country", "declaredSiret", "normalizedName", "department",
+        "identifierKind", "identifierValue", "identifierSource", "splitConflict",
+    ],
+    CriteriaRaw: ["lotId", "namesField", "weightsField", "priceField"],
+    Criterion: ["lotId", "rawName", "class", "weight", "weightIsNormalized"],
+    AgentCluster: ["clusterId", "memberIds", "caseKind", "identifierKind", "identifierValue"],
+    CanonicalAgent: [
+        "identifierKind", "identifierValue", "street", "zipcode", "city",
+        "department", "country", "caseKinds", "memberIds",
+    ],
+    pl._AgentName: ["identifierKind", "identifierValue", "name"],
+    RowRejection: ["sourceFile", "sourceLine", "reason"],
+}
+
+
 class TestSerde:
     @given(st.lists(_lots, max_size=8))
     @settings(max_examples=150)
     def test_lot_roundtrip(self, lots):
-        rows = [pl._lot_to_row(l) for l in lots]
-        assert _roundtrip(pl._LOT_HEADER, rows, pl._lot_from_row, "lots.csv") == lots
+        assert _roundtrip(LotRecord, lots, "lots.csv") == lots
 
     @given(st.lists(_occurrences, max_size=8))
     @settings(max_examples=150)
     def test_occurrence_roundtrip(self, occs):
-        rows = [pl._occ_to_row(o) for o in occs]
-        assert _roundtrip(pl._OCC_HEADER, rows, pl._occ_from_row, "occs.csv") == occs
+        assert _roundtrip(AgentOccurrence, occs, "occs.csv") == occs
 
     @given(st.lists(_criteria, max_size=8))
     @settings(max_examples=150)
     def test_criterion_roundtrip(self, criteria):
-        rows = [pl._criterion_to_row(c) for c in criteria]
-        got = _roundtrip(pl._CRITERION_HEADER, rows, pl._criterion_from_row, "crit.csv")
-        assert got == criteria
+        assert _roundtrip(Criterion, criteria, "crit.csv") == criteria
+
+    @given(st.lists(_criteria_raw, max_size=8))
+    @settings(max_examples=100)
+    def test_criteria_raw_roundtrip(self, raw):
+        assert _roundtrip(CriteriaRaw, raw, "criteria_raw.csv") == raw
 
     @given(st.lists(_clusters, max_size=8))
     @settings(max_examples=100)
     def test_cluster_roundtrip(self, clusters):
-        rows = [pl._cluster_to_row(c) for c in clusters]
-        got = _roundtrip(pl._CLUSTER_HEADER, rows, pl._cluster_from_row, "clusters.csv")
-        assert got == clusters
+        assert _roundtrip(AgentCluster, clusters, "clusters.csv") == clusters
 
     @given(_agents)
     @settings(max_examples=100)
     def test_agent_roundtrip(self, agent):
-        path = _SERDE_DIR / "agents.csv"
-        pl._write_table(path, pl._AGENT_HEADER, [pl._agent_to_row(agent)])
-        (row,) = pl._read_table(path)
-        assert pl._agent_from_row(row, list(agent.names)) == agent
+        (got,) = _roundtrip(CanonicalAgent, [agent], "agents.csv")
+        assert got.names == []  # names live in agent_names.csv
+        got.names = list(agent.names)
+        assert got == agent
+        rows = [pl._AgentName(agent.agent_id, n) for n in agent.names]
+        assert _roundtrip(pl._AgentName, rows, "agent_names.csv") == rows
 
-    def test_opt_and_date_helpers(self):
-        assert pl._opt("") is None
-        assert pl._opt("x") == "x"
-        assert pl._date("") is None
-        assert pl._date("2015-06-01") == dt.date(2015, 6, 1)
+    @pytest.mark.parametrize("cls", list(_GOLDEN_HEADERS), ids=lambda c: c.__name__)
+    def test_header_is_pinned(self, cls):
+        path = _SERDE_DIR / f"header-{cls.__name__}.csv"
+        pl._dump(path, cls, [])
+        assert path.read_text(encoding="utf-8") == ",".join(_GOLDEN_HEADERS[cls]) + "\n"
 
     def test_read_table_missing_file_is_input_error(self):
         with pytest.raises(InputError):
-            pl._read_table(_SERDE_DIR / "no-such-table.csv")
+            pl._load(_SERDE_DIR / "no-such-table.csv", LotRecord)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("lotId,namesField,weightsField\n", "header"),
+            ("lotId,namesField,weightsField,priceField\n1,a,b\n", "line 2: 3 cells, expected 4"),
+            ("lotId,namesField,weightsField,priceField\n1,a,b,c\nx,a,b,c\n", "line 3: column lotId"),
+            ("", "header None"),
+        ],
+    )
+    def test_bad_checkpoint_is_invariant_error(self, text, problem):
+        path = _SERDE_DIR / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvariantError, match=problem) as exc:
+            pl._load(path, CriteriaRaw)
+        assert str(path) in str(exc.value)
+
+    def test_interrupted_dump_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "criteria_raw.csv"
+        pl._dump(path, CriteriaRaw, [CriteriaRaw(1, "Prix", "60", "")])
+        before = path.read_bytes()
+
+        def killed_midway():
+            yield CriteriaRaw(2, "Prix", "40", "")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            pl._dump(path, CriteriaRaw, killed_midway())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCheckpoints:
@@ -289,7 +357,7 @@ class TestOrchestration:
         dir_a = Path(cfg_a.output_dir) / "checkpoints" / "identify"
         dir_b = out_b / "checkpoints" / "identify"
         assert _tree(dir_a) == _tree(dir_b)
-        occs = pl._read_table(dir_b / "occurrences.csv")
+        occs = pl._load(dir_b / "occurrences.csv", AgentOccurrence)
         assert 2 * cfg_b.jobs <= len(occs), "fixture must actually take the parallel path"
 
     def test_stage_to_stops_early(self, tmp_path):

@@ -10,7 +10,6 @@ from tedclean.models import IdentifierKind, InputError, RegistryEntity, Registry
 from tedclean.registry import (
     Registry,
     load_registry,
-    split_siret,
     temporally_valid,
     validate_siret,
 )
@@ -36,9 +35,6 @@ class TestValidateSiret:
     @pytest.mark.parametrize("raw", [None, "", "12345", "1234567890001X", "123456789000112"])
     def test_invalid(self, raw):
         assert validate_siret(raw) is None
-
-    def test_split(self):
-        assert split_siret("12345678900011") == ("123456789", "00011")
 
 
 def entity(siren="123456789", **kw):
@@ -67,8 +63,6 @@ class TestRegistry:
         reg.add_facility(facility())
         assert reg.by_department["69"] == {"12345678900011"}
         assert reg.by_activity_prefix["47"] == {"12345678900011"}
-        assert "ACME" in reg.by_name_token
-        assert "LYON" in reg.by_name_token
 
     def test_orphan_flag(self):
         reg = Registry()
