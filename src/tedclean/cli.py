@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", help="override the configured output directory")
-        p.add_argument("--seed", type=int, help="override the configured random seed")
         p.add_argument("--jobs", type=int, help="override the configured parallelism")
 
     for stage in STAGE_ORDER:
@@ -62,8 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         config = validate_config(args.config)
         if args.out:
             config.output_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
         if args.jobs is not None:
             if args.jobs < 1:
                 raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")

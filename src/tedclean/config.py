@@ -1,13 +1,25 @@
 """Pipeline configuration: defaults, file loading, validation.
 
-Config files are JSON. Anything not overridden falls back to the defaults
-below, so a minimal config only names its input files and output directory.
+Config files are JSON, and the annotated fields of `PipelineConfig` and
+`MatchConfig` are their schema: a field's annotation is the type its value
+must have, and its default holds when the key is absent. Values convert by
+annotation: a bool is not an int, an int is accepted as a float, `null` only
+fits `X | None`, lists and `dict[str, X]` convert element by element, an Enum
+by its value, a date from an ISO string, `match` as a nested object. A field
+sits under its own name except the nine in `_JSON_PATH`; the header maps in
+`_MERGED_MAPS` merge into their defaults; unknown keys are ignored. A bad
+value raises ConfigError naming its key path (`match.name_threshold`,
+`period[0]`); `validate` then checks ranges. `criterion_lexicon_path` names a
+JSON file whose object replaces `criterion_lexicon`, checked the same way.
 """
-from __future__ import annotations
-
+import dataclasses
+import datetime as dt
+import enum
 import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+import os
+import types
+import typing
+from dataclasses import dataclass, field
 
 from .models import ConfigError, CriterionClass
 
@@ -141,8 +153,6 @@ DEFAULT_CONTRACT_TYPE_VALUES: dict[str, str] = {
 
 DEFAULT_DATE_FORMATS = ["%Y-%m-%d", "%d/%m/%Y"]
 
-DEFAULT_PERIOD = ("2010-01-01", "2020-12-31")
-
 
 @dataclass(frozen=True)
 class MatchConfig:
@@ -163,7 +173,7 @@ class MatchConfig:
             if not 0.0 <= v <= 1.0:
                 errors.append(f"match.{name} must be in [0, 1], got {v}")
         total = self.street_weight + self.zipcode_weight + self.city_weight
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             errors.append(f"match address weights must sum to 1.0, got {total}")
         if self.activity_prefix_length < 1:
             errors.append("match.activity_prefix_length must be >= 1")
@@ -199,14 +209,13 @@ class PipelineConfig:
         default_factory=lambda: dict(DEFAULT_CONTRACT_TYPE_VALUES)
     )
     date_formats: list[str] = field(default_factory=lambda: list(DEFAULT_DATE_FORMATS))
-    period_start: str = DEFAULT_PERIOD[0]
-    period_end: str = DEFAULT_PERIOD[1]
+    # First and last publication date kept by ingest, both inclusive.
+    period: tuple[dt.date, dt.date] = (dt.date(2010, 1, 1), dt.date(2020, 12, 31))
     match: MatchConfig = field(default_factory=MatchConfig)
     merge_threshold: float = 0.85
     # CPV prefix -> acceptable registry activity prefixes; None disables the
     # activity filter entirely.
     cpv_activity_map: dict[str, list[str]] | None = None
-    seed: int = 0
     jobs: int = 1
 
     def validate(self, check_paths: bool = True) -> list[str]:
@@ -222,13 +231,14 @@ class PipelineConfig:
         for sem in MANDATORY_FIELDS:
             if sem not in self.column_map:
                 errors.append(f"column_map is missing the mandatory field {sem!r}")
-        if not self.separators:
-            errors.append("separators must not be empty")
-        if self.period_start > self.period_end:
-            errors.append("period_start is after period_end")
+        if not self.separators or "" in self.separators:
+            errors.append("separators must be a non-empty list of non-empty strings")
+        if self.period[0] > self.period[1]:
+            errors.append("period starts after it ends")
         if check_paths:
+            # os.path.exists answers False for a NUL in a path; Path.exists raises.
             for path in self.lot_files:
-                if not Path(path).exists():
+                if not os.path.exists(path):
                     errors.append(f"lot file does not exist: {path}")
             for label, path in [
                 ("registry entity file", self.registry_entity_file),
@@ -237,94 +247,125 @@ class PipelineConfig:
                 ("contract notice file", self.contract_notice_file),
                 ("ground truth file", self.ground_truth_file),
             ]:
-                if path is not None and not Path(path).exists():
+                if path is not None and not os.path.exists(path):
                     errors.append(f"{label} does not exist: {path}")
         return errors
 
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
+
+# JSON location of the fields that do not sit under their own name, relative
+# to the object their dataclass is read from.
+_JSON_PATH: dict[str, tuple[str, ...]] = {
+    "lot_files": ("inputs", "lots"),
+    "registry_entity_file": ("inputs", "registry_entities"),
+    "registry_facility_file": ("inputs", "registry_facilities"),
+    "postal_file": ("inputs", "postal"),
+    "contract_notice_file": ("inputs", "contract_notice_ids"),
+    "ground_truth_file": ("inputs", "ground_truth"),
+    "street_weight": ("address_weights", "street"),
+    "zipcode_weight": ("address_weights", "zipcode"),
+    "city_weight": ("address_weights", "city"),
+}
+
+# Header maps: the file names only the columns that differ from the defaults.
+_MERGED_MAPS = {"column_map", "registry_entity_map", "registry_facility_map"}
 
 
-def _match_from_dict(data: dict) -> MatchConfig:
-    weights = data.get("address_weights", {})
-    return MatchConfig(
-        name_threshold=data.get("name_threshold", 0.80),
-        street_weight=weights.get("street", 0.40),
-        zipcode_weight=weights.get("zipcode", 0.35),
-        city_weight=weights.get("city", 0.25),
-        min_address_score=data.get("min_address_score", 0.30),
-        activity_prefix_length=data.get("activity_prefix_length", 2),
-        allow_unblocked=data.get("allow_unblocked", False),
-    )
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    cfg = PipelineConfig()
-    inputs = data.get("inputs", {})
-    cfg.lot_files = list(inputs.get("lots", []))
-    cfg.registry_entity_file = inputs.get("registry_entities")
-    cfg.registry_facility_file = inputs.get("registry_facilities")
-    cfg.postal_file = inputs.get("postal")
-    cfg.contract_notice_file = inputs.get("contract_notice_ids")
-    cfg.ground_truth_file = inputs.get("ground_truth")
-    cfg.output_dir = data.get("output_dir", cfg.output_dir)
-    cfg.delimiter = data.get("delimiter", cfg.delimiter)
-    cfg.column_map.update(data.get("column_map", {}))
-    cfg.registry_entity_map.update(data.get("registry_entity_map", {}))
-    cfg.registry_facility_map.update(data.get("registry_facility_map", {}))
-    if "separators" in data:
-        cfg.separators = list(data["separators"])
-    if "postal_tokens" in data:
-        cfg.postal_tokens = list(data["postal_tokens"])
-    if "unsuccessful_markers" in data:
-        cfg.unsuccessful_markers = list(data["unsuccessful_markers"])
-    if "criterion_lexicon" in data:
-        cfg.criterion_lexicon = {
-            k: CriterionClass(v) for k, v in data["criterion_lexicon"].items()
-        }
-    if "contract_type_values" in data:
-        cfg.contract_type_values = dict(data["contract_type_values"])
-    if "date_formats" in data:
-        cfg.date_formats = list(data["date_formats"])
-    period = data.get("period")
-    if period:
-        cfg.period_start, cfg.period_end = period[0], period[1]
-    cfg.match = _match_from_dict(data.get("match", {}))
-    cfg.merge_threshold = data.get("merge_threshold", cfg.merge_threshold)
-    if data.get("cpv_activity_map") is not None:
-        cfg.cpv_activity_map = {
-            k: list(v) for k, v in data["cpv_activity_map"].items()
-        }
-    cfg.seed = data.get("seed", cfg.seed)
-    cfg.jobs = data.get("jobs", cfg.jobs)
-    return cfg
+def _fail(path: str, expected: str, value: object) -> typing.NoReturn:
+    raise ConfigError(f"{path or 'the config'}: expected {expected}, got {json.dumps(value)}")
 
 
-def load_lexicon(path: str) -> dict[str, CriterionClass]:
-    """Read a keyword -> class lexicon file (JSON object)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+def _convert(value: object, tp: object, path: str) -> object:
+    """The JSON value converted to the annotation `tp`, or ConfigError."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _convert(value, inner, path)
+    if dataclasses.is_dataclass(tp):
+        return _from_json(tp, value, path)
+    if origin is list:
+        if not isinstance(value, list):
+            _fail(path, "a list", value)
+        return [_convert(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is dict:
+        if not isinstance(value, dict):
+            _fail(path, "an object", value)
+        return {k: _convert(v, args[1], _join(path, k)) for k, v in value.items()}
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            _fail(path, f"a list of {len(args)} values", value)
+        return tuple(_convert(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except (ValueError, TypeError):
+            _fail(path, "one of " + ", ".join(str(m.value) for m in tp), value)
+    if tp is dt.date:
+        try:
+            return dt.date.fromisoformat(value)
+        except (ValueError, TypeError):
+            _fail(path, "an ISO date such as 2010-01-31", value)
+    if isinstance(value, bool) != (tp is bool):
+        _fail(path, tp.__name__, value)
+    if tp is float and isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            _fail(path, "a number in floating-point range", value)
+    if not isinstance(value, tp):
+        _fail(path, tp.__name__, value)
+    return value
+
+
+def _from_json(cls: type, data: object, path: str) -> object:
+    """An instance of the dataclass `cls` read from a JSON object."""
+    if not isinstance(data, dict):
+        _fail(path, "an object", data)
+    values = {}
+    for f in dataclasses.fields(cls):
+        *parents, key = _JSON_PATH.get(f.name, (f.name,))
+        node, where = data, path
+        for parent in parents:
+            where = _join(where, parent)
+            node = node.get(parent, {})
+            if not isinstance(node, dict):
+                _fail(where, "an object", node)
+        if key in node:
+            value = _convert(node[key], f.type, _join(where, key))
+            if f.name in _MERGED_MAPS:
+                value = {**f.default_factory(), **value}
+            values[f.name] = value
+    return cls(**values)
+
+
+def _read_json(path: str, what: str) -> object:
     try:
-        return {k: CriterionClass(v) for k, v in raw.items()}
-    except ValueError as exc:
-        raise ConfigError(f"bad criterion class in lexicon {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: bad JSON, UTF-8 or path; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path} as JSON: {exc}") from exc
+
+
+def config_from_dict(data: object) -> PipelineConfig:
+    """A config read from parsed JSON; raises ConfigError naming the bad key."""
+    config = _from_json(PipelineConfig, data, "")
+    lexicon_path = _convert(data.get("criterion_lexicon_path"), str | None, "criterion_lexicon_path")
+    if lexicon_path:
+        config.criterion_lexicon = _convert(
+            _read_json(lexicon_path, "criterion_lexicon_path"),
+            PipelineConfig.__annotations__["criterion_lexicon"],
+            "criterion_lexicon_path",
+        )
+    return config
 
 
 def validate_config(path: str) -> PipelineConfig:
     """Load and validate a config file; raises ConfigError listing every issue."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if "criterion_lexicon_path" in data and data["criterion_lexicon_path"]:
-        data["criterion_lexicon"] = {
-            k: v.value if isinstance(v, CriterionClass) else v
-            for k, v in load_lexicon(data["criterion_lexicon_path"]).items()
-        }
-    cfg = config_from_dict(data)
+    cfg = config_from_dict(_read_json(path, "config file"))
     errors = cfg.validate()
     if errors:
         raise ConfigError("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))

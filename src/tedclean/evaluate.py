@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import logging
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -31,8 +29,6 @@ from .models import (
 )
 from .normalize import PostalTable, merge_by_declared_siret, normalize_occurrence
 from .registry import Registry, validate_siret
-
-log = logging.getLogger(__name__)
 
 STAGES = ("separation", "normalization", "identification", "clustering")
 
@@ -85,35 +81,6 @@ def singleton_ratio(occurrence_ids: list[int], clustering: Clustering) -> float 
         1 for i in occurrence_ids if clustering.sizes[clustering.cluster_of[i]] == 1
     )
     return alone / len(occurrence_ids)
-
-
-def sample_ground_truth(
-    occurrences: list[AgentOccurrence], per_role: int, seed: int
-) -> list[int]:
-    """Seeded stratified sample of occurrence ids, one per apparent agent.
-
-    Eligible occurrences have both a name and a city; within a role, only
-    one occurrence per distinct (name, city) pair enters the draw.
-    """
-    rng = random.Random(seed)
-    sampled: list[int] = []
-    for role in (Role.BUYER, Role.WINNER):
-        eligible: dict[tuple[str, str], int] = {}
-        for occ in sorted(occurrences, key=lambda o: o.occurrence_id):
-            if occ.role is not role or not occ.normalized_name or not occ.city:
-                continue
-            eligible.setdefault((occ.normalized_name, occ.city), occ.occurrence_id)
-        pool = sorted(eligible.values())
-        if len(pool) <= per_role:
-            if len(pool) < per_role:
-                log.warning(
-                    "only %d eligible %s occurrences for a sample of %d",
-                    len(pool), role.value, per_role,
-                )
-            sampled.extend(pool)
-        else:
-            sampled.extend(rng.sample(pool, per_role))
-    return sorted(sampled)
 
 
 @dataclass

@@ -74,15 +74,18 @@ def parse_table(
 
     The header must contain every mandatory mapped column; data lines whose
     cell count does not match the header (unbalanced quoting included) are
-    skipped and counted.
+    skipped and counted. Lines end only at "\n" or "\r\n": str.splitlines
+    would also cut a row at U+0085, U+2028, form feeds and the like, which
+    turn up inside cells.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read lot file {path}: {exc}") from exc
-    if not lines:
+    if not text:
         raise InputError(f"lot file {path} is empty")
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
 
     header = next(csv.reader([lines[0]], delimiter=delimiter))
     header = [h.strip() for h in header]
@@ -196,8 +199,7 @@ def build_lot(
     )
     if publication is None:
         return reject("missing-publication-date")
-    start = dt.date.fromisoformat(config.period_start)
-    end = dt.date.fromisoformat(config.period_end)
+    start, end = config.period
     if not start <= publication <= end:
         return reject("out-of-period")
 

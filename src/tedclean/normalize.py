@@ -11,6 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
+from .config import DEFAULT_POSTAL_TOKENS
 from .models import AgentOccurrence
 
 # Ligatures and letters NFKD leaves alone.
@@ -81,7 +82,7 @@ def normalize_address(
     CEDEX... plus trailing digits) are stripped from all three fields; the
     zipcode is reduced to its 5-digit run or dropped; cities lose digits.
     """
-    tokens = postal_tokens if postal_tokens is not None else ["BP", "CS", "CEDEX", "TSA"]
+    tokens = postal_tokens if postal_tokens is not None else DEFAULT_POSTAL_TOKENS
     token_re = _postal_token_re(tokens)
 
     def clean(value: str | None) -> str | None:

@@ -431,26 +431,18 @@ def stage_merge(config: PipelineConfig) -> None:
     log.info("merge: %d clusters, %d agents", len(result.clusters), len(result.agents))
 
 
-def _load_merge_outputs(
-    checkpoints: Checkpoints,
-) -> tuple[list[AgentOccurrence], list[AgentCluster], list[CanonicalAgent]]:
-    checkpoints.require("merge", "occurrences.csv", "clusters.csv", "agents.csv", "agent_names.csv")
+def stage_emit(config: PipelineConfig) -> None:
+    checkpoints = Checkpoints(config.output_dir)
+    lots = _load_lots(checkpoints)
+    criteria = checkpoints.load("criteria", "criteria.csv", Criterion)
+    checkpoints.require("merge", "occurrences.csv", "agents.csv", "agent_names.csv")
     occurrences = _load_occurrences(checkpoints, "merge")
-    clusters = checkpoints.load("merge", "clusters.csv", AgentCluster)
     names: dict[Identifier, list[str]] = {}
     for row in checkpoints.load("merge", "agent_names.csv", _AgentName):
         names.setdefault(row.agent_id, []).append(row.name)
     agents = checkpoints.load("merge", "agents.csv", CanonicalAgent)
     for agent in agents:
         agent.names = names.get(agent.agent_id, [])
-    return occurrences, clusters, agents
-
-
-def stage_emit(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    lots = _load_lots(checkpoints)
-    criteria = checkpoints.load("criteria", "criteria.csv", Criterion)
-    occurrences, _, agents = _load_merge_outputs(checkpoints)
     occurrence_to_agent = {
         occ.occurrence_id: occ.identifier for occ in occurrences if occ.identifier
     }
@@ -473,7 +465,7 @@ def _load_contract_ids(config: PipelineConfig) -> set[str]:
 def stage_evaluate(config: PipelineConfig, mask: bool = False) -> evaluate_mod.EvaluationReport:
     checkpoints = Checkpoints(config.output_dir)
     lots = _load_lots(checkpoints)
-    _, clusters, _ = _load_merge_outputs(checkpoints)
+    clusters = checkpoints.load("merge", "clusters.csv", AgentCluster)
     identified = _load_occurrences(checkpoints, "identify")
     pre_merge = {occ.occurrence_id: occ.identifier for occ in identified}
     sizes, idents = evaluate_mod.distribution_tables(clusters, pre_merge)

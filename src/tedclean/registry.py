@@ -11,6 +11,8 @@ import datetime as dt
 import logging
 from dataclasses import dataclass, field
 
+from .config import DEFAULT_DATE_FORMATS
+from .ingest import parse_date
 from .models import (
     Identifier,
     InputError,
@@ -22,6 +24,9 @@ from .models import (
 from .normalize import department_of, normalize_name
 
 log = logging.getLogger(__name__)
+
+# Separates the names listed in one registry cell (former names, facility names).
+NAME_LIST_SEPARATOR = "|"
 
 
 def validate_siret(raw: str | None) -> Identifier | None:
@@ -89,18 +94,6 @@ def temporally_valid(facility: RegistryFacility, date: dt.date) -> bool:
     return True
 
 
-def _parse_date(value: str, formats: list[str]) -> dt.date | None:
-    value = value.strip()
-    if not value:
-        return None
-    for fmt in formats:
-        try:
-            return dt.datetime.strptime(value, fmt).date()
-        except ValueError:
-            continue
-    return None
-
-
 def _read_rows(path: str, delimiter: str) -> list[dict[str, str]]:
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -117,14 +110,13 @@ def load_registry(
     delimiter: str = ",",
     date_formats: list[str] | None = None,
     activity_prefix_length: int = 2,
-    name_list_separator: str = "|",
 ) -> Registry:
     """Build the in-memory registry with its two lookup indexes.
 
     Facilities whose parent entity is missing are kept and flagged orphan.
     Names are folded at load so every later comparison is fold-to-fold.
     """
-    formats = date_formats or ["%Y-%m-%d", "%d/%m/%Y"]
+    formats = date_formats or DEFAULT_DATE_FORMATS
     registry = Registry(activity_prefix_length=activity_prefix_length)
 
     for row in _read_rows(entity_path, delimiter):
@@ -136,7 +128,7 @@ def load_registry(
         former = (row.get(entity_map.get("former_names", ""), "") or "").strip()
         if former:
             names.extend(
-                normalize_name(part) for part in former.split(name_list_separator)
+                normalize_name(part) for part in former.split(NAME_LIST_SEPARATOR)
             )
         names = [n for n in names if n]
         if not names:
@@ -146,8 +138,8 @@ def load_registry(
             RegistryEntity(
                 siren=siren,
                 legal_names=names,
-                creation_date=_parse_date(row.get(entity_map.get("creation_date", ""), "") or "", formats),
-                closure_date=_parse_date(row.get(entity_map.get("closure_date", ""), "") or "", formats),
+                creation_date=parse_date(row.get(entity_map.get("creation_date", "")), formats),
+                closure_date=parse_date(row.get(entity_map.get("closure_date", "")), formats),
                 activity_code=(row.get(entity_map.get("activity_code", ""), "") or "").strip() or None,
             )
         )
@@ -160,7 +152,7 @@ def load_registry(
         raw_names = (row.get(facility_map.get("names", ""), "") or "").strip()
         names = [
             folded
-            for part in raw_names.split(name_list_separator)
+            for part in raw_names.split(NAME_LIST_SEPARATOR)
             if (folded := normalize_name(part))
         ]
         street, zipcode, city = (
@@ -178,8 +170,8 @@ def load_registry(
             city=city,
             department=department_of(zipcode),
             activity_code=(row.get(facility_map.get("activity_code", ""), "") or "").strip() or None,
-            open_date=_parse_date(row.get(facility_map.get("open_date", ""), "") or "", formats),
-            close_date=_parse_date(row.get(facility_map.get("close_date", ""), "") or "", formats),
+            open_date=parse_date(row.get(facility_map.get("open_date", "")), formats),
+            close_date=parse_date(row.get(facility_map.get("close_date", "")), formats),
         )
         registry.add_facility(facility)
         if facility.orphan:

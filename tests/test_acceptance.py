@@ -9,6 +9,7 @@ rules, never from the code under test.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import os
 import random
@@ -678,7 +679,7 @@ def test_criterion_7_schema_integrity_and_determinism(tmp_path):
     base = corpus_config(tmp_path / "in", tmp_path / "run_a", rows=100, seed=42)
     trees = {}
     for label, jobs in [("run_a", 1), ("run_b", 1), ("run_c", 4), ("run_d", 8)]:
-        config = base.with_overrides(output_dir=str(tmp_path / label), jobs=jobs)
+        config = dataclasses.replace(base, output_dir=str(tmp_path / label), jobs=jobs)
         run_pipeline(config)
         trees[label] = _tree(Path(config.output_dir))
     assert trees["run_a"] == trees["run_b"], "rerun differs"

@@ -100,8 +100,7 @@ def test_out_override_redirects_output(tmp_path, cli_run):
 
 def test_jobs_and_seed_overrides_accepted(tmp_path):
     config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=13)
-    code = main(["pipeline", "--config", config_path, "--jobs", "2", "--seed", "7",
-                 "--stage-to", "ingest"])
+    code = main(["pipeline", "--config", config_path, "--jobs", "2", "--stage-to", "ingest"])
     assert code == EXIT_OK
 
 
@@ -111,6 +110,14 @@ def test_masked_evaluate_subcommand(cli_run):
     report = out / "checkpoints" / "evaluate"
     assert (report / "mask_outcomes.csv").exists()
     assert (report / "stage_accounting.csv").exists()
+
+
+def test_evaluate_reads_only_clusters_of_merge(cli_run, tmp_path):
+    config_path, out = cli_run
+    shutil.copytree(out / "checkpoints", tmp_path / "checkpoints")
+    for name in ("occurrences.csv", "agents.csv", "agent_names.csv"):
+        (tmp_path / "checkpoints" / "merge" / name).unlink()
+    assert main(["evaluate", "--config", config_path, "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestExitCodes:

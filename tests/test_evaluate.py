@@ -13,7 +13,6 @@ from tedclean.evaluate import (
     load_ground_truth,
     mask_and_rerun,
     notice_coverage,
-    sample_ground_truth,
     singleton_ratio,
     stage_accounting,
     truth_from_declared,
@@ -113,49 +112,6 @@ class TestRatios:
         assert (single == 1.0) == all_alone
         if len(subset) == 1:
             assert conc == 1.0
-
-
-class TestSampleGroundTruth:
-    def build(self):
-        occs = []
-        for i in range(1, 11):
-            occs.append(make_occurrence(i, role=Role.BUYER,
-                                        normalized_name=f"BUYER {i}", city="LYON"))
-        for i in range(11, 21):
-            occs.append(make_occurrence(i, role=Role.WINNER,
-                                        normalized_name=f"WINNER {i}", city="PARIS"))
-        return occs
-
-    def test_deterministic(self):
-        occs = self.build()
-        assert sample_ground_truth(occs, 3, seed=7) == sample_ground_truth(occs, 3, seed=7)
-        assert sample_ground_truth(occs, 3, seed=7) != sample_ground_truth(occs, 3, seed=8)
-
-    def test_quota_per_role(self):
-        occs = self.build()
-        sampled = sample_ground_truth(occs, 3, seed=1)
-        assert len(sampled) == 6
-        assert sum(1 for i in sampled if i <= 10) == 3
-
-    def test_requires_name_and_city(self):
-        occs = [
-            make_occurrence(1, normalized_name="X", city=None),
-            make_occurrence(2, normalized_name=None, city="LYON"),
-            make_occurrence(3, normalized_name="X", city="LYON"),
-        ]
-        assert sample_ground_truth(occs, 5, seed=0) == [3]
-
-    def test_dedupes_by_name_city(self):
-        occs = [
-            make_occurrence(2, normalized_name="X", city="LYON"),
-            make_occurrence(1, normalized_name="X", city="LYON"),
-            make_occurrence(3, normalized_name="X", city="PARIS"),
-        ]
-        assert sample_ground_truth(occs, 5, seed=0) == [1, 3]
-
-    def test_short_pool_takes_all(self):
-        occs = self.build()[:4]
-        assert sample_ground_truth(occs, 100, seed=0) == [1, 2, 3, 4]
 
 
 class TestStageAccounting:

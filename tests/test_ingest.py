@@ -125,6 +125,29 @@ class TestParseTable:
         with pytest.raises(InputError):
             parse_table(str(path), {"notice_id": "A"})
 
+    # str.splitlines breaks lines at each of these; a cell may hold them.
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newline_ends_a_line(self, tmp_path, char):
+        rows = [
+            lot_row("n1", "1", CAE_NAME=f"Mairie{char} de Lyon"),
+            lot_row("n2", "1", CAE_NAME=f"Region{char}Sud"),
+            lot_row("n3", "1"),
+        ]
+        path = write_lot_file(tmp_path / "lots.csv", rows)
+        parsed = parse_table(path, PipelineConfig().column_map)
+        assert parsed.skipped == 0
+        assert [r.source_line for r in parsed.rows] == [2, 3, 4]
+        assert parsed.rows[0].cells["CAE_NAME"] == f"Mairie{char} de Lyon"
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "lots.csv"
+        path.write_text("A,B\r\n1,2\r\n\r\n3,4\r\n", encoding="utf-8", newline="")
+        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"})
+        assert [(r.cells["B"], r.source_line) for r in parsed.rows] == [("2", 2), ("4", 4)]
+        assert parsed.skipped == 0
+
 
 def _build(cells: dict, **config_kw) -> LotRecord | RowRejection:
     config = PipelineConfig(**config_kw)

@@ -9,6 +9,7 @@ the output.
 """
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 import shutil
@@ -331,14 +332,14 @@ class TestOrchestration:
     def test_pipeline_equals_stage_by_stage(self, tmp_path):
         cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=2)
         run_pipeline(cfg_a)
-        cfg_b = cfg_a.with_overrides(output_dir=str(tmp_path / "b"))
+        cfg_b = dataclasses.replace(cfg_a, output_dir=str(tmp_path / "b"))
         for stage in STAGE_ORDER:
             run_stage(stage, cfg_b)
         assert _tree(Path(cfg_a.output_dir)) == _tree(Path(cfg_b.output_dir))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=3)
-        cfg_b = cfg_a.with_overrides(output_dir=str(tmp_path / "b"))
+        cfg_b = dataclasses.replace(cfg_a, output_dir=str(tmp_path / "b"))
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
         assert _tree(Path(cfg_a.output_dir)) == _tree(Path(cfg_b.output_dir))
@@ -351,7 +352,7 @@ class TestOrchestration:
         shutil.copytree(
             Path(cfg_a.output_dir) / "checkpoints", out_b / "checkpoints"
         )
-        cfg_b = cfg_a.with_overrides(output_dir=str(out_b), jobs=4)
+        cfg_b = dataclasses.replace(cfg_a, output_dir=str(out_b), jobs=4)
         stage_identify(cfg_a)
         stage_identify(cfg_b)
         dir_a = Path(cfg_a.output_dir) / "checkpoints" / "identify"
