@@ -12,11 +12,11 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .files import replacing, write_rows
 from .models import (
     AgentOccurrence,
     CanonicalAgent,
     Criterion,
-    Identifier,
     InvariantError,
     LotRecord,
     Role,
@@ -39,15 +39,8 @@ class Table:
         return tuple(row[i] for i in indices)
 
 
-@dataclass
-class OutputSchema:
-    tables: dict[str, Table] = field(default_factory=dict)
-
-    def add(self, table: Table) -> None:
-        self.tables[table.name] = table
-
-    def __getitem__(self, name: str) -> Table:
-        return self.tables[name]
+# The six tables by name, in TABLE_ORDER.
+OutputSchema = dict[str, Table]
 
 
 TABLE_ORDER = ("Lots", "Agents", "Names", "LotBuyers", "LotSuppliers", "Criteria")
@@ -74,13 +67,12 @@ def build_tables(
     lots: list[LotRecord],
     agents: list[CanonicalAgent],
     occurrences: list[AgentOccurrence],
-    occurrence_to_agent: dict[int, Identifier],
     criteria: list[Criterion],
 ) -> OutputSchema:
     """Assemble all six tables; any dangling reference is fatal."""
-    schema = OutputSchema()
+    schema: OutputSchema = {}
 
-    lots_table = Table(
+    schema["Lots"] = Table(
         name="Lots",
         columns=[
             "lotId", "noticeId", "lotNumber", "publicationDate", "awardDate",
@@ -94,9 +86,8 @@ def build_tables(
         ],
         rows=[_lot_row(lot) for lot in sorted(lots, key=lambda l: l.lot_id)],
     )
-    schema.add(lots_table)
 
-    agents_table = Table(
+    schema["Agents"] = Table(
         name="Agents",
         columns=[
             "agentId", "idKind", "name", "street", "zipcode", "city",
@@ -119,25 +110,22 @@ def build_tables(
             for agent in sorted(agents, key=lambda a: a.agent_id.render())
         ],
     )
-    schema.add(agents_table)
 
     names_rows = sorted(
         {(agent.agent_id.render(), name) for agent in agents for name in agent.names}
     )
-    schema.add(
-        Table(
-            name="Names",
-            columns=["agentId", "name"],
-            key=["agentId", "name"],
-            types=["TEXT", "TEXT"],
-            rows=names_rows,
-            foreign=[("agentId", "Agents", "agentId")],
-        )
+    schema["Names"] = Table(
+        name="Names",
+        columns=["agentId", "name"],
+        key=["agentId", "name"],
+        types=["TEXT", "TEXT"],
+        rows=names_rows,
+        foreign=[("agentId", "Agents", "agentId")],
     )
 
     links: dict[Role, dict[tuple[int, str], dict]] = {Role.BUYER: {}, Role.WINNER: {}}
     for occ in occurrences:
-        ident = occurrence_to_agent.get(occ.occurrence_id)
+        ident = occ.identifier
         if ident is None:
             raise InvariantError(
                 f"occurrence {occ.occurrence_id} has no agent assignment"
@@ -157,18 +145,16 @@ def build_tables(
             )
             for (lot_id, agent_id), entry in sorted(links[role].items())
         ]
-        schema.add(
-            Table(
-                name=table_name,
-                columns=["lotId", "agentId", "identifierSources", "splitConflict"],
-                key=["lotId", "agentId"],
-                types=["INTEGER", "TEXT", "TEXT", "INTEGER"],
-                rows=rows,
-                foreign=[
-                    ("lotId", "Lots", "lotId"),
-                    ("agentId", "Agents", "agentId"),
-                ],
-            )
+        schema[table_name] = Table(
+            name=table_name,
+            columns=["lotId", "agentId", "identifierSources", "splitConflict"],
+            key=["lotId", "agentId"],
+            types=["INTEGER", "TEXT", "TEXT", "INTEGER"],
+            rows=rows,
+            foreign=[
+                ("lotId", "Lots", "lotId"),
+                ("agentId", "Agents", "agentId"),
+            ],
         )
 
     criteria_rows = []
@@ -187,15 +173,13 @@ def build_tables(
             )
         )
     criteria_rows.sort(key=lambda r: (r[0], r[1]))
-    schema.add(
-        Table(
-            name="Criteria",
-            columns=["lotId", "ordinal", "rawName", "class", "weight", "weightIsNormalized"],
-            key=["lotId", "ordinal"],
-            types=["INTEGER", "INTEGER", "TEXT", "TEXT", "NUMERIC", "INTEGER"],
-            rows=criteria_rows,
-            foreign=[("lotId", "Lots", "lotId")],
-        )
+    schema["Criteria"] = Table(
+        name="Criteria",
+        columns=["lotId", "ordinal", "rawName", "class", "weight", "weightIsNormalized"],
+        key=["lotId", "ordinal"],
+        types=["INTEGER", "INTEGER", "TEXT", "TEXT", "NUMERIC", "INTEGER"],
+        rows=criteria_rows,
+        foreign=[("lotId", "Lots", "lotId")],
     )
 
     violations = verify_integrity(schema)
@@ -208,7 +192,7 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
     """Primary-key uniqueness and referential containment across tables."""
     problems: list[str] = []
     keys: dict[str, set] = {}
-    for table in schema.tables.values():
+    for table in schema.values():
         seen = set()
         for row in table.rows:
             k = table.key_of(row)
@@ -217,9 +201,9 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
             seen.add(k)
         keys[table.name] = seen
 
-    for table in schema.tables.values():
+    for table in schema.values():
         for column, ref_table, ref_column in table.foreign:
-            ref = schema.tables.get(ref_table)
+            ref = schema.get(ref_table)
             if ref is None:
                 problems.append(f"{table.name}: reference to unknown table {ref_table}")
                 continue
@@ -237,28 +221,14 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
     return problems
 
 
-def render_value(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
-def render_rows(table: Table) -> list[list[str]]:
-    return [[render_value(v) for v in row] for row in table.rows]
-
-
 def write_csv(schema: OutputSchema, directory: str) -> list[str]:
     """One file per table, header row, rows already primary-key sorted."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name in TABLE_ORDER:
-        table = schema.tables[name]
         path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.columns)
-            writer.writerows(render_rows(table))
+        write_rows(path, schema[name].columns, schema[name].rows)
         written.append(str(path))
     return written
 
@@ -276,7 +246,7 @@ def write_sql_dump(schema: OutputSchema, path: str) -> None:
     """Schema plus inserts, reloadable into a stock SQL engine."""
     lines = ["BEGIN TRANSACTION;"]
     for name in TABLE_ORDER:
-        table = schema.tables[name]
+        table = schema[name]
         column_defs = [
             f"  {col} {typ}" for col, typ in zip(table.columns, table.types)
         ]
@@ -289,12 +259,12 @@ def write_sql_dump(schema: OutputSchema, path: str) -> None:
         lines.append(",\n".join(column_defs))
         lines.append(");")
     for name in TABLE_ORDER:
-        table = schema.tables[name]
+        table = schema[name]
         for row in table.rows:
             values = ", ".join(_sql_literal(v) for v in row)
             lines.append(f"INSERT INTO {name} VALUES ({values});")
     lines.append("COMMIT;")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(Path(path)) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -302,7 +272,7 @@ def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
     """Re-read the emitted CSVs and compare cell-for-cell with memory."""
     problems = []
     for name in TABLE_ORDER:
-        table = schema.tables[name]
+        table = schema[name]
         path = Path(directory) / f"{name}.csv"
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -310,6 +280,6 @@ def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
             rows = [list(r) for r in reader]
         if header != table.columns:
             problems.append(f"{name}: header mismatch after round-trip")
-        if rows != render_rows(table):
+        if rows != [["" if v is None else str(v) for v in row] for row in table.rows]:
             problems.append(f"{name}: rows differ after round-trip")
     return problems

@@ -12,9 +12,11 @@ from __future__ import annotations
 import copy
 import csv
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from pathlib import Path
 
 from .config import PipelineConfig
+from .files import write_rows
 from .identify import apply_match_results, identify_all
 from .merge import merge_all
 from .models import (
@@ -197,7 +199,7 @@ def truth_from_declared(occurrences: list[AgentOccurrence]) -> dict[int, Identif
     return truth
 
 
-def load_ground_truth(path: str, delimiter: str = ",") -> dict[int, Identifier]:
+def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
     """Read (occurrenceId, siret) labels from a delimiter-separated file."""
     truth = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -385,40 +387,30 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def write_report_files(report: EvaluationReport, directory: str, delimiter: str = ",") -> None:
+def write_report_files(report: EvaluationReport, directory: Path) -> None:
     """Machine-readable companions to the text report."""
-    from pathlib import Path
-
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "cluster_sizes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(["bin", "clusters", "share"])
-        for label, n, pct in report.cluster_sizes:
-            writer.writerow([label, n, f"{pct:.2f}"])
-    with open(out / "cluster_identifiers.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(["bin", "clusters", "share"])
-        for label, n, pct in report.cluster_identifiers:
-            writer.writerow([label, n, f"{pct:.2f}"])
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, bins in (
+        ("cluster_sizes.csv", report.cluster_sizes),
+        ("cluster_identifiers.csv", report.cluster_identifiers),
+    ):
+        write_rows(
+            directory / name,
+            ["bin", "clusters", "share"],
+            ((label, n, f"{pct:.2f}") for label, n, pct in bins),
+        )
     if report.mask is not None:
-        with open(out / "stage_accounting.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-            writer.writerow(
-                [
-                    "stage", "total", "correctStrict", "incorrectStrict",
-                    "correctEntity", "incorrectEntity", "missing",
-                ]
-            )
-            for row in report.mask.stage_rows:
-                writer.writerow(
-                    [
-                        row.stage, row.total, row.correct_strict, row.incorrect_strict,
-                        row.correct_entity, row.incorrect_entity, row.missing,
-                    ]
-                )
-        with open(out / "mask_outcomes.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-            writer.writerow(["occurrenceId", "outcome"])
-            for occ_id in sorted(report.mask.outcomes):
-                writer.writerow([occ_id, report.mask.outcomes[occ_id].value])
+        write_rows(
+            directory / "stage_accounting.csv",
+            [
+                "stage", "total", "correctStrict", "incorrectStrict",
+                "correctEntity", "incorrectEntity", "missing",
+            ],
+            map(astuple, report.mask.stage_rows),
+        )
+        outcomes = report.mask.outcomes
+        write_rows(
+            directory / "mask_outcomes.csv",
+            ["occurrenceId", "outcome"],
+            ((occ_id, outcomes[occ_id].value) for occ_id in sorted(outcomes)),
+        )

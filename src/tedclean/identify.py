@@ -7,13 +7,14 @@ emptied the pool, so the corpus-level failure attribution is measurable.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 from .config import MatchConfig, PipelineConfig
+from .files import write_rows
 from .models import (
     AgentOccurrence,
     Identifier,
@@ -361,28 +362,28 @@ def apply_match_results(
             occ.identifier_source = "matched"
 
 
-def write_match_log(results: list[MatchResult], path: str, delimiter: str = ",") -> None:
+def write_match_log(results: list[MatchResult], path: Path) -> None:
     """Audit log, one line per occurrence, in occurrence order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(
+    header = [
+        "occurrenceId", "outcome", "reason", "siret",
+        "nameSimilarity", "addressScore", "presence",
+        "blockSize", "nameSurvivors",
+    ]
+    write_rows(
+        path,
+        header,
+        (
             [
-                "occurrenceId", "outcome", "reason", "siret",
-                "nameSimilarity", "addressScore", "presence",
-                "blockSize", "nameSurvivors",
+                r.occurrence_id,
+                r.source,
+                r.reason or "",
+                r.identifier.render() if r.identifier else "",
+                f"{r.best.name_similarity:.4f}" if r.best else "",
+                f"{r.best.address_score:.4f}" if r.best else "",
+                "+".join(r.best.presence_mask) if r.best else "",
+                r.block_size,
+                r.name_survivors,
             ]
-        )
-        for r in sorted(results, key=lambda r: r.occurrence_id):
-            writer.writerow(
-                [
-                    r.occurrence_id,
-                    r.source,
-                    r.reason or "",
-                    r.identifier.render() if r.identifier else "",
-                    f"{r.best.name_similarity:.4f}" if r.best else "",
-                    f"{r.best.address_score:.4f}" if r.best else "",
-                    "+".join(r.best.presence_mask) if r.best else "",
-                    r.block_size,
-                    r.name_survivors,
-                ]
-            )
+            for r in sorted(results, key=lambda r: r.occurrence_id)
+        ),
+    )

@@ -68,7 +68,7 @@ class ParsedTable:
 def parse_table(
     path: str,
     column_map: dict[str, str],
-    delimiter: str = ",",
+    delimiter: str,
 ) -> ParsedTable:
     """Read one delimiter-separated file into verbatim rows.
 

@@ -7,7 +7,6 @@ and members merge field-wise under a majority rule.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -260,19 +259,3 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
         case_kinds = [c.case_kind for c in clusters]
         result.agents.append(_merge_members(ident, members, case_kinds))
     return result
-
-
-def write_merge_log(clusters: list[AgentCluster], path: str, delimiter: str = ",") -> None:
-    """Audit log, one line per cluster."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["clusterId", "caseKind", "memberIds", "resolvedIdentifier"])
-        for cluster in clusters:
-            writer.writerow(
-                [
-                    cluster.cluster_id,
-                    cluster.case_kind.value,
-                    " ".join(str(i) for i in cluster.member_occurrence_ids),
-                    cluster.resolved_identifier.render(),
-                ]
-            )

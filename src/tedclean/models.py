@@ -208,10 +208,6 @@ class RegistryFacility:
     def parent_siren(self) -> str:
         return self.siret[:9]
 
-    @property
-    def nic(self) -> str:
-        return self.siret[9:]
-
 
 @dataclass
 class AgentCluster:

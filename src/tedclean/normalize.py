@@ -11,7 +11,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_POSTAL_TOKENS
 from .models import AgentOccurrence
 
 # Ligatures and letters NFKD leaves alone.
@@ -74,7 +73,7 @@ def normalize_address(
     street: str | None,
     zipcode: str | None,
     city: str | None,
-    postal_tokens: list[str] | None = None,
+    postal_tokens: list[str],
 ) -> tuple[str | None, str | None, str | None]:
     """Clean an address triple.
 
@@ -82,8 +81,7 @@ def normalize_address(
     CEDEX... plus trailing digits) are stripped from all three fields; the
     zipcode is reduced to its 5-digit run or dropped; cities lose digits.
     """
-    tokens = postal_tokens if postal_tokens is not None else DEFAULT_POSTAL_TOKENS
-    token_re = _postal_token_re(tokens)
+    token_re = _postal_token_re(postal_tokens)
 
     def clean(value: str | None) -> str | None:
         if not value:
@@ -122,7 +120,7 @@ class PostalTable:
         return len(self.city_to_zipcodes)
 
 
-def load_postal_table(path: str, delimiter: str = ",") -> PostalTable:
+def load_postal_table(path: str, delimiter: str) -> PostalTable:
     """Read (city, zipcode) lines; header optional (detected on the zipcode cell)."""
     table = PostalTable()
     with open(path, encoding="utf-8", newline="") as fh:

@@ -1,4 +1,4 @@
-"""Stage orchestration over resumable delimiter-separated checkpoints.
+"""Stage orchestration over resumable CSV checkpoints.
 
 Every stage reads the previous stage's checkpoint files from disk and
 writes its own under <out>/checkpoints/<stage>/, so running `pipeline` is
@@ -19,9 +19,10 @@ its dataclass fields:
   `str | None` field reads "" back as None; no optional pipeline value is
   an empty string, so the round trip is lossless.
 
-A checkpoint is written to a temp file and renamed into place, so a killed
-run cannot leave a truncated file for the next stage. A header, row or
-cell that does not parse is an InvariantError naming the file and line.
+A checkpoint is written through `files`, to a temp file renamed into place,
+so a killed run cannot leave a truncated file for the next stage. A header,
+row or cell that does not parse is an InvariantError naming the file and
+line.
 """
 from __future__ import annotations
 
@@ -31,23 +32,22 @@ import datetime as dt
 import functools
 import json
 import logging
-import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable
 
 from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
+from .files import replacing, write_rows
 from .identify import MatchResult, apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
-from .merge import MergeResult, merge_all, write_merge_log
+from .merge import MergeResult, merge_all
 from .models import (
     AgentCluster,
     AgentOccurrence,
@@ -222,29 +222,13 @@ def _codec(cls: type) -> _Codec:
     return _Codec(columns, parsers, encode_row, decode_row)
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """A text file that replaces `path` only once it is completely written."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _dump(path: Path, cls: type, records: Iterable) -> None:
     codec = _codec(cls)
-    with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(codec.columns)
-        writer.writerows(map(codec.encode, records))
+    write_rows(path, codec.columns, map(codec.encode, records))
 
 
 def _dump_json(path: Path, data: dict) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(data, indent=2) + "\n")
 
 
@@ -284,14 +268,6 @@ def _load(path: Path, cls: type) -> list:
 
 
 # ---------------------------------------------------------------- stage runners
-
-
-def _load_lots(checkpoints: Checkpoints) -> list[LotRecord]:
-    return checkpoints.load("ingest", "lots.csv", LotRecord)
-
-
-def _load_occurrences(checkpoints: Checkpoints, stage: str) -> list[AgentOccurrence]:
-    return checkpoints.load(stage, "occurrences.csv", AgentOccurrence)
 
 
 def _load_registry_from_config(config: PipelineConfig) -> Registry:
@@ -353,7 +329,7 @@ def _load_postal(config: PipelineConfig) -> PostalTable | None:
 
 def stage_normalize(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
-    occurrences = _load_occurrences(checkpoints, "ingest")
+    occurrences = checkpoints.load("ingest", "occurrences.csv", AgentOccurrence)
     postal = _load_postal(config)
     for occ in occurrences:
         normalize_occurrence(occ, postal, config.postal_tokens)
@@ -398,8 +374,8 @@ def _identify_parallel(
 
 def stage_identify(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
-    occurrences = _load_occurrences(checkpoints, "normalize")
-    lots = _load_lots(checkpoints)
+    occurrences = checkpoints.load("normalize", "occurrences.csv", AgentOccurrence)
+    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
     registry = _load_registry_from_config(config)
 
     serial = config.jobs <= 1 or len(occurrences) < 2 * config.jobs
@@ -409,14 +385,14 @@ def stage_identify(config: PipelineConfig) -> None:
 
     out = checkpoints.stage_dir("identify")
     _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
-    write_match_log(results, str(out / "match_log.csv"), config.delimiter)
+    write_match_log(results, out / "match_log.csv")
     matched = sum(1 for r in results if r.source == "matched")
     log.info("identify: %d matched of %d", matched, len(results))
 
 
 def stage_merge(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
-    occurrences = _load_occurrences(checkpoints, "identify")
+    occurrences = checkpoints.load("identify", "occurrences.csv", AgentOccurrence)
     result: MergeResult = merge_all(occurrences, config)
     out = checkpoints.stage_dir("merge")
     _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
@@ -427,26 +403,22 @@ def stage_merge(config: PipelineConfig) -> None:
         _AgentName,
         (_AgentName(a.agent_id, n) for a in result.agents for n in a.names),
     )
-    write_merge_log(result.clusters, str(out / "merge_log.csv"), config.delimiter)
     log.info("merge: %d clusters, %d agents", len(result.clusters), len(result.agents))
 
 
 def stage_emit(config: PipelineConfig) -> None:
     checkpoints = Checkpoints(config.output_dir)
-    lots = _load_lots(checkpoints)
+    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
     criteria = checkpoints.load("criteria", "criteria.csv", Criterion)
     checkpoints.require("merge", "occurrences.csv", "agents.csv", "agent_names.csv")
-    occurrences = _load_occurrences(checkpoints, "merge")
+    occurrences = checkpoints.load("merge", "occurrences.csv", AgentOccurrence)
     names: dict[Identifier, list[str]] = {}
     for row in checkpoints.load("merge", "agent_names.csv", _AgentName):
         names.setdefault(row.agent_id, []).append(row.name)
     agents = checkpoints.load("merge", "agents.csv", CanonicalAgent)
     for agent in agents:
         agent.names = names.get(agent.agent_id, [])
-    occurrence_to_agent = {
-        occ.occurrence_id: occ.identifier for occ in occurrences if occ.identifier
-    }
-    schema = emit_mod.build_tables(lots, agents, occurrences, occurrence_to_agent, criteria)
+    schema = emit_mod.build_tables(lots, agents, occurrences, criteria)
     emit_mod.write_csv(schema, config.output_dir)
     emit_mod.write_sql_dump(schema, str(Path(config.output_dir) / "foppa.sql"))
     problems = emit_mod.verify_roundtrip(schema, config.output_dir)
@@ -464,16 +436,16 @@ def _load_contract_ids(config: PipelineConfig) -> set[str]:
 
 def stage_evaluate(config: PipelineConfig, mask: bool = False) -> evaluate_mod.EvaluationReport:
     checkpoints = Checkpoints(config.output_dir)
-    lots = _load_lots(checkpoints)
+    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
     clusters = checkpoints.load("merge", "clusters.csv", AgentCluster)
-    identified = _load_occurrences(checkpoints, "identify")
+    identified = checkpoints.load("identify", "occurrences.csv", AgentOccurrence)
     pre_merge = {occ.occurrence_id: occ.identifier for occ in identified}
     sizes, idents = evaluate_mod.distribution_tables(clusters, pre_merge)
     coverage = evaluate_mod.notice_coverage(_load_contract_ids(config), lots)
 
     mask_report = None
     if mask:
-        raw_occurrences = _load_occurrences(checkpoints, "ingest")
+        raw_occurrences = checkpoints.load("ingest", "occurrences.csv", AgentOccurrence)
         if config.ground_truth_file:
             truth = evaluate_mod.load_ground_truth(config.ground_truth_file, config.delimiter)
         else:
@@ -493,8 +465,9 @@ def stage_evaluate(config: PipelineConfig, mask: bool = False) -> evaluate_mod.E
         mask=mask_report,
     )
     out = checkpoints.stage_dir("evaluate")
-    (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
-    evaluate_mod.write_report_files(report, str(out), config.delimiter)
+    with replacing(out / "report.txt") as fh:
+        fh.write(report.render_text())
+    evaluate_mod.write_report_files(report, out)
     log.info("evaluate: report written to %s", out)
     return report
 

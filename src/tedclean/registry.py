@@ -11,7 +11,6 @@ import datetime as dt
 import logging
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_DATE_FORMATS
 from .ingest import parse_date
 from .models import (
     Identifier,
@@ -47,9 +46,9 @@ def validate_siret(raw: str | None) -> Identifier | None:
 
 @dataclass
 class Registry:
+    activity_prefix_length: int
     entities: dict[str, RegistryEntity] = field(default_factory=dict)
     facilities: dict[str, RegistryFacility] = field(default_factory=dict)
-    activity_prefix_length: int = 2
     by_department: dict[str, set[str]] = field(default_factory=dict)
     by_activity_prefix: dict[str, set[str]] = field(default_factory=dict)
 
@@ -107,17 +106,16 @@ def load_registry(
     facility_path: str,
     entity_map: dict[str, str],
     facility_map: dict[str, str],
-    delimiter: str = ",",
-    date_formats: list[str] | None = None,
-    activity_prefix_length: int = 2,
+    delimiter: str,
+    date_formats: list[str],
+    activity_prefix_length: int,
 ) -> Registry:
     """Build the in-memory registry with its two lookup indexes.
 
     Facilities whose parent entity is missing are kept and flagged orphan.
     Names are folded at load so every later comparison is fold-to-fold.
     """
-    formats = date_formats or DEFAULT_DATE_FORMATS
-    registry = Registry(activity_prefix_length=activity_prefix_length)
+    registry = Registry(activity_prefix_length)
 
     for row in _read_rows(entity_path, delimiter):
         siren = (row.get(entity_map["siren"]) or "").strip()
@@ -138,8 +136,8 @@ def load_registry(
             RegistryEntity(
                 siren=siren,
                 legal_names=names,
-                creation_date=parse_date(row.get(entity_map.get("creation_date", "")), formats),
-                closure_date=parse_date(row.get(entity_map.get("closure_date", "")), formats),
+                creation_date=parse_date(row.get(entity_map.get("creation_date", "")), date_formats),
+                closure_date=parse_date(row.get(entity_map.get("closure_date", "")), date_formats),
                 activity_code=(row.get(entity_map.get("activity_code", ""), "") or "").strip() or None,
             )
         )
@@ -170,8 +168,8 @@ def load_registry(
             city=city,
             department=department_of(zipcode),
             activity_code=(row.get(facility_map.get("activity_code", ""), "") or "").strip() or None,
-            open_date=parse_date(row.get(facility_map.get("open_date", "")), formats),
-            close_date=parse_date(row.get(facility_map.get("close_date", "")), formats),
+            open_date=parse_date(row.get(facility_map.get("open_date", "")), date_formats),
+            close_date=parse_date(row.get(facility_map.get("close_date", "")), date_formats),
         )
         registry.add_facility(facility)
         if facility.orphan:

@@ -120,6 +120,31 @@ def test_evaluate_reads_only_clusters_of_merge(cli_run, tmp_path):
     assert main(["evaluate", "--config", config_path, "--out", str(tmp_path)]) == EXIT_OK
 
 
+def test_delimiter_applies_to_inputs_only(tmp_path):
+    """Inputs separated by ';' still yield ','-separated, '\\n'-ended outputs,
+    all of them renamed into place."""
+    config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=24, seed=14,
+                                      delimiter=";")
+    inputs = json.loads(Path(config_path).read_text(encoding="utf-8"))["inputs"]
+    for key in ("lots", "registry_entities", "registry_facilities", "postal"):
+        for name in inputs[key] if key == "lots" else [inputs[key]]:
+            with open(name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            with open(name, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, delimiter=";", lineterminator="\n").writerows(rows)
+    assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_OK
+
+    out = tmp_path / "out"
+    written = sorted(out.rglob("*.csv"))
+    assert {p.name for p in written} >= {"Lots.csv", "match_log.csv", "mask_outcomes.csv"}
+    for path in written:
+        data = path.read_bytes()
+        header = data.split(b"\n", 1)[0]
+        assert b"\r" not in data, path
+        assert b"," in header and b";" not in header, path
+    assert list(out.rglob(".*.tmp")) == []
+
+
 class TestExitCodes:
     def test_nonexistent_config(self, capsys):
         assert main(["pipeline", "--config", "/no/such/config.json"]) == EXIT_CONFIG

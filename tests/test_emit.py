@@ -53,28 +53,29 @@ def small_world():
         make_lot(2),
     ]
     occurrences = [
-        make_occurrence(1, 1, role=Role.BUYER, identifier_source="matched"),
-        make_occurrence(2, 1, role=Role.WINNER, identifier_source="declared"),
-        make_occurrence(3, 2, role=Role.BUYER),
+        make_occurrence(1, 1, role=Role.BUYER, identifier=SIRET_A,
+                        identifier_source="matched"),
+        make_occurrence(2, 1, role=Role.WINNER, identifier=SIRET_A,
+                        identifier_source="declared"),
+        make_occurrence(3, 2, role=Role.BUYER, identifier=INTERNAL_1),
     ]
     agents = [
         agent(SIRET_A, member_occurrence_ids=[1, 2]),
         agent(INTERNAL_1, names=["AGENT TROIS"], member_occurrence_ids=[3]),
     ]
-    occurrence_to_agent = {1: SIRET_A, 2: SIRET_A, 3: INTERNAL_1}
     criteria = [
         Criterion(lot_id=1, raw_name="", criterion_class=CriterionClass.PRICE,
                   weight=Decimal("60.00"), weight_is_normalized=True),
         Criterion(lot_id=1, raw_name="Qualité", criterion_class=CriterionClass.TECHNICAL,
                   weight=Decimal("40.00"), weight_is_normalized=True),
     ]
-    return lots, agents, occurrences, occurrence_to_agent, criteria
+    return lots, agents, occurrences, criteria
 
 
 class TestBuildTables:
     def test_all_tables_present(self):
         schema = build_tables(*small_world())
-        assert tuple(schema.tables) == TABLE_ORDER
+        assert tuple(schema) == TABLE_ORDER
 
     def test_lots_rows(self):
         schema = build_tables(*small_world())
@@ -96,9 +97,9 @@ class TestBuildTables:
         assert kinds["U000001"] == "internal"
 
     def test_names_one_row_per_name(self):
-        lots, agents, occs, o2a, crit = small_world()
+        lots, agents, occs, crit = small_world()
         agents[0].names = ["MAIRIE DE LYON", "VILLE DE LYON"]
-        schema = build_tables(lots, agents, occs, o2a, crit)
+        schema = build_tables(lots, agents, occs, crit)
         assert ("11111111100011", "MAIRIE DE LYON") in schema["Names"].rows
         assert ("11111111100011", "VILLE DE LYON") in schema["Names"].rows
 
@@ -111,12 +112,11 @@ class TestBuildTables:
         assert schema["LotSuppliers"].rows == [(1, "11111111100011", "declared", 0)]
 
     def test_duplicate_links_collapse(self):
-        lots, agents, occs, o2a, crit = small_world()
-        occs.append(make_occurrence(4, 1, role=Role.BUYER, identifier_source="merged",
-                                    split_conflict=True))
-        o2a[4] = SIRET_A
+        lots, agents, occs, crit = small_world()
+        occs.append(make_occurrence(4, 1, role=Role.BUYER, identifier=SIRET_A,
+                                    identifier_source="merged", split_conflict=True))
         agents[0].member_occurrence_ids = [1, 2, 4]
-        schema = build_tables(lots, agents, occs, o2a, crit)
+        schema = build_tables(lots, agents, occs, crit)
         row = schema["LotBuyers"].rows[0]
         assert row == (1, "11111111100011", "matched+merged", 1)
 
@@ -128,17 +128,17 @@ class TestBuildTables:
         ]
 
     def test_missing_assignment_fatal(self):
-        lots, agents, occs, o2a, crit = small_world()
-        del o2a[3]
+        lots, agents, occs, crit = small_world()
+        occs[2].identifier = None
         with pytest.raises(InvariantError, match="no agent assignment"):
-            build_tables(lots, agents, occs, o2a, crit)
+            build_tables(lots, agents, occs, crit)
 
     def test_dangling_criteria_fatal(self):
-        lots, agents, occs, o2a, crit = small_world()
+        lots, agents, occs, crit = small_world()
         crit.append(Criterion(lot_id=99, raw_name="X",
                               criterion_class=CriterionClass.OTHERS, weight=None))
         with pytest.raises(InvariantError, match="dangling"):
-            build_tables(lots, agents, occs, o2a, crit)
+            build_tables(lots, agents, occs, crit)
 
 
 class TestVerifyIntegrity:
@@ -207,9 +207,9 @@ class TestWriteOutputs:
         connection.close()
 
     def test_sql_quotes_escaped(self, tmp_path):
-        lots, agents, occs, o2a, crit = small_world()
+        lots, agents, occs, crit = small_world()
         agents[1].names = ["L'AGENT"]
-        schema = build_tables(lots, agents, occs, o2a, crit)
+        schema = build_tables(lots, agents, occs, crit)
         sql_path = tmp_path / "foppa.sql"
         write_sql_dump(schema, str(sql_path))
         connection = sqlite3.connect(":memory:")

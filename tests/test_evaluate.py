@@ -199,7 +199,7 @@ class TestTruthSources:
             "occurrenceId,siret\n1,11111111100011\n2,123456789\n3,bad\n",
             encoding="utf-8",
         )
-        truth = load_ground_truth(str(path))
+        truth = load_ground_truth(str(path), PipelineConfig().delimiter)
         assert truth == {1: TRUTH}
 
 
@@ -300,7 +300,7 @@ class TestReportFiles:
         assert "EVALUATION REPORT" in text
         assert "stage accounting" in text
         assert "unmatched contract notices: 25.00%" in text
-        write_report_files(report, str(tmp_path))
+        write_report_files(report, tmp_path)
         for name in ("cluster_sizes.csv", "cluster_identifiers.csv",
                      "stage_accounting.csv", "mask_outcomes.csv"):
             assert (tmp_path / name).exists(), name

@@ -338,7 +338,7 @@ class TestIdentifyOccurrence:
         assert result.identifier == full_siret("11111111100022")
 
     def test_tie_breaks_on_smaller_siret(self):
-        reg = Registry()
+        reg = Registry(PipelineConfig().match.activity_prefix_length)
         reg.add_entity(RegistryEntity(siren="444444444", legal_names=["X"]))
         for siret in ("44444444400022", "44444444400011"):
             reg.add_facility(fac(siret, ["AGENCE DE L EAU"], None, "69001", None))
@@ -401,7 +401,8 @@ class TestWriteMatchLog:
                               city="LYON", department="69")
         results = identify_all([occ], [make_lot(1)], registry, PipelineConfig())
         path = tmp_path / "log.csv"
-        write_match_log(results, str(path))
+        write_match_log(results, path)
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("occurrenceId,outcome,reason,siret")
         assert lines[1].split(",")[0:2] == ["1", "matched"]

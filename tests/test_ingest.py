@@ -30,6 +30,8 @@ from tedclean.models import (
 
 from conftest import lot_row, write_lot_file
 
+DELIMITER = PipelineConfig().delimiter
+
 
 class TestSeparators:
     def test_homogeneous_run_matches_longer(self):
@@ -83,7 +85,7 @@ class TestParseDecimal:
 class TestParseTable:
     def test_reads_rows(self, tmp_path):
         path = write_lot_file(tmp_path / "lots.csv", [lot_row("n1", "1"), lot_row("n2", "1")])
-        parsed = parse_table(path, PipelineConfig().column_map)
+        parsed = parse_table(path, PipelineConfig().column_map, DELIMITER)
         assert len(parsed.rows) == 2
         assert parsed.skipped == 0
         assert parsed.rows[0].source_line == 2
@@ -91,21 +93,21 @@ class TestParseTable:
     def test_bad_cell_count_skipped(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B,C\n1,2,3\n1,2\n1,2,3,4\n\n4,5,6\n", encoding="utf-8")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"})
+        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
         assert len(parsed.rows) == 2
         assert parsed.skipped == 2
 
     def test_unbalanced_quote_skipped_line_only(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text('A,B\n"broken,2\nok,3\n', encoding="utf-8")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"})
+        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
         assert [r.cells["A"] for r in parsed.rows] == ["ok"]
         assert parsed.skipped == 1
 
     def test_duplicate_identities_counted(self, tmp_path):
         rows = [lot_row("n1", "1"), lot_row("n1", "1"), lot_row("n1", "2")]
         path = write_lot_file(tmp_path / "lots.csv", rows)
-        parsed = parse_table(path, PipelineConfig().column_map)
+        parsed = parse_table(path, PipelineConfig().column_map, DELIMITER)
         assert parsed.duplicate_identities == 1
         assert len(parsed.rows) == 3
 
@@ -113,17 +115,17 @@ class TestParseTable:
         path = tmp_path / "lots.csv"
         path.write_text("X,Y\n1,2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="ID_NOTICE_CAN"):
-            parse_table(str(path), PipelineConfig().column_map)
+            parse_table(str(path), PipelineConfig().column_map, DELIMITER)
 
     def test_missing_file_is_input_error(self):
         with pytest.raises(InputError):
-            parse_table("/nonexistent/lots.csv", {"notice_id": "A"})
+            parse_table("/nonexistent/lots.csv", {"notice_id": "A"}, DELIMITER)
 
     def test_empty_file_is_input_error(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(InputError):
-            parse_table(str(path), {"notice_id": "A"})
+            parse_table(str(path), {"notice_id": "A"}, DELIMITER)
 
     # str.splitlines breaks lines at each of these; a cell may hold them.
     @pytest.mark.parametrize(
@@ -136,7 +138,7 @@ class TestParseTable:
             lot_row("n3", "1"),
         ]
         path = write_lot_file(tmp_path / "lots.csv", rows)
-        parsed = parse_table(path, PipelineConfig().column_map)
+        parsed = parse_table(path, PipelineConfig().column_map, DELIMITER)
         assert parsed.skipped == 0
         assert [r.source_line for r in parsed.rows] == [2, 3, 4]
         assert parsed.rows[0].cells["CAE_NAME"] == f"Mairie{char} de Lyon"
@@ -144,7 +146,7 @@ class TestParseTable:
     def test_crlf_line_ends(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B\r\n1,2\r\n\r\n3,4\r\n", encoding="utf-8", newline="")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"})
+        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
         assert [(r.cells["B"], r.source_line) for r in parsed.rows] == [("2", 2), ("4", 4)]
         assert parsed.skipped == 0
 

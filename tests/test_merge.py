@@ -13,7 +13,6 @@ from tedclean.merge import (
     merge_all,
     pair_similarity,
     resolve_cluster,
-    write_merge_log,
 )
 from tedclean.models import (
     CaseKind,
@@ -375,14 +374,3 @@ class TestMergeAll:
         ]
         assert as_tuple(first) == as_tuple(second)
         assert [a.agent_id for a in first.agents] == [a.agent_id for a in second.agents]
-
-
-class TestWriteMergeLog:
-    def test_shape(self, tmp_path):
-        occs = [occ(1, "MAIRIE DE LYON", "1 RUE X", "69001", "LYON", identifier=SIRET_A)]
-        result = merge_all(occs, PipelineConfig())
-        path = tmp_path / "merge.csv"
-        write_merge_log(result.clusters, str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "clusterId,caseKind,memberIds,resolvedIdentifier"
-        assert lines[1] == "1,SINGLETON,1,11111111100011"

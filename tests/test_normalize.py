@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tedclean.config import PipelineConfig
 from tedclean.models import IdentifierKind
 from tedclean.normalize import (
     PostalTable,
@@ -19,6 +20,7 @@ from tedclean.normalize import (
 from conftest import make_occurrence
 
 FOLD_ALPHABET = set(string.ascii_uppercase + string.digits + " ")
+TOKENS = PipelineConfig().postal_tokens
 
 
 class TestNormalizeName:
@@ -67,27 +69,27 @@ class TestNormalizeName:
 class TestNormalizeAddress:
     def test_postal_tokens_stripped(self):
         street, zipcode, city = normalize_address(
-            "12 rue de la Paix BP 45", "69003", "Lyon CEDEX 03"
+            "12 rue de la Paix BP 45", "69003", "Lyon CEDEX 03", TOKENS
         )
         assert street == "12 RUE DE LA PAIX"
         assert zipcode == "69003"
         assert city == "LYON"
 
     def test_zipcode_extracted_from_noise(self):
-        assert normalize_address(None, "F-69003", None)[1] == "69003"
-        assert normalize_address(None, "69 003", None)[1] is None
-        assert normalize_address(None, "xyz", None)[1] is None
+        assert normalize_address(None, "F-69003", None, TOKENS)[1] == "69003"
+        assert normalize_address(None, "69 003", None, TOKENS)[1] is None
+        assert normalize_address(None, "xyz", None, TOKENS)[1] is None
 
     def test_city_loses_digits(self):
-        assert normalize_address(None, None, "Paris 15")[2] == "PARIS"
+        assert normalize_address(None, None, "Paris 15", TOKENS)[2] == "PARIS"
 
     def test_empty_fields_are_none(self):
-        assert normalize_address("", "", "") == (None, None, None)
-        assert normalize_address("BP 12", None, "CEDEX") == (None, None, None)
+        assert normalize_address("", "", "", TOKENS) == (None, None, None)
+        assert normalize_address("BP 12", None, "CEDEX", TOKENS) == (None, None, None)
 
     def test_token_requires_word_boundary(self):
         # CS inside a word must not be stripped.
-        street, _, _ = normalize_address("RUE DES CSARDAS", None, None)
+        street, _, _ = normalize_address("RUE DES CSARDAS", None, None, TOKENS)
         assert street == "RUE DES CSARDAS"
 
     def test_custom_tokens(self):
@@ -108,7 +110,7 @@ class TestPostalTable:
     def test_load(self, tmp_path):
         path = tmp_path / "postal.csv"
         path.write_text("city,zip\nBrest,29200\nLyon,69001\nbad,\n,\n", encoding="utf-8")
-        table = load_postal_table(str(path))
+        table = load_postal_table(str(path), PipelineConfig().delimiter)
         assert len(table) == 2
         assert fill_zipcode("BREST", table) == "29200"
 

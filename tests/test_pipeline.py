@@ -14,6 +14,7 @@ import datetime as dt
 import json
 import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from corpus import corpus_config
 from tedclean import pipeline as pl
+from tedclean.files import write_rows
 from tedclean.models import (
     AgentCluster,
     AgentOccurrence,
@@ -246,18 +248,23 @@ class TestSerde:
         assert str(path) in str(exc.value)
 
     def test_interrupted_dump_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "criteria_raw.csv"
-        pl._dump(path, CriteriaRaw, [CriteriaRaw(1, "Prix", "60", "")])
-        before = path.read_bytes()
+        path = tmp_path / "table.csv"
 
-        def killed_midway():
-            yield CriteriaRaw(2, "Prix", "40", "")
+        def killed_midway(row):
+            yield row
             raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
-            pl._dump(path, CriteriaRaw, killed_midway())
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        # a checkpoint through the codec, and a plain table through files
+        for write, row in [
+            (partial(pl._dump, path, CriteriaRaw), CriteriaRaw(1, "Prix", "60", "")),
+            (partial(write_rows, path, ["lotId", "name"]), (1, "Prix")),
+        ]:
+            write([row])
+            before = path.read_bytes()
+            with pytest.raises(KeyboardInterrupt):
+                write(killed_midway(row))
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCheckpoints:
@@ -311,7 +318,6 @@ class TestOrchestration:
         assert (root / "ingest" / "stats.json").exists()
         assert (root / "criteria" / "flags.json").exists()
         assert (root / "identify" / "match_log.csv").exists()
-        assert (root / "merge" / "merge_log.csv").exists()
         assert (root / "evaluate" / "report.txt").exists()
 
     def test_final_tables_written(self, full_run):

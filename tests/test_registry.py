@@ -5,6 +5,7 @@ import pytest
 from tedclean.config import (
     DEFAULT_REGISTRY_ENTITY_MAP,
     DEFAULT_REGISTRY_FACILITY_MAP,
+    PipelineConfig,
 )
 from tedclean.models import IdentifierKind, InputError, RegistryEntity, RegistryFacility
 from tedclean.registry import (
@@ -15,6 +16,8 @@ from tedclean.registry import (
 )
 
 from conftest import write_registry_files
+
+CONFIG = PipelineConfig()
 
 
 class TestValidateSiret:
@@ -58,20 +61,20 @@ def facility(siret="12345678900011", **kw):
 
 class TestRegistry:
     def test_indexes(self):
-        reg = Registry(activity_prefix_length=2)
+        reg = Registry(CONFIG.match.activity_prefix_length)
         reg.add_entity(entity())
         reg.add_facility(facility())
         assert reg.by_department["69"] == {"12345678900011"}
         assert reg.by_activity_prefix["47"] == {"12345678900011"}
 
     def test_orphan_flag(self):
-        reg = Registry()
+        reg = Registry(CONFIG.match.activity_prefix_length)
         fac = facility(siret="99999999900011")
         reg.add_facility(fac)
         assert fac.orphan is True
 
     def test_activity_falls_back_to_parent(self):
-        reg = Registry()
+        reg = Registry(CONFIG.match.activity_prefix_length)
         reg.add_entity(entity(activity_code="8411Z"))
         fac = facility(activity_code=None)
         reg.add_facility(fac)
@@ -79,7 +82,7 @@ class TestRegistry:
         assert reg.by_activity_prefix["84"] == {fac.siret}
 
     def test_names_fall_back_to_parent(self):
-        reg = Registry()
+        reg = Registry(CONFIG.match.activity_prefix_length)
         reg.add_entity(entity(legal_names=["ACME GROUPE"]))
         fac = facility(names=[])
         reg.add_facility(fac)
@@ -128,6 +131,9 @@ class TestLoadRegistry:
             facility_path,
             DEFAULT_REGISTRY_ENTITY_MAP,
             DEFAULT_REGISTRY_FACILITY_MAP,
+            CONFIG.delimiter,
+            CONFIG.date_formats,
+            CONFIG.match.activity_prefix_length,
         )
         assert set(reg.entities) == {"123456789"}
         assert reg.entities["123456789"].legal_names == [
@@ -158,4 +164,7 @@ class TestLoadRegistry:
                 str(tmp_path / "nope2.csv"),
                 DEFAULT_REGISTRY_ENTITY_MAP,
                 DEFAULT_REGISTRY_FACILITY_MAP,
+                CONFIG.delimiter,
+                CONFIG.date_formats,
+                CONFIG.match.activity_prefix_length,
             )
