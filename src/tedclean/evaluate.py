@@ -399,7 +399,11 @@ def write_report_files(report: EvaluationReport, directory: Path) -> None:
             ["bin", "clusters", "share"],
             ((label, n, f"{pct:.2f}") for label, n, pct in bins),
         )
-    if report.mask is not None:
+    if report.mask is None:
+        # an earlier masked run's files must not pass for this run's
+        for name in ("stage_accounting.csv", "mask_outcomes.csv"):
+            (directory / name).unlink(missing_ok=True)
+    else:
         write_rows(
             directory / "stage_accounting.csv",
             [

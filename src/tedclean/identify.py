@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,32 +46,58 @@ REASON_ADDRESS = "address"
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Plain edit distance, two-row dynamic program."""
+    """Edit distance, bit-parallel.
+
+    Myers (1999, JACM 46(3)) in Hyyrö's (2003) form: bit i of pv/mv says
+    whether row i of the edit-distance column over the shorter string
+    rises or falls by one from row i-1. One pass over the longer string
+    advances the column and tracks its bottom cell. Python ints have no
+    word size, so any length is exact.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, 1):
-        current = [i]
-        for j, char_b in enumerate(b, 1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for char in a:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
+# name pairs repeat across payloads, candidates and merge's pair checks
+# (45,899 calls, 1,342 distinct pairs on a 1,000-lot masked run); the bound
+# caps the memo's memory on corpora with many more distinct names
+NAME_SIMILARITY_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
 def name_similarity(a: str, b: str) -> float:
     """Similarity in [0,1] of two folded names.
 
     Max of the token-multiset overlap coefficient and 1 minus the
     normalized edit distance, so both word reorderings and misspellings
     score high. 1.0 exactly when one token multiset contains the other or
-    the strings are equal.
+    the strings are equal. Memoized: the result depends on a and b alone.
     """
     if not a.strip() or not b.strip():
         return 0.0
@@ -82,7 +109,7 @@ def name_similarity(a: str, b: str) -> float:
     if overlap >= 1.0:
         return 1.0
     longest = max(len(a), len(b))
-    # the length gap bounds edit similarity; skip the DP when it cannot win
+    # the length gap bounds edit similarity; skip the distance when it cannot win
     if 1.0 - abs(len(a) - len(b)) / longest <= overlap:
         return overlap
     return max(overlap, 1.0 - levenshtein(a, b) / longest)

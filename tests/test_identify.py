@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tedclean import identify
 from tedclean.config import MatchConfig, PipelineConfig
 from tedclean.identify import (
     REASON_ADDRESS,
@@ -27,6 +28,9 @@ from tedclean.registry import Registry, temporally_valid
 from conftest import make_lot, make_occurrence
 
 FOLDED = st.text(alphabet="ABCDE ", max_size=12)
+# few code points, astral ones among them, so long strings still share
+# characters; 150 code points carry the bit vectors past 64 and 128 bits
+FEW = "AÉé 𝔸😀"
 
 
 def oracle_levenshtein(a: str, b: str) -> int:
@@ -76,6 +80,37 @@ class TestLevenshtein:
     def test_matches_oracle(self, a, b):
         assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
+    @given(st.text(max_size=150), st.text(max_size=150))
+    @settings(max_examples=150)
+    def test_arbitrary_text_matches_oracle(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    @given(st.text(alphabet=FEW, max_size=150), st.text(alphabet=FEW, max_size=150))
+    @settings(max_examples=150)
+    def test_long_text_matches_oracle(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+    @given(st.text(max_size=150))
+    def test_one_side_empty(self, a):
+        assert levenshtein(a, "") == levenshtein("", a) == len(a)
+
+    @given(
+        st.text(alphabet=FEW, max_size=140),
+        st.text(alphabet=FEW, max_size=8),
+        st.text(alphabet=FEW, max_size=8),
+        st.text(alphabet=FEW, max_size=140),
+    )
+    @settings(max_examples=150)
+    def test_shared_prefix_and_suffix(self, prefix, a, b, suffix):
+        x, y = prefix + a + suffix, prefix + b + suffix
+        assert levenshtein(x, y) == oracle_levenshtein(x, y)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, n):
+        a = "".join(FEW[i * i % len(FEW)] for i in range(n))
+        for b in (a[1:], a[:-1] + "Z", "Z" + a, a[::-1], a[: n // 2]):
+            assert levenshtein(a, b) == levenshtein(b, a) == oracle_levenshtein(a, b)
+
 
 class TestNameSimilarity:
     def test_equal(self):
@@ -112,6 +147,33 @@ class TestNameSimilarity:
         s = name_similarity(a, b)
         assert s == name_similarity(b, a)
         assert 0.0 <= s <= 1.0
+
+    @given(st.lists(st.tuples(FOLDED, FOLDED), max_size=20))
+    @settings(max_examples=100)
+    def test_memo_cold_and_warm_match_oracle(self, pairs):
+        pairs = [(" ".join(a.split()), " ".join(b.split())) for a, b in pairs]
+        expected = [oracle_name_similarity(a, b) for a, b in pairs]
+        name_similarity.cache_clear()
+        cold = [name_similarity(a, b) for a, b in pairs]
+        warm = [name_similarity(a, b) for a, b in pairs]
+        assert cold == warm == expected
+        assert name_similarity.cache_info().hits >= len(pairs)
+        assert [name_similarity(b, a) for a, b in pairs] == expected
+
+    def test_memo_calls_the_module_distance(self, monkeypatch):
+        # perfbench counts edit distances by replacing this module attribute
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return levenshtein(a, b)
+
+        monkeypatch.setattr(identify, "levenshtein", counting)
+        name_similarity.cache_clear()
+        a, b = "ENTREPRISE DURAND", "ENTREPRISE DURAN"  # 1/2 overlap: needs the distance
+        assert name_similarity(a, b) == pytest.approx(1.0 - 1 / len(a))
+        assert name_similarity(a, b) == pytest.approx(1.0 - 1 / len(a))
+        assert calls == [(a, b)]
 
 
 def fac(siret, names, street=None, zipcode=None, city=None, activity=None,

@@ -412,6 +412,17 @@ class TestEvaluateStage:
         assert (out / "mask_outcomes.csv").exists()
         assert (out / "stage_accounting.csv").exists()
 
+    def test_unmasked_rerun_removes_masked_files(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(corpus_config(tmp_path / "in1", out, rows=24, seed=1), mask=True)
+        evaluate_dir = out / "checkpoints" / "evaluate"
+        masked_files = ("stage_accounting.csv", "mask_outcomes.csv")
+        assert all((evaluate_dir / name).exists() for name in masked_files)
+        run_pipeline(corpus_config(tmp_path / "in2", out, rows=24, seed=2))
+        assert (evaluate_dir / "report.txt").exists()
+        for name in masked_files:
+            assert not (evaluate_dir / name).exists(), name
+
     def test_masked_evaluation_without_truth_is_input_error(self, tmp_path):
         # rows=4: the only r%5==0 row is infructueux, so nothing is declared
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=4, seed=8)
