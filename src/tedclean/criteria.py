@@ -18,7 +18,7 @@ from functools import lru_cache
 from .config import PipelineConfig
 from .models import CriteriaRaw, Criterion, CriterionClass
 from .normalize import normalize_name
-from .ingest import detect_separators, parse_decimal, separator_pattern
+from .ingest import detect_separators, parse_decimal, separator_pattern, split_on_separator
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ def split_criteria(
     """
     detected = detect_separators([names_field], separators)
     if detected:
-        names = [n for n in (p.strip() for p in split_on(names_field, detected[0])) if n]
+        names = [n for n in split_on_separator(names_field, detected[0]) if n]
     else:
         names = [names_field.strip()] if names_field.strip() else []
     weights = clean_weight_field(weights_field, separators)
@@ -75,10 +75,6 @@ def split_criteria(
     if len(names) == len(weights):
         return list(zip(names, weights)), False
     return [(n, None) for n in names], True
-
-
-def split_on(value: str, sep: str) -> list[str]:
-    return separator_pattern(sep).split(value)
 
 
 _PAREN_NUMBER_RE = re.compile(r"\(\s*(\d+(?:[.,]\d+)?)[^)]*\)")

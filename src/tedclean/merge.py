@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .config import MatchConfig, PipelineConfig
-from .identify import _address_score_parts, name_similarity
+from . import identify
 from .models import (
     AgentCluster,
     AgentOccurrence,
@@ -42,8 +42,9 @@ def blocking_key(occurrence: AgentOccurrence) -> str | None:
 
 def pair_similarity(a: AgentOccurrence, b: AgentOccurrence, config: MatchConfig) -> float:
     """Equal-weight mean of name similarity and address agreement."""
-    name_sim = name_similarity(a.normalized_name or "", b.normalized_name or "")
-    addr, _ = _address_score_parts(
+    # looked up in the module at call time, like identify's own calls
+    name_sim = identify.name_similarity(a.normalized_name or "", b.normalized_name or "")
+    addr, _ = identify._address_score_parts(
         (a.street, b.street), (a.zipcode, b.zipcode), (a.city, b.city), config
     )
     return 0.5 * name_sim + 0.5 * addr

@@ -1,9 +1,11 @@
 """Stage orchestration over resumable CSV checkpoints.
 
-Every stage reads the previous stage's checkpoint files from disk and
-writes its own under <out>/checkpoints/<stage>/, so running `pipeline` is
-the same computation as running the stages one by one, and any stage can
-be rerun in isolation.
+Each stage gets and gives its records through a `Checkpoints` store, which
+writes every checkpoint under <out>/checkpoints/<stage>/. `pipeline` runs
+all its stages on one store, so records pass from stage to stage in memory;
+a stage run alone reads its inputs from disk. Both run the same stage
+bodies, so `pipeline` is the same computation as the stages one by one,
+and any stage can be rerun in isolation.
 
 One codec, `_dump` / `_load`, serializes every checkpoint record type from
 its dataclass fields:
@@ -76,29 +78,41 @@ STAGE_ORDER = ("ingest", "criteria", "normalize", "identify", "merge", "emit", "
 
 
 class Checkpoints:
-    """Path bookkeeping for stage checkpoint files."""
+    """The one way a stage gets and gives records: `write` dumps a checkpoint
+    and keeps its records, `read` hands kept records to their first reader
+    only and forgets them, and any other read parses the file. normalize,
+    identify and merge change the records they read, so no list may reach
+    two readers; nothing is kept past its first read, and a list no stage
+    reads (rejections.csv) lives as long as the store.
+    """
 
     def __init__(self, output_dir: str) -> None:
         self.root = Path(output_dir) / "checkpoints"
+        self._kept: dict[tuple[str, str], list] = {}
 
     def stage_dir(self, stage: str) -> Path:
         path = self.root / stage
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def path(self, stage: str, name: str) -> Path:
-        return self.root / stage / name
-
     def require(self, stage: str, *names: str) -> None:
-        missing = [str(self.path(stage, n)) for n in names if not self.path(stage, n).exists()]
+        missing = [str(p) for p in (self.root / stage / n for n in names) if not p.exists()]
         if missing:
             raise ConfigError(
                 f"stage depends on the '{stage}' checkpoint; missing: {', '.join(missing)}"
             )
 
-    def load(self, stage: str, name: str, cls: type) -> list:
+    def write(self, stage: str, name: str, cls: type, records: Iterable) -> None:
+        records = list(records)
+        _dump(self.stage_dir(stage) / name, cls, records)
+        self._kept[stage, name] = records
+
+    def read(self, stage: str, name: str, cls: type) -> list:
+        kept = self._kept.pop((stage, name), None)
+        if kept is not None:
+            return kept
         self.require(stage, name)
-        return _load(self.path(stage, name), cls)
+        return _load(self.root / stage / name, cls)
 
 
 # ---------------------------------------------------------------- codec
@@ -286,14 +300,12 @@ def _load_registry_from_config(config: PipelineConfig) -> Registry:
     )
 
 
-def stage_ingest(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
+def stage_ingest(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     result = run_ingest(config)
-    out = checkpoints.stage_dir("ingest")
-    _dump(out / "lots.csv", LotRecord, result.lots)
-    _dump(out / "occurrences.csv", AgentOccurrence, result.occurrences)
-    _dump(out / "criteria_raw.csv", CriteriaRaw, result.criteria_raw)
-    _dump(out / "rejections.csv", RowRejection, result.rejections)
+    checkpoints.write("ingest", "lots.csv", LotRecord, result.lots)
+    checkpoints.write("ingest", "occurrences.csv", AgentOccurrence, result.occurrences)
+    checkpoints.write("ingest", "criteria_raw.csv", CriteriaRaw, result.criteria_raw)
+    checkpoints.write("ingest", "rejections.csv", RowRejection, result.rejections)
     stats = {
         "lots": len(result.lots),
         "occurrences": len(result.occurrences),
@@ -302,22 +314,20 @@ def stage_ingest(config: PipelineConfig) -> None:
         "duplicate_identities": result.duplicate_identities,
         "descriptions_before_split": result.descriptions_before_split,
     }
-    _dump_json(out / "stats.json", stats)
+    _dump_json(checkpoints.stage_dir("ingest") / "stats.json", stats)
     log.info("ingest: %(lots)d lots, %(occurrences)d occurrences", stats)
 
 
-def stage_criteria(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    raw = checkpoints.load("ingest", "criteria_raw.csv", CriteriaRaw)
+def stage_criteria(config: PipelineConfig, checkpoints: Checkpoints) -> None:
+    raw = checkpoints.read("ingest", "criteria_raw.csv", CriteriaRaw)
     result = repair_criteria(raw, config)
-    out = checkpoints.stage_dir("criteria")
-    _dump(out / "criteria.csv", Criterion, result.criteria)
+    checkpoints.write("criteria", "criteria.csv", Criterion, result.criteria)
     flags = {
         "misaligned_lots": sorted(result.misaligned_lots),
         "conflict_lots": sorted(result.conflict_lots),
         "unnormalized_lots": sorted(result.unnormalized_lots),
     }
-    _dump_json(out / "flags.json", flags)
+    _dump_json(checkpoints.stage_dir("criteria") / "flags.json", flags)
     log.info("criteria: %d rows repaired", len(result.criteria))
 
 
@@ -327,15 +337,13 @@ def _load_postal(config: PipelineConfig) -> PostalTable | None:
     return load_postal_table(config.postal_file, config.delimiter)
 
 
-def stage_normalize(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    occurrences = checkpoints.load("ingest", "occurrences.csv", AgentOccurrence)
+def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
+    occurrences = checkpoints.read("ingest", "occurrences.csv", AgentOccurrence)
     postal = _load_postal(config)
     for occ in occurrences:
         normalize_occurrence(occ, postal, config.postal_tokens)
     merge_by_declared_siret(occurrences)
-    out = checkpoints.stage_dir("normalize")
-    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
+    checkpoints.write("normalize", "occurrences.csv", AgentOccurrence, occurrences)
     log.info("normalize: %d occurrences", len(occurrences))
 
 
@@ -372,10 +380,9 @@ def _identify_parallel(
     return sorted((r for part in parts for r in part), key=lambda r: r.occurrence_id)
 
 
-def stage_identify(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    occurrences = checkpoints.load("normalize", "occurrences.csv", AgentOccurrence)
-    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
+def stage_identify(config: PipelineConfig, checkpoints: Checkpoints) -> None:
+    occurrences = checkpoints.read("normalize", "occurrences.csv", AgentOccurrence)
+    lots = checkpoints.read("ingest", "lots.csv", LotRecord)
     registry = _load_registry_from_config(config)
 
     serial = config.jobs <= 1 or len(occurrences) < 2 * config.jobs
@@ -383,39 +390,32 @@ def stage_identify(config: PipelineConfig) -> None:
     results = identify(occurrences, lots, registry, config)
     apply_match_results(occurrences, results)
 
-    out = checkpoints.stage_dir("identify")
-    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
-    write_match_log(results, out / "match_log.csv")
+    checkpoints.write("identify", "occurrences.csv", AgentOccurrence, occurrences)
+    write_match_log(results, checkpoints.stage_dir("identify") / "match_log.csv")
     matched = sum(1 for r in results if r.source == "matched")
     log.info("identify: %d matched of %d", matched, len(results))
 
 
-def stage_merge(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    occurrences = checkpoints.load("identify", "occurrences.csv", AgentOccurrence)
+def stage_merge(config: PipelineConfig, checkpoints: Checkpoints) -> None:
+    occurrences = checkpoints.read("identify", "occurrences.csv", AgentOccurrence)
     result: MergeResult = merge_all(occurrences, config)
-    out = checkpoints.stage_dir("merge")
-    _dump(out / "occurrences.csv", AgentOccurrence, occurrences)
-    _dump(out / "clusters.csv", AgentCluster, result.clusters)
-    _dump(out / "agents.csv", CanonicalAgent, result.agents)
-    _dump(
-        out / "agent_names.csv",
-        _AgentName,
-        (_AgentName(a.agent_id, n) for a in result.agents for n in a.names),
-    )
+    checkpoints.write("merge", "occurrences.csv", AgentOccurrence, occurrences)
+    checkpoints.write("merge", "clusters.csv", AgentCluster, result.clusters)
+    checkpoints.write("merge", "agents.csv", CanonicalAgent, result.agents)
+    names = (_AgentName(a.agent_id, n) for a in result.agents for n in a.names)
+    checkpoints.write("merge", "agent_names.csv", _AgentName, names)
     log.info("merge: %d clusters, %d agents", len(result.clusters), len(result.agents))
 
 
-def stage_emit(config: PipelineConfig) -> None:
-    checkpoints = Checkpoints(config.output_dir)
-    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
-    criteria = checkpoints.load("criteria", "criteria.csv", Criterion)
+def stage_emit(config: PipelineConfig, checkpoints: Checkpoints) -> None:
+    lots = checkpoints.read("ingest", "lots.csv", LotRecord)
+    criteria = checkpoints.read("criteria", "criteria.csv", Criterion)
     checkpoints.require("merge", "occurrences.csv", "agents.csv", "agent_names.csv")
-    occurrences = checkpoints.load("merge", "occurrences.csv", AgentOccurrence)
+    occurrences = checkpoints.read("merge", "occurrences.csv", AgentOccurrence)
     names: dict[Identifier, list[str]] = {}
-    for row in checkpoints.load("merge", "agent_names.csv", _AgentName):
+    for row in checkpoints.read("merge", "agent_names.csv", _AgentName):
         names.setdefault(row.agent_id, []).append(row.name)
-    agents = checkpoints.load("merge", "agents.csv", CanonicalAgent)
+    agents = checkpoints.read("merge", "agents.csv", CanonicalAgent)
     for agent in agents:
         agent.names = names.get(agent.agent_id, [])
     schema = emit_mod.build_tables(lots, agents, occurrences, criteria)
@@ -434,18 +434,19 @@ def _load_contract_ids(config: PipelineConfig) -> set[str]:
         return {line.strip() for line in fh if line.strip()}
 
 
-def stage_evaluate(config: PipelineConfig, mask: bool = False) -> evaluate_mod.EvaluationReport:
-    checkpoints = Checkpoints(config.output_dir)
-    lots = checkpoints.load("ingest", "lots.csv", LotRecord)
-    clusters = checkpoints.load("merge", "clusters.csv", AgentCluster)
-    identified = checkpoints.load("identify", "occurrences.csv", AgentOccurrence)
+def stage_evaluate(
+    config: PipelineConfig, checkpoints: Checkpoints, mask: bool = False
+) -> evaluate_mod.EvaluationReport:
+    lots = checkpoints.read("ingest", "lots.csv", LotRecord)
+    clusters = checkpoints.read("merge", "clusters.csv", AgentCluster)
+    identified = checkpoints.read("identify", "occurrences.csv", AgentOccurrence)
     pre_merge = {occ.occurrence_id: occ.identifier for occ in identified}
     sizes, idents = evaluate_mod.distribution_tables(clusters, pre_merge)
     coverage = evaluate_mod.notice_coverage(_load_contract_ids(config), lots)
 
     mask_report = None
     if mask:
-        raw_occurrences = checkpoints.load("ingest", "occurrences.csv", AgentOccurrence)
+        raw_occurrences = checkpoints.read("ingest", "occurrences.csv", AgentOccurrence)
         if config.ground_truth_file:
             truth = evaluate_mod.load_ground_truth(config.ground_truth_file, config.delimiter)
         else:
@@ -472,7 +473,10 @@ def stage_evaluate(config: PipelineConfig, mask: bool = False) -> evaluate_mod.E
     return report
 
 
-def run_stage(stage: str, config: PipelineConfig, mask: bool = False) -> None:
+def run_stage(
+    stage: str, config: PipelineConfig, mask: bool = False, checkpoints: Checkpoints | None = None
+) -> None:
+    """Run one stage on the caller's store, or alone on one that reads from disk."""
     runners = {
         "ingest": stage_ingest,
         "criteria": stage_criteria,
@@ -480,13 +484,11 @@ def run_stage(stage: str, config: PipelineConfig, mask: bool = False) -> None:
         "identify": stage_identify,
         "merge": stage_merge,
         "emit": stage_emit,
+        "evaluate": functools.partial(stage_evaluate, mask=mask),
     }
-    if stage == "evaluate":
-        stage_evaluate(config, mask=mask)
-    elif stage in runners:
-        runners[stage](config)
-    else:
+    if stage not in runners:
         raise ConfigError(f"unknown stage {stage!r}")
+    runners[stage](config, checkpoints or Checkpoints(config.output_dir))
 
 
 def _stage_index(name: str) -> int:
@@ -504,11 +506,12 @@ def run_pipeline(
     stage_to: str | None = None,
     mask: bool = False,
 ) -> None:
-    """Run the stages in order, each through its on-disk checkpoint."""
+    """Run the stages in order on one store, which passes records on in memory."""
     start = _stage_index(stage_from) if stage_from else 0
     stop = _stage_index(stage_to) if stage_to else len(STAGE_ORDER) - 1
     if start > stop:
         raise ConfigError(f"--stage-from {stage_from!r} is after --stage-to {stage_to!r}")
+    checkpoints = Checkpoints(config.output_dir)
     for stage in STAGE_ORDER[start : stop + 1]:
         log.info("stage %s", stage)
-        run_stage(stage, config, mask=mask)
+        run_stage(stage, config, mask=mask, checkpoints=checkpoints)

@@ -56,7 +56,7 @@ from tedclean.models import (
     siren_only,
 )
 from tedclean.normalize import department_of, normalize_name
-from tedclean.pipeline import run_pipeline, stage_evaluate
+from tedclean.pipeline import Checkpoints, run_pipeline, stage_evaluate
 
 pytestmark = pytest.mark.acceptance
 
@@ -711,7 +711,7 @@ def test_criterion_8_stage_accounting_shape(tmp_path):
     non-increasing missing, and rows that partition the truth total."""
     config = corpus_config(tmp_path / "in", tmp_path / "out", rows=80, seed=9)
     run_pipeline(config, stage_to="merge")
-    report = stage_evaluate(config, mask=True)
+    report = stage_evaluate(config, Checkpoints(config.output_dir), mask=True)
     rows = report.mask.stage_rows
     assert [r.stage for r in rows] == [
         "separation", "normalization", "identification", "clustering",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tedclean import identify
 from tedclean.config import MatchConfig, PipelineConfig
 from tedclean.merge import (
     blocking_key,
@@ -69,6 +70,21 @@ class TestPairSimilarity:
         a = occ(1, "MAIRIE DE LYON", zipcode="69001")
         b = occ(2, "COMMUNE DE LYON", zipcode="69001")
         assert pair_similarity(a, b, MATCH) == pytest.approx(0.5 * (2 / 3) + 0.5 * 1.0)
+
+    def test_name_comparison_goes_through_identify_module(self, monkeypatch):
+        # a replaced identify.name_similarity (a tracer's counter, say) sees
+        # merge's direct name comparisons as well as its street comparisons
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return 1.0
+
+        monkeypatch.setattr(identify, "name_similarity", recording)
+        a = occ(1, "MAIRIE DE LYON", "1 RUE X")
+        b = occ(2, "COMMUNE DE LYON", "1 RUE Y")
+        assert pair_similarity(a, b, MATCH) == pytest.approx(1.0)
+        assert calls == [("MAIRIE DE LYON", "COMMUNE DE LYON"), ("1 RUE X", "1 RUE Y")]
 
 
 def oracle_clusters(occurrences, threshold, config):

@@ -2,7 +2,8 @@
 
 The serde tests check the lossless round-trip contract of the checkpoint
 codec: absent values are empty cells, a plain `str` field keeps "", and
-the column layout of every checkpoint stays pinned. The orchestration
+the column layout of every checkpoint stays pinned. The store tests check
+that a written list reaches its first reader only. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
 reruns are byte-identical, and that parallel identification cannot change
 the output.
@@ -284,12 +285,34 @@ class TestCheckpoints:
     def test_criteria_without_ingest_checkpoint(self, tmp_path):
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=3)
         with pytest.raises(ConfigError, match="ingest"):
-            stage_criteria(cfg)
+            stage_criteria(cfg, Checkpoints(cfg.output_dir))
 
     def test_identify_without_normalize_checkpoint(self, tmp_path):
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=3)
         with pytest.raises(ConfigError, match="normalize"):
-            stage_identify(cfg)
+            stage_identify(cfg, Checkpoints(cfg.output_dir))
+
+    def test_first_read_takes_the_written_list(self, tmp_path):
+        cp = Checkpoints(str(tmp_path))
+        raw = [CriteriaRaw(1, "Prix", "60", ""), CriteriaRaw(2, "Délai", "40", "")]
+        expected = [dataclasses.replace(r) for r in raw]
+        cp.write("ingest", "criteria_raw.csv", CriteriaRaw, raw)
+        first = cp.read("ingest", "criteria_raw.csv", CriteriaRaw)
+        assert list(map(id, first)) == list(map(id, raw))  # the records, not a parse
+        first[0].names_field = "changed"
+        first.pop()
+        second = cp.read("ingest", "criteria_raw.csv", CriteriaRaw)
+        assert second == expected  # parsed from the file, not the mutated list
+
+    def test_write_keeps_a_generator_as_a_list(self, tmp_path):
+        cp = Checkpoints(str(tmp_path))
+        agent = Identifier(IdentifierKind.INTERNAL, "U000001")
+        rows = (pl._AgentName(agent, name) for name in ("MAIRIE", "COMMUNE"))
+        cp.write("merge", "agent_names.csv", pl._AgentName, rows)
+        expected = [pl._AgentName(agent, "MAIRIE"), pl._AgentName(agent, "COMMUNE")]
+        kept = cp.read("merge", "agent_names.csv", pl._AgentName)
+        assert type(kept) is list and kept == expected
+        assert cp.read("merge", "agent_names.csv", pl._AgentName) == expected
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -335,12 +358,22 @@ class TestOrchestration:
         assert stats["rejections"] >= 1  # the out-of-period row
         assert stats["lots"] > 0 and stats["occurrences"] > stats["lots"]
 
-    def test_pipeline_equals_stage_by_stage(self, tmp_path):
-        cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=2)
-        run_pipeline(cfg_a)
+    @pytest.mark.parametrize(
+        "rows, seed, overrides, mask",
+        [
+            (18, 2, {}, False),
+            # the criterion-7 fixture, masked
+            (100, 42, {"jobs": 1}, True),
+            (100, 42, {"jobs": 4}, True),
+        ],
+        ids=["rows18-seed2", "criterion7-jobs1-mask", "criterion7-jobs4-mask"],
+    )
+    def test_pipeline_equals_stage_by_stage(self, tmp_path, rows, seed, overrides, mask):
+        cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=rows, seed=seed, **overrides)
+        run_pipeline(cfg_a, mask=mask)
         cfg_b = dataclasses.replace(cfg_a, output_dir=str(tmp_path / "b"))
         for stage in STAGE_ORDER:
-            run_stage(stage, cfg_b)
+            run_stage(stage, cfg_b, mask=mask)
         assert _tree(Path(cfg_a.output_dir)) == _tree(Path(cfg_b.output_dir))
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -359,8 +392,8 @@ class TestOrchestration:
             Path(cfg_a.output_dir) / "checkpoints", out_b / "checkpoints"
         )
         cfg_b = dataclasses.replace(cfg_a, output_dir=str(out_b), jobs=4)
-        stage_identify(cfg_a)
-        stage_identify(cfg_b)
+        stage_identify(cfg_a, Checkpoints(cfg_a.output_dir))
+        stage_identify(cfg_b, Checkpoints(cfg_b.output_dir))
         dir_a = Path(cfg_a.output_dir) / "checkpoints" / "identify"
         dir_b = out_b / "checkpoints" / "identify"
         assert _tree(dir_a) == _tree(dir_b)
@@ -403,7 +436,7 @@ class TestEvaluateStage:
         before = {
             k: v for k, v in _tree(root).items() if not k.startswith("evaluate")
         }
-        report = stage_evaluate(full_run, mask=True)
+        report = stage_evaluate(full_run, Checkpoints(full_run.output_dir), mask=True)
         assert report.mask is not None
         assert report.mask.outcomes, "corpus declares some identifiers"
         after = {k: v for k, v in _tree(root).items() if not k.startswith("evaluate")}
@@ -428,4 +461,4 @@ class TestEvaluateStage:
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=4, seed=8)
         run_pipeline(cfg, stage_to="merge")
         with pytest.raises(InputError, match="found none"):
-            stage_evaluate(cfg, mask=True)
+            stage_evaluate(cfg, Checkpoints(cfg.output_dir), mask=True)
