@@ -9,14 +9,12 @@ each pipeline step.
 """
 from __future__ import annotations
 
-import copy
-import csv
 from collections import Counter, defaultdict
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from .config import PipelineConfig
-from .files import write_rows
+from .files import read_table, write_rows
 from .identify import apply_match_results, identify_all
 from .merge import merge_all
 from .models import (
@@ -24,12 +22,12 @@ from .models import (
     AgentOccurrence,
     Identifier,
     IdentifierKind,
+    InputError,
     InvariantError,
     LotRecord,
     MatchOutcome,
     Role,
 )
-from .normalize import PostalTable, merge_by_declared_siret, normalize_occurrence
 from .registry import Registry, validate_siret
 
 STAGES = ("separation", "normalization", "identification", "clustering")
@@ -200,14 +198,28 @@ def truth_from_declared(occurrences: list[AgentOccurrence]) -> dict[int, Identif
 
 
 def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
-    """Read (occurrenceId, siret) labels from a delimiter-separated file."""
+    """Read (occurrenceId, siret) labels from a delimiter-separated file.
+
+    A row whose siret is not a valid 14-digit value is skipped; a missing
+    column or an id that is not a whole number is an InputError.
+    """
+    header, rows = read_table(path, "ground truth file", delimiter)
+    missing = [column for column in ("occurrenceId", "siret") if column not in header]
+    if missing:
+        raise InputError(
+            f"ground truth file {path}: header is missing column(s) {', '.join(missing)}"
+        )
     truth = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh, delimiter=delimiter):
-            ident = validate_siret(row.get("siret", ""))
-            if ident is None or ident.kind is not IdentifierKind.FULL_SIRET:
-                continue
-            truth[int(row["occurrenceId"])] = ident
+    for row in rows:
+        occ_id = (row.get("occurrenceId") or "").strip()
+        if not (occ_id.isascii() and occ_id.isdigit()):
+            raise InputError(
+                f"ground truth file {path}: occurrenceId {occ_id!r} is not a whole number"
+            )
+        ident = validate_siret(row.get("siret", ""))
+        if ident is None or ident.kind is not IdentifierKind.FULL_SIRET:
+            continue
+        truth[int(occ_id)] = ident
     return truth
 
 
@@ -240,34 +252,33 @@ def mask_and_rerun(
     occurrences: list[AgentOccurrence],
     lots: list[LotRecord],
     registry: Registry,
-    postal: PostalTable | None,
     config: PipelineConfig,
     truth: dict[int, Identifier],
 ) -> MaskReport:
-    """Hide the known identifiers, rerun the pipeline, classify recovery.
+    """Hide the known identifiers, rerun what that changes, classify recovery.
 
-    The originals are untouched: everything runs on copies whose declared
-    identifiers in the truth set are removed before any stage sees them.
+    `occurrences` are as identification left them, and are changed in
+    place. Masking clears only the declared and resolved identifiers of
+    the truth occurrences. Normalization reads neither, and every other
+    occurrence's identifier depends on its own payload alone, so only the
+    truth occurrences are identified again before everything is
+    reclustered.
     """
     if not truth:
         raise InvariantError("mask_and_rerun requires a non-empty ground-truth set")
-    masked = copy.deepcopy(occurrences)
-    by_id = {occ.occurrence_id: occ for occ in masked}
-    for occ_id in truth:
-        occ = by_id[occ_id]
+    by_id = {occ.occurrence_id: occ for occ in occurrences}
+    masked = [by_id[occ_id] for occ_id in truth]
+    for occ in masked:
         occ.declared_siret = None
         occ.identifier = None
         occ.identifier_source = None
 
-    snapshots: dict[str, dict[int, Identifier | None]] = {}
-    snapshots["separation"] = {
-        occ.occurrence_id: validate_siret(occ.declared_siret) for occ in masked
+    # no truth occurrence holds a declared value any more, so separation and
+    # normalization know none of the truth identifiers: all missing
+    snapshots: dict[str, dict[int, Identifier | None]] = {
+        "separation": {},
+        "normalization": {},
     }
-
-    for occ in masked:
-        normalize_occurrence(occ, postal, config.postal_tokens)
-    merge_by_declared_siret(masked)
-    snapshots["normalization"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
     results = identify_all(masked, lots, registry, config)
     apply_match_results(masked, results)
@@ -282,7 +293,7 @@ def mask_and_rerun(
         )
     snapshots["identification"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
-    merged = merge_all(masked, config)
+    merged = merge_all(occurrences, config)
     snapshots["clustering"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
     outcomes = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 from .config import MANDATORY_FIELDS, PipelineConfig
+from .files import read_text
 from .models import (
     AgentOccurrence,
     ConfigError,
@@ -78,11 +79,7 @@ def parse_table(
     would also cut a row at U+0085, U+2028, form feeds and the like, which
     turn up inside cells.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read lot file {path}: {exc}") from exc
+    text = read_text(path, "lot file")
     if not text:
         raise InputError(f"lot file {path} is empty")
     lines = [line.removesuffix("\r") for line in text.split("\n")]
@@ -208,7 +205,7 @@ def build_lot(
     contract_type = ContractType(mapped) if mapped else None
 
     offers_raw = _cell(row, config.column_map, "number_of_offers")
-    offers = int(offers_raw) if offers_raw.isdigit() else None
+    offers = int(offers_raw) if offers_raw.isascii() and offers_raw.isdigit() else None
 
     value = parse_decimal(_cell(row, config.column_map, "awarded_value"))
     if value is not None and value < 0:

@@ -6,11 +6,11 @@ fold must be deterministic and idempotent: the output alphabet is exactly
 """
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 from dataclasses import dataclass, field
 
+from .files import read_rows
 from .models import AgentOccurrence
 
 # Ligatures and letters NFKD leaves alone.
@@ -123,14 +123,13 @@ class PostalTable:
 def load_postal_table(path: str, delimiter: str) -> PostalTable:
     """Read (city, zipcode) lines; header optional (detected on the zipcode cell)."""
     table = PostalTable()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh, delimiter=delimiter):
-            if len(row) < 2:
-                continue
-            city, zipcode = row[0].strip(), row[1].strip()
-            if not zipcode.isdigit():
-                continue
-            table.add(city, zipcode)
+    for row in read_rows(path, "postal file", delimiter):
+        if len(row) < 2:
+            continue
+        city, zipcode = row[0].strip(), row[1].strip()
+        if not zipcode.isdigit():
+            continue
+        table.add(city, zipcode)
     return table
 
 

@@ -46,7 +46,7 @@ from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .files import replacing, write_rows
+from .files import read_text, replacing, write_rows
 from .identify import MatchResult, apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
@@ -64,12 +64,7 @@ from .models import (
     LotRecord,
     RowRejection,
 )
-from .normalize import (
-    PostalTable,
-    load_postal_table,
-    merge_by_declared_siret,
-    normalize_occurrence,
-)
+from .normalize import load_postal_table, merge_by_declared_siret, normalize_occurrence
 from .registry import Registry, load_registry
 
 log = logging.getLogger(__name__)
@@ -81,9 +76,9 @@ class Checkpoints:
     """The one way a stage gets and gives records: `write` dumps a checkpoint
     and keeps its records, `read` hands kept records to their first reader
     only and forgets them, and any other read parses the file. normalize,
-    identify and merge change the records they read, so no list may reach
-    two readers; nothing is kept past its first read, and a list no stage
-    reads (rejections.csv) lives as long as the store.
+    identify, merge and a masked evaluate change the records they read, so
+    no list may reach two readers; nothing is kept past its first read, and
+    a list no stage reads (rejections.csv) lives as long as the store.
     """
 
     def __init__(self, output_dir: str) -> None:
@@ -331,15 +326,11 @@ def stage_criteria(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     log.info("criteria: %d rows repaired", len(result.criteria))
 
 
-def _load_postal(config: PipelineConfig) -> PostalTable | None:
-    if not config.postal_file:
-        return None
-    return load_postal_table(config.postal_file, config.delimiter)
-
-
 def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     occurrences = checkpoints.read("ingest", "occurrences.csv", AgentOccurrence)
-    postal = _load_postal(config)
+    postal = (
+        load_postal_table(config.postal_file, config.delimiter) if config.postal_file else None
+    )
     for occ in occurrences:
         normalize_occurrence(occ, postal, config.postal_tokens)
     merge_by_declared_siret(occurrences)
@@ -430,8 +421,10 @@ def stage_emit(config: PipelineConfig, checkpoints: Checkpoints) -> None:
 def _load_contract_ids(config: PipelineConfig) -> set[str]:
     if not config.contract_notice_file:
         return set()
-    with open(config.contract_notice_file, encoding="utf-8") as fh:
-        return {line.strip() for line in fh if line.strip()}
+    text = read_text(config.contract_notice_file, "contract notice file")
+    # one id a line, where a line ends at "\n", "\r\n" or "\r"
+    lines = text.replace("\r", "\n").split("\n")
+    return {line.strip() for line in lines if line.strip()}
 
 
 def stage_evaluate(
@@ -446,18 +439,20 @@ def stage_evaluate(
 
     mask_report = None
     if mask:
-        raw_occurrences = checkpoints.read("ingest", "occurrences.csv", AgentOccurrence)
         if config.ground_truth_file:
             truth = evaluate_mod.load_ground_truth(config.ground_truth_file, config.delimiter)
+            unknown = sorted(truth.keys() - pre_merge.keys())
+            if unknown:
+                raise InputError(
+                    f"ground truth file {config.ground_truth_file}: "
+                    f"occurrenceId(s) {unknown[:5]} name no occurrence"
+                )
         else:
-            truth = evaluate_mod.truth_from_declared(raw_occurrences)
+            truth = evaluate_mod.truth_from_declared(identified)
         if not truth:
             raise InputError("masked evaluation needs known identifiers and found none")
         registry = _load_registry_from_config(config)
-        postal = _load_postal(config)
-        mask_report = evaluate_mod.mask_and_rerun(
-            raw_occurrences, lots, registry, postal, config, truth
-        )
+        mask_report = evaluate_mod.mask_and_rerun(identified, lots, registry, config, truth)
 
     report = evaluate_mod.EvaluationReport(
         cluster_sizes=sizes,

@@ -6,15 +6,15 @@ activity prefix) support candidate blocking.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 from dataclasses import dataclass, field
 
+from .files import read_table
 from .ingest import parse_date
 from .models import (
+    ConfigError,
     Identifier,
-    InputError,
     RegistryEntity,
     RegistryFacility,
     full_siret,
@@ -31,15 +31,18 @@ NAME_LIST_SEPARATOR = "|"
 def validate_siret(raw: str | None) -> Identifier | None:
     """Parse a declared identifier: 14 digits -> full, 9 -> entity-only.
 
-    Spaces are stripped first. Anything else is invalid and yields None;
-    there is no checksum validation, the registry match is the check.
+    Spaces are stripped first, and only ASCII digits count. Anything else
+    is invalid and yields None; there is no checksum validation, the
+    registry match is the check.
     """
     if not raw:
         return None
     digits = "".join(raw.split())
-    if len(digits) == 14 and digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits) == 14:
         return full_siret(digits)
-    if len(digits) == 9 and digits.isdigit():
+    if len(digits) == 9:
         return siren_only(digits)
     return None
 
@@ -93,12 +96,12 @@ def temporally_valid(facility: RegistryFacility, date: dt.date) -> bool:
     return True
 
 
-def _read_rows(path: str, delimiter: str) -> list[dict[str, str]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh, delimiter=delimiter))
-    except OSError as exc:
-        raise InputError(f"cannot read registry file {path}: {exc}") from exc
+def _read_registry_file(path: str, what: str, delimiter: str, *columns: str) -> list[dict[str, str]]:
+    header, rows = read_table(path, what, delimiter)
+    missing = [column for column in columns if column not in header]
+    if missing:
+        raise ConfigError(f"{path}: header is missing mandatory column(s) {', '.join(missing)}")
+    return rows
 
 
 def load_registry(
@@ -117,7 +120,11 @@ def load_registry(
     """
     registry = Registry(activity_prefix_length)
 
-    for row in _read_rows(entity_path, delimiter):
+    entity_rows = _read_registry_file(
+        entity_path, "registry entity file", delimiter,
+        entity_map["siren"], entity_map["legal_name"],
+    )
+    for row in entity_rows:
         siren = (row.get(entity_map["siren"]) or "").strip()
         if not (len(siren) == 9 and siren.isdigit()):
             log.warning("skipping entity row with bad identifier %r", siren)
@@ -142,7 +149,10 @@ def load_registry(
             )
         )
 
-    for row in _read_rows(facility_path, delimiter):
+    facility_rows = _read_registry_file(
+        facility_path, "registry facility file", delimiter, facility_map["siret"]
+    )
+    for row in facility_rows:
         siret = (row.get(facility_map["siret"]) or "").strip()
         if not (len(siret) == 14 and siret.isdigit()):
             log.warning("skipping facility row with bad identifier %r", siret)

@@ -7,7 +7,10 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import LOT_COLUMNS
 from corpus import write_corpus_config
 from tedclean.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, build_parser, main
 
@@ -45,6 +48,31 @@ def _corrupt(normalized, tmp_path, stage, name, edit):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(edit(rows))
     return ["--config", config_path, "--out", str(out)]
+
+
+INPUT_FILES = (
+    "lots", "registry_entities", "registry_facilities", "postal", "contract_notice_ids",
+    "ground_truth",
+)
+
+
+def _input_path(inputs: dict, key: str) -> str:
+    return inputs[key][0] if key == "lots" else inputs[key]
+
+
+def _corpus_with(tmp_path, key, edit):
+    """A small corpus with a ground-truth file, after edit(inputs, directory)
+    has changed its config's inputs or the files they name; returns the
+    config path and the path of input `key`."""
+    directory = tmp_path / "in"
+    config_path = write_corpus_config(directory, tmp_path / "out", rows=12, seed=20)
+    data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    truth = directory / "truth.csv"
+    truth.write_text("occurrenceId,siret\n1,10000000000011\n", encoding="utf-8")
+    data["inputs"]["ground_truth"] = str(truth)
+    edit(data["inputs"], directory)
+    Path(config_path).write_text(json.dumps(data), encoding="utf-8")
+    return config_path, _input_path(data["inputs"], key)
 
 
 def test_parser_identity_and_subcommands():
@@ -234,6 +262,78 @@ class TestExitCodes:
         assert main(["identify"] + args) == EXIT_INVARIANT
         assert "lots.csv, line 2: column awardedValue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", INPUT_FILES)
+    def test_latin1_input_is_input_error(self, tmp_path, capsys, key):
+        def edit(inputs, _):
+            with open(_input_path(inputs, key), "ab") as fh:
+                fh.write("Société,1\n".encode("latin-1"))
+
+        config_path, path = _corpus_with(tmp_path, key, edit)
+        assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: cannot read" in err and path in err
+
+    @pytest.mark.parametrize("key", INPUT_FILES)
+    def test_directory_input_is_input_error(self, tmp_path, capsys, key):
+        def edit(inputs, directory):
+            (directory / "a_directory").mkdir()
+            inputs[key] = [str(directory / "a_directory")] if key == "lots" else str(
+                directory / "a_directory"
+            )
+
+        config_path, path = _corpus_with(tmp_path, key, edit)
+        assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "input error: cannot read" in err and path in err
+
+    def test_unparseable_csv_input_is_input_error(self, tmp_path, capsys):
+        def edit(inputs, _):
+            with open(inputs["postal"], "a", encoding="utf-8") as fh:
+                fh.write('"' + "x" * (csv.field_size_limit() + 1) + '",69001\n')
+
+        config_path, path = _corpus_with(tmp_path, "postal", edit)
+        assert main(["pipeline", "--config", config_path]) == EXIT_INPUT
+        assert f"input error: cannot parse postal file {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("occurrenceId,label\n1,11111111100011\n", "missing column(s) siret"),
+            ("id,siret\n1,11111111100011\n", "missing column(s) occurrenceId"),
+            ("occurrenceId,siret\none,11111111100011\n", "'one' is not a whole number"),
+            ("occurrenceId,siret\n99999,11111111100011\n", "[99999] name no occurrence"),
+        ],
+    )
+    def test_bad_ground_truth_is_input_error(self, tmp_path, capsys, content, message):
+        def edit(inputs, directory):
+            inputs["ground_truth"] = str(directory / "truth.csv")
+            (directory / "truth.csv").write_text(content, encoding="utf-8")
+
+        config_path, path = _corpus_with(tmp_path, "ground_truth", edit)
+        assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: ground truth file {path}" in err and message in err
+
+    @pytest.mark.parametrize(
+        "key,column",
+        [
+            ("registry_entities", "SIREN"),
+            ("registry_entities", "LEGAL_NAME"),
+            ("registry_facilities", "SIRET"),
+        ],
+    )
+    def test_registry_header_without_key_column(self, tmp_path, capsys, key, column):
+        def edit(inputs, _):
+            path = Path(inputs[key])
+            header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            header = ",".join("RENAMED" if h == column else h for h in header.split(","))
+            path.write_text(header + "\n" + rest, encoding="utf-8")
+
+        config_path, path = _corpus_with(tmp_path, key, edit)
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}: header is missing mandatory column(s) {column}" in err
+
     def test_truncated_row(self, normalized, tmp_path, capsys):
         def edit(rows):
             rows[-1] = rows[-1][:5]
@@ -242,3 +342,35 @@ class TestExitCodes:
         args = _corrupt(normalized, tmp_path, "normalize", "occurrences.csv", edit)
         assert main(["identify"] + args) == EXIT_INVARIANT
         assert "cells, expected 15" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    """A corpus config whose lot file each fuzz example rewrites."""
+    base = tmp_path_factory.mktemp("fuzz")
+    config_path = write_corpus_config(base / "in", base / "out", rows=3, seed=21)
+    return config_path, Path(json.loads(Path(config_path).read_text(encoding="utf-8"))
+                             ["inputs"]["lots"][0])
+
+
+_CELL = st.one_of(
+    st.text(max_size=16),
+    st.sampled_from(["", "2015-06-01", "2015-06-01T00:00", "45210000", "12345678900011",
+                     "12 000,50", "²", "INFRUCTUEUX", "---", "Prix;Qualité", "60;40"]),
+)
+# rows of the header's width reach build_lot and beyond; raw bytes test the reader
+_ROWS = st.lists(
+    st.lists(_CELL, min_size=len(LOT_COLUMNS), max_size=len(LOT_COLUMNS)), max_size=4
+).map(lambda rows: "".join(
+    ",".join('"' + c.replace('"', '""') + '"' for c in row) + "\n" for row in rows
+).encode("utf-8"))
+
+
+@given(body=st.one_of(st.binary(max_size=200), _ROWS))
+@settings(max_examples=200, deadline=None)
+def test_any_lot_file_ends_in_an_exit_code(fuzz_config, body):
+    """A valid header followed by any bytes: an exit code, never a traceback."""
+    config_path, lots = fuzz_config
+    lots.write_bytes((",".join(LOT_COLUMNS) + "\n").encode("utf-8") + body)
+    code = main(["pipeline", "--config", config_path, "--mask"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT)

@@ -1,12 +1,18 @@
+import copy
 import datetime as dt
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import corpus_config
+from tedclean import evaluate
+from tedclean import pipeline as pl
 from tedclean.config import PipelineConfig
 from tedclean.evaluate import (
     Clustering,
+    MaskReport,
     classify_outcome,
     concentration_ratio,
     distribution_tables,
@@ -18,10 +24,16 @@ from tedclean.evaluate import (
     truth_from_declared,
     write_report_files,
 )
+from tedclean.identify import apply_match_results, identify_all
+from tedclean.merge import merge_all
 from tedclean.models import (
     AgentCluster,
+    AgentOccurrence,
     CaseKind,
+    Identifier,
+    IdentifierKind,
     InvariantError,
+    LotRecord,
     MatchOutcome,
     RegistryEntity,
     Role,
@@ -29,7 +41,14 @@ from tedclean.models import (
     internal_code,
     siren_only,
 )
-from tedclean.registry import Registry
+from tedclean.normalize import (
+    PostalTable,
+    load_postal_table,
+    merge_by_declared_siret,
+    normalize_occurrence,
+)
+from tedclean.pipeline import Checkpoints, run_pipeline
+from tedclean.registry import Registry, validate_siret
 
 from conftest import make_lot, make_occurrence
 from test_identify import fac
@@ -227,13 +246,18 @@ def mask_world():
         2: full_siret("99999999900099"),
         3: full_siret("33333333300011"),
     }
+    # mask_and_rerun takes occurrences as normalization and identification
+    # leave them; every one here declares its identifier
+    for occ in occurrences:
+        normalize_occurrence(occ, None, PipelineConfig().postal_tokens)
+    merge_by_declared_siret(occurrences)
     return registry, lots, occurrences, truth
 
 
 class TestMaskAndRerun:
     def test_outcomes(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         assert report.truth_size == 3
         assert report.outcomes == {
             1: MatchOutcome.FULL,
@@ -241,29 +265,37 @@ class TestMaskAndRerun:
             3: MatchOutcome.NONE,
         }
 
-    def test_originals_untouched(self):
+    def test_identifies_only_the_masked(self, monkeypatch):
         registry, lots, occurrences, truth = mask_world()
-        mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
-        assert occurrences[0].declared_siret == "11111111100011"
-        assert occurrences[0].identifier is None
-        assert occurrences[0].normalized_name is None
+        calls = []
+
+        def spy(occs, *args):
+            calls.append(sorted(occ.occurrence_id for occ in occs))
+            return identify_all(occs, *args)
+
+        monkeypatch.setattr(evaluate, "identify_all", spy)
+        del truth[2]
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        assert calls == [[1, 3]]
+        assert report.outcomes == {1: MatchOutcome.FULL, 3: MatchOutcome.NONE}
+        assert occurrences[1].identifier == full_siret("99999999900099")
 
     def test_separation_stage_all_missing(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         sep = report.stage_rows[0]
         assert sep.stage == "separation"
         assert (sep.correct_strict, sep.incorrect_strict, sep.missing) == (0, 0, 3)
 
     def test_missing_monotone_non_increasing(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         missing = [row.missing for row in report.stage_rows]
         assert missing == sorted(missing, reverse=True)
 
     def test_role_splits(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         buyer = report.outcome_by_role_occurrences["buyer"]
         winner = report.outcome_by_role_occurrences["winner"]
         assert buyer["FULL"] == pytest.approx(100.0)
@@ -273,14 +305,14 @@ class TestMaskAndRerun:
 
     def test_ratios_present(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         assert report.concentration == [1.0, 1.0, 1.0]
         assert all(0.0 <= s <= 1.0 for s in report.singleton)
 
     def test_empty_truth_rejected(self):
         registry, lots, occurrences, _ = mask_world()
         with pytest.raises(InvariantError):
-            mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), {})
+            mask_and_rerun(occurrences, lots, registry, PipelineConfig(), {})
 
 
 class TestReportFiles:
@@ -288,7 +320,7 @@ class TestReportFiles:
         from tedclean.evaluate import EvaluationReport
 
         registry, lots, occurrences, truth = mask_world()
-        mask = mask_and_rerun(occurrences, lots, registry, None, PipelineConfig(), truth)
+        mask = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
         sizes, idents = distribution_tables([], {})
         report = EvaluationReport(
             cluster_sizes=sizes,
@@ -309,3 +341,135 @@ class TestReportFiles:
             "stage,total,correctStrict,incorrectStrict,correctEntity,"
             "incorrectEntity,missing"
         )
+
+
+# ----------------------------------------------------------- oracle rerun
+
+def oracle_mask_and_rerun(
+    occurrences: list[AgentOccurrence],
+    lots: list[LotRecord],
+    registry: Registry,
+    postal: PostalTable | None,
+    config: PipelineConfig,
+    truth: dict[int, Identifier],
+) -> MaskReport:
+    """mask_and_rerun as it was before it reused identification's work:
+    deep-copy the ingest occurrences, mask, and rerun normalize, identify
+    and merge on all of them."""
+    if not truth:
+        raise InvariantError("mask_and_rerun requires a non-empty ground-truth set")
+    masked = copy.deepcopy(occurrences)
+    by_id = {occ.occurrence_id: occ for occ in masked}
+    for occ_id in truth:
+        occ = by_id[occ_id]
+        occ.declared_siret = None
+        occ.identifier = None
+        occ.identifier_source = None
+
+    snapshots: dict[str, dict[int, Identifier | None]] = {}
+    snapshots["separation"] = {
+        occ.occurrence_id: validate_siret(occ.declared_siret) for occ in masked
+    }
+
+    for occ in masked:
+        normalize_occurrence(occ, postal, config.postal_tokens)
+    merge_by_declared_siret(masked)
+    snapshots["normalization"] = {occ.occurrence_id: occ.identifier for occ in masked}
+
+    results = identify_all(masked, lots, registry, config)
+    apply_match_results(masked, results)
+    leaked = [
+        r.occurrence_id
+        for r in results
+        if r.occurrence_id in truth and r.source == "declared"
+    ]
+    if leaked:
+        raise InvariantError(
+            f"masked identifiers leaked into identification: {leaked[:5]}"
+        )
+    snapshots["identification"] = {occ.occurrence_id: occ.identifier for occ in masked}
+
+    merged = merge_all(masked, config)
+    snapshots["clustering"] = {occ.occurrence_id: occ.identifier for occ in masked}
+
+    outcomes = {
+        occ_id: classify_outcome(snapshots["clustering"][occ_id], expected)
+        for occ_id, expected in truth.items()
+    }
+
+    role_of = {occ.occurrence_id: occ.role for occ in masked}
+    by_role_occ = {
+        role.value: [i for i in truth if role_of[i] is role]
+        for role in (Role.BUYER, Role.WINNER)
+    }
+    # agent base: one vote per distinct true identifier, majority outcome
+    # is too lenient, so take the best outcome any occurrence achieved
+    agents: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for occ_id, expected in truth.items():
+        agents[(role_of[occ_id].value, expected.value)].append(occ_id)
+    order = [MatchOutcome.FULL, MatchOutcome.PARTIAL, MatchOutcome.INCORRECT, MatchOutcome.NONE]
+    agent_outcome: dict[int, MatchOutcome] = {}
+    by_role_agent: dict[str, list[int]] = {r.value: [] for r in (Role.BUYER, Role.WINNER)}
+    for (role_value, _), ids in sorted(agents.items()):
+        best = min((outcomes[i] for i in ids), key=order.index)
+        representative = min(ids)
+        agent_outcome[representative] = best
+        by_role_agent[role_value].append(representative)
+
+    clustering = Clustering.from_clusters(merged.clusters)
+    truth_groups: dict[str, list[int]] = defaultdict(list)
+    for occ_id, expected in truth.items():
+        truth_groups[expected.value].append(occ_id)
+    concentration = [
+        concentration_ratio(ids, clustering) for ids in truth_groups.values()
+    ]
+    singleton = [singleton_ratio(ids, clustering) for ids in truth_groups.values()]
+
+    return MaskReport(
+        truth_size=len(truth),
+        outcomes=outcomes,
+        stage_rows=stage_accounting(snapshots, truth),
+        outcome_by_role_occurrences=evaluate._outcome_distribution(outcomes, by_role_occ),
+        outcome_by_role_agents=evaluate._outcome_distribution(agent_outcome, by_role_agent),
+        concentration=sorted(c for c in concentration if c is not None),
+        singleton=sorted(s for s in singleton if s is not None),
+    )
+
+
+def _ground_truth_file(path, identified):
+    """Every 7th identified occurrence, declared or matched, as a ground-truth file."""
+    labelled = [occ for occ in identified if occ.identifier is not None and
+                occ.identifier.kind is IdentifierKind.FULL_SIRET][::7]
+    assert {occ.identifier_source for occ in labelled} == {"declared", "matched"}
+    path.write_text(
+        "occurrenceId,siret\n"
+        + "".join(f"{occ.occurrence_id},{occ.identifier.value}\n" for occ in labelled),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("truth_source", ["declared", "file"])
+def test_rerun_equals_oracle(tmp_path, truth_source):
+    """The rerun over identification's records reports what rerunning
+    normalize, identify and merge over copies of the ingest records did,
+    on the criterion-7 fixture."""
+    config = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+    run_pipeline(config, stage_to="merge")
+    store = Checkpoints(config.output_dir)
+    raw = store.read("ingest", "occurrences.csv", AgentOccurrence)
+    identified = store.read("identify", "occurrences.csv", AgentOccurrence)
+    lots = store.read("ingest", "lots.csv", LotRecord)
+    if truth_source == "declared":
+        truth = truth_from_declared(raw)
+        # normalize and identify leave declared_siret alone
+        assert truth_from_declared(identified) == truth
+    else:
+        path = _ground_truth_file(tmp_path / "truth.csv", identified)
+        truth = load_ground_truth(path, config.delimiter)
+    assert truth
+    registry = pl._load_registry_from_config(config)
+    postal = load_postal_table(config.postal_file, config.delimiter)
+
+    expected = oracle_mask_and_rerun(raw, lots, registry, postal, config, truth)
+    assert mask_and_rerun(identified, lots, registry, config, truth) == expected

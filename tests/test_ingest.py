@@ -193,6 +193,10 @@ class TestBuildLot:
         assert lot.awarded_value is None
         assert lot.award_date is None
 
+    @pytest.mark.parametrize("offers", ["²", "٣", "１"])
+    def test_non_ascii_digits_are_no_count(self, offers):
+        assert _build(dict(notice="1", lot="1", NUMBER_OFFERS=offers)).number_of_offers is None
+
     def test_cancelled_by_marker_without_winner(self):
         lot = _build(dict(notice="1", lot="1", WIN_NAME="", CANCELLED="1"))
         assert lot.cancelled is True

@@ -35,7 +35,11 @@ class TestValidateSiret:
     def test_spaces_stripped(self):
         assert validate_siret("123 456 789 00011").value == "12345678900011"
 
-    @pytest.mark.parametrize("raw", [None, "", "12345", "1234567890001X", "123456789000112"])
+    @pytest.mark.parametrize(
+        "raw",
+        [None, "", "12345", "1234567890001X", "123456789000112",
+         "1234567890001²", "١٢٣٤٥٦٧٨٩"],
+    )
     def test_invalid(self, raw):
         assert validate_siret(raw) is None
 
