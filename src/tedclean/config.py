@@ -67,8 +67,6 @@ DEFAULT_REGISTRY_ENTITY_MAP: dict[str, str] = {
     "siren": "SIREN",
     "legal_name": "LEGAL_NAME",
     "former_names": "FORMER_NAMES",
-    "creation_date": "CREATED",
-    "closure_date": "CLOSED",
     "activity_code": "ACTIVITY",
 }
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from .config import PipelineConfig
 from .models import CriteriaRaw, Criterion, CriterionClass
 from .normalize import normalize_name
-from .ingest import detect_separators, parse_decimal, separator_pattern, split_on_separator
+from .ingest import parse_decimal, separators_in
 
 log = logging.getLogger(__name__)
 
@@ -35,15 +35,19 @@ _CLASS_PRIORITY = (
 )
 
 
+def _mark_separators(text: str, separators: list[str]) -> str:
+    """The text with every configured separator found in it replaced by NUL."""
+    for pattern in separators_in(text, separators):
+        text = pattern.sub("\x00", text)
+    return text
+
+
 def clean_weight_field(raw: str, separators: list[str]) -> list[Decimal]:
     """Numeric tokens of a weight cell, in order, junk discarded."""
     if not raw or not raw.strip():
         return []
-    text = raw
-    for sep in detect_separators([text], separators):
-        text = separator_pattern(sep).sub("\x00", text)
     tokens: list[Decimal] = []
-    for segment in text.split("\x00"):
+    for segment in _mark_separators(raw, separators).split("\x00"):
         for match in _NUMBER_RE.finditer(segment):
             value = parse_decimal(match.group(0))
             if value is not None:
@@ -53,21 +57,20 @@ def clean_weight_field(raw: str, separators: list[str]) -> list[Decimal]:
 
 def split_criteria(
     names_field: str,
-    weights_field: str,
+    weights: list[Decimal],
     separators: list[str],
 ) -> tuple[list[tuple[str, Decimal | None]], bool]:
-    """Align name parts with weight tokens.
+    """Align name parts with the weight tokens of the lot's weight cell.
 
     Returns the (name, weight) pairs and a mismatch flag. When the counts
     disagree the names are kept and every weight is absent; guessing an
     alignment would attach wrong weights silently.
     """
-    detected = detect_separators([names_field], separators)
-    if detected:
-        names = [n for n in split_on_separator(names_field, detected[0]) if n]
+    found = separators_in(names_field, separators)
+    if found:
+        names = [n for part in found[0].split(names_field) if (n := part.strip())]
     else:
         names = [names_field.strip()] if names_field.strip() else []
-    weights = clean_weight_field(weights_field, separators)
     if not names:
         return [("", w) for w in weights], False
     if not weights:
@@ -95,10 +98,7 @@ def unmix_names_weights(mixed: str, separators: list[str]) -> list[tuple[str, De
     """
     if not mixed or not mixed.strip():
         return []
-    text = mixed
-    for sep in detect_separators([text], separators):
-        text = separator_pattern(sep).sub("\x00", text)
-    text = _SEGMENT_SPLIT_RE.sub("\x00", text)
+    text = _SEGMENT_SPLIT_RE.sub("\x00", _mark_separators(mixed, separators))
     pairs: list[tuple[str, Decimal | None]] = []
     for segment in text.split("\x00"):
         segment = segment.strip()
@@ -236,7 +236,7 @@ def repair_criteria(raw_rows: list[CriteriaRaw], config: PipelineConfig) -> Crit
             pairs = unmix_names_weights(names, config.separators)
             mismatched = False
         else:
-            pairs, mismatched = split_criteria(names, weights, config.separators)
+            pairs, mismatched = split_criteria(names, weight_tokens, config.separators)
         if mismatched:
             result.misaligned_lots.add(raw.lot_id)
 

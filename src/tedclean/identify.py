@@ -213,44 +213,26 @@ def _zipcode_similarity(a: str, b: str) -> float:
     return 0.0
 
 
-def _address_score_parts(
-    street_pair: tuple[str | None, str | None],
-    zipcode_pair: tuple[str | None, str | None],
-    city_pair: tuple[str | None, str | None],
-    config: MatchConfig,
-) -> tuple[float, tuple[str, ...]]:
-    weights = {
-        "street": config.street_weight,
-        "zipcode": config.zipcode_weight,
-        "city": config.city_weight,
-    }
-    pairs = {"street": street_pair, "zipcode": zipcode_pair, "city": city_pair}
-    present = [f for f in _ADDRESS_FIELDS if pairs[f][0] and pairs[f][1]]
+def address_score(a, b, config: MatchConfig) -> tuple[float, tuple[str, ...]]:
+    """Weighted address agreement of two records with street, zipcode and
+    city: occurrences, payloads or registry facilities.
+
+    Weights are redistributed over the fields present on both sides.
+    Returns (score, presence mask).
+    """
+    weights = (config.street_weight, config.zipcode_weight, config.city_weight)
+    present: list[str] = []
+    score = total_weight = 0.0
+    for field_name, weight in zip(_ADDRESS_FIELDS, weights):
+        x, y = getattr(a, field_name), getattr(b, field_name)
+        if x and y:
+            sim = _zipcode_similarity(x, y) if field_name == "zipcode" else name_similarity(x, y)
+            present.append(field_name)
+            score += weight * sim
+            total_weight += weight
     if not present:
         return 0.0, ()
-    total_weight = sum(weights[f] for f in present)
-    score = 0.0
-    for field_name in present:
-        a, b = pairs[field_name]
-        if field_name == "zipcode":
-            sim = _zipcode_similarity(a, b)
-        else:
-            sim = name_similarity(a, b)
-        score += weights[field_name] * sim
     return score / total_weight, tuple(present)
-
-
-def address_score(
-    occurrence: AgentOccurrence, facility, config: MatchConfig
-) -> tuple[float, tuple[str, ...]]:
-    """Weighted address agreement, weights redistributed over the fields
-    present on both sides. Returns (score, presence mask)."""
-    return _address_score_parts(
-        (occurrence.street, facility.street),
-        (occurrence.zipcode, facility.zipcode),
-        (occurrence.city, facility.city),
-        config,
-    )
 
 
 @dataclass
@@ -295,13 +277,7 @@ def _identify_payload(
 
     candidates: list[CandidateScore] = []
     for siret, sim in by_name:
-        facility = registry.facilities[siret]
-        score, mask = _address_score_parts(
-            (payload.street, facility.street),
-            (payload.zipcode, facility.zipcode),
-            (payload.city, facility.city),
-            config,
-        )
+        score, mask = address_score(payload, registry.facilities[siret], config)
         # an empty mask means the address gives no evidence either way
         if mask and score < config.min_address_score:
             continue

@@ -12,6 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 
 from .config import MANDATORY_FIELDS, PipelineConfig
 from .files import read_text
@@ -33,30 +34,26 @@ log = logging.getLogger(__name__)
 _TRUTHY = {"1", "true", "yes", "oui", "y", "x"}
 
 
-def separator_pattern(sep: str) -> re.Pattern:
-    """Regex for one configured separator.
+@lru_cache(maxsize=8)
+def separator_patterns(separators: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    """Regexes of the configured separators, longest separator first.
 
     A separator that is a run of one character (e.g. "---") also matches
     longer runs, since data entry repeats them inconsistently.
     """
-    if len(sep) >= 2 and len(set(sep)) == 1:
-        return re.compile(f"{re.escape(sep[0])}{{{len(sep)},}}")
-    return re.compile(re.escape(sep))
+    return tuple(
+        re.compile(f"{re.escape(sep[0])}{{{len(sep)},}}")
+        if len(sep) >= 2 and len(set(sep)) == 1
+        else re.compile(re.escape(sep))
+        for sep in sorted(separators, key=len, reverse=True)
+    )
 
 
-def detect_separators(values: list[str], known_separators: list[str]) -> list[str]:
-    """Subset of the configured separators occurring in the values, longest first."""
-    ordered = sorted(known_separators, key=len, reverse=True)
-    found = []
-    for sep in ordered:
-        pattern = separator_pattern(sep)
-        if any(pattern.search(v) for v in values if v):
-            found.append(sep)
-    return found
-
-
-def split_on_separator(value: str, sep: str) -> list[str]:
-    return [part.strip() for part in separator_pattern(sep).split(value)]
+def separators_in(value: str, separators: list[str]) -> list[re.Pattern]:
+    """Patterns of the configured separators occurring in the value, longest first."""
+    if not value:
+        return []
+    return [p for p in separator_patterns(tuple(separators)) if p.search(value)]
 
 
 @dataclass
@@ -260,11 +257,14 @@ def split_joint_agents(
     country) align only on an exact part-count match: a single SIRET is
     never copied onto several agents.
     """
-    detected = detect_separators([fields.name], separators)
-    if not detected:
+    found = separators_in(fields.name, separators)
+    if not found:
         return [(fields, False)]
-    sep = detected[0]
-    name_parts = split_on_separator(fields.name, sep)
+
+    def split(value: str) -> list[str]:
+        return [part.strip() for part in found[0].split(value)]
+
+    name_parts = split(fields.name)
     k = len(name_parts)
     if k < 2 or any(not part for part in name_parts):
         return [(fields, k >= 2)]
@@ -275,7 +275,7 @@ def split_joint_agents(
         if not value:
             split_strict[key] = [""] * k
             continue
-        parts = split_on_separator(value, sep)
+        parts = split(value)
         if len(parts) != k:
             return [(fields, True)]
         split_strict[key] = parts
@@ -283,12 +283,12 @@ def split_joint_agents(
     def secondary(value: str) -> list[str]:
         if not value:
             return [""] * k
-        parts = split_on_separator(value, sep)
+        parts = split(value)
         return parts if len(parts) == k else [""] * k
 
     sirets = secondary(fields.siret)
     # country describes the joint block as a whole; replicate when unsplit
-    countries = split_on_separator(fields.country, sep) if fields.country else [""] * k
+    countries = split(fields.country) if fields.country else [""] * k
     if len(countries) != k:
         countries = [fields.country] * k
 

@@ -44,9 +44,7 @@ def pair_similarity(a: AgentOccurrence, b: AgentOccurrence, config: MatchConfig)
     """Equal-weight mean of name similarity and address agreement."""
     # looked up in the module at call time, like identify's own calls
     name_sim = identify.name_similarity(a.normalized_name or "", b.normalized_name or "")
-    addr, _ = identify._address_score_parts(
-        (a.street, b.street), (a.zipcode, b.zipcode), (a.city, b.city), config
-    )
+    addr, _ = identify.address_score(a, b, config)
     return 0.5 * name_sim + 0.5 * addr
 
 

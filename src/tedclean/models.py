@@ -75,10 +75,10 @@ class Identifier:
 
     def __post_init__(self) -> None:
         if self.kind is IdentifierKind.FULL_SIRET:
-            if not (len(self.value) == 14 and self.value.isdigit()):
+            if not (len(self.value) == 14 and self.value.isascii() and self.value.isdigit()):
                 raise ValueError(f"full identifier must be 14 digits: {self.value!r}")
         elif self.kind is IdentifierKind.SIREN_ONLY:
-            if not (len(self.value) == 9 and self.value.isdigit()):
+            if not (len(self.value) == 9 and self.value.isascii() and self.value.isdigit()):
                 raise ValueError(f"entity identifier must be 9 digits: {self.value!r}")
         else:
             if not self.value.startswith(INTERNAL_CODE_PREFIX):
@@ -186,8 +186,6 @@ class Criterion:
 class RegistryEntity:
     siren: str
     legal_names: list[str]
-    creation_date: dt.date | None = None
-    closure_date: dt.date | None = None
     activity_code: str | None = None
 
 

@@ -127,7 +127,7 @@ def load_postal_table(path: str, delimiter: str) -> PostalTable:
         if len(row) < 2:
             continue
         city, zipcode = row[0].strip(), row[1].strip()
-        if not zipcode.isdigit():
+        if not (zipcode.isascii() and zipcode.isdigit()):
             continue
         table.add(city, zipcode)
     return table
@@ -147,7 +147,7 @@ def department_of(zipcode: str | None) -> str | None:
     Overseas (97x/98x) keeps three digits; Corsica stays "20" (2A/2B are
     not distinguishable from the zipcode alone).
     """
-    if not zipcode or len(zipcode) != 5 or not zipcode.isdigit():
+    if not zipcode or len(zipcode) != 5 or not (zipcode.isascii() and zipcode.isdigit()):
         return None
     if zipcode[:2] in ("97", "98"):
         return zipcode[:3]

@@ -361,7 +361,9 @@ def _identify_parallel(
             [
                 (
                     chunk,
-                    [lots_by_id[i] for i in sorted({o.lot_id for o in chunk})],
+                    # an unknown lot is left out: the worker's identify_all
+                    # then raises the InvariantError serial identify raises
+                    [lots_by_id[i] for i in sorted({o.lot_id for o in chunk}) if i in lots_by_id],
                     registry,
                     config,
                 )

@@ -126,7 +126,7 @@ def load_registry(
     )
     for row in entity_rows:
         siren = (row.get(entity_map["siren"]) or "").strip()
-        if not (len(siren) == 9 and siren.isdigit()):
+        if not (len(siren) == 9 and siren.isascii() and siren.isdigit()):
             log.warning("skipping entity row with bad identifier %r", siren)
             continue
         names = [normalize_name(row.get(entity_map["legal_name"]) or "")]
@@ -143,8 +143,6 @@ def load_registry(
             RegistryEntity(
                 siren=siren,
                 legal_names=names,
-                creation_date=parse_date(row.get(entity_map.get("creation_date", "")), date_formats),
-                closure_date=parse_date(row.get(entity_map.get("closure_date", "")), date_formats),
                 activity_code=(row.get(entity_map.get("activity_code", ""), "") or "").strip() or None,
             )
         )
@@ -154,7 +152,7 @@ def load_registry(
     )
     for row in facility_rows:
         siret = (row.get(facility_map["siret"]) or "").strip()
-        if not (len(siret) == 14 and siret.isdigit()):
+        if not (len(siret) == 14 and siret.isascii() and siret.isdigit()):
             log.warning("skipping facility row with bad identifier %r", siret)
             continue
         raw_names = (row.get(facility_map.get("names", ""), "") or "").strip()
@@ -168,7 +166,7 @@ def load_registry(
             (row.get(facility_map.get("zipcode", ""), "") or "").strip() or None,
             normalize_name(row.get(facility_map.get("city", ""), "") or "") or None,
         )
-        if zipcode is not None and not (len(zipcode) == 5 and zipcode.isdigit()):
+        if zipcode is not None and not (len(zipcode) == 5 and zipcode.isascii() and zipcode.isdigit()):
             zipcode = None
         facility = RegistryFacility(
             siret=siret,

@@ -235,6 +235,23 @@ class TestExitCodes:
         assert main(["emit", "--config", config_path]) == EXIT_INVARIANT
         assert "invariant violated" in capsys.readouterr().err
 
+    def test_unknown_lot_fails_alike_serial_and_parallel(self, tmp_path, capsys):
+        # 30 rows: enough occurrences for jobs=4 to take the parallel path
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=30, seed=4)
+        assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
+        capsys.readouterr()
+        lots = tmp_path / "out" / "checkpoints" / "ingest" / "lots.csv"
+        with open(lots, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[0] != "1"]
+        with open(lots, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        errors = []
+        for jobs in ("1", "4"):
+            assert main(["identify", "--config", config_path, "--jobs", jobs]) == EXIT_INVARIANT
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "occurrence 1 references unknown lot 1" in errors[0]
+
     def test_corrupted_int_cell(self, normalized, tmp_path, capsys):
         def edit(rows):
             rows[1][rows[0].index("lotId")] = "x"

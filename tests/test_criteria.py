@@ -1,7 +1,7 @@
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tedclean.config import DEFAULT_CRITERION_LEXICON, DEFAULT_SEPARATORS, PipelineConfig
@@ -15,6 +15,8 @@ from tedclean.criteria import (
     unmix_names_weights,
 )
 from tedclean.models import CriteriaRaw, Criterion, CriterionClass
+
+import separator_oracle as oracle
 
 SEPS = list(DEFAULT_SEPARATORS)
 
@@ -52,27 +54,27 @@ class TestCleanWeightField:
 
 class TestSplitCriteria:
     def test_aligned(self):
-        pairs, mismatch = split_criteria("Prix;Qualité", "60;40", SEPS)
+        pairs, mismatch = split_criteria("Prix;Qualité", [Decimal("60"), Decimal("40")], SEPS)
         assert pairs == [("Prix", Decimal("60")), ("Qualité", Decimal("40"))]
         assert mismatch is False
 
     def test_count_mismatch_drops_weights(self):
-        pairs, mismatch = split_criteria("Prix;Qualité;Délai", "60;40", SEPS)
+        pairs, mismatch = split_criteria("Prix;Qualité;Délai", [Decimal("60"), Decimal("40")], SEPS)
         assert pairs == [("Prix", None), ("Qualité", None), ("Délai", None)]
         assert mismatch is True
 
     def test_no_weights(self):
-        pairs, mismatch = split_criteria("Prix", "", SEPS)
+        pairs, mismatch = split_criteria("Prix", [], SEPS)
         assert pairs == [("Prix", None)]
         assert mismatch is False
 
     def test_no_names(self):
-        pairs, mismatch = split_criteria("", "70;30", SEPS)
+        pairs, mismatch = split_criteria("", [Decimal("70"), Decimal("30")], SEPS)
         assert pairs == [("", Decimal("70")), ("", Decimal("30"))]
         assert mismatch is False
 
     def test_single_pair(self):
-        pairs, mismatch = split_criteria("Prix", "100", SEPS)
+        pairs, mismatch = split_criteria("Prix", [Decimal("100")], SEPS)
         assert pairs == [("Prix", Decimal("100"))]
         assert mismatch is False
 
@@ -97,6 +99,24 @@ class TestUnmixNamesWeights:
     def test_empty(self):
         assert unmix_names_weights("", SEPS) == []
         assert unmix_names_weights("  ", SEPS) == []
+
+
+class TestSeparatorOracle:
+    """The cached separator patterns cut cells exactly as the per-call helpers did."""
+
+    @given(oracle.cells, oracle.cells, oracle.separator_lists)
+    # a repeated separator holding NUL matches again after the first pass
+    @example("111\x00", "111\x00", ["1\x00", "1\x00"])
+    @settings(max_examples=400)
+    def test_equals_per_call_oracle(self, names, weights, separators):
+        tokens = clean_weight_field(weights, separators)
+        assert tokens == oracle.clean_weight_field(weights, separators)
+        assert split_criteria(names, tokens, separators) == oracle.split_criteria(
+            names, weights, separators
+        )
+        assert unmix_names_weights(names, separators) == oracle.unmix_names_weights(
+            names, separators
+        )
 
 
 class TestNormalizeWeights:

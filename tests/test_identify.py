@@ -248,6 +248,15 @@ class TestAddressScore:
         assert score == 0.0
         assert mask == ()
 
+    @given(*[st.sampled_from([None, "", "5 RUE X", "69001", "69003", "LYON"])] * 3)
+    @settings(max_examples=60)
+    def test_payload_scores_as_its_occurrence(self, street, zipcode, city):
+        occ = make_occurrence(street=street, zipcode=zipcode, city=city)
+        facility = fac("x" * 14, [], "5 RUE X", "69003", "LYON")
+        payload = payload_of(occ, make_lot())
+        assert address_score(payload, facility, MATCH) == address_score(occ, facility, MATCH)
+        assert address_score(payload, occ, MATCH) == address_score(occ, occ, MATCH)
+
 
 class TestCandidateBlock:
     def oracle(self, payload, registry, config, cpv_map):

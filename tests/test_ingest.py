@@ -9,14 +9,13 @@ from tedclean.config import PipelineConfig
 from tedclean.ingest import (
     AgentFields,
     build_lot,
-    detect_separators,
     parse_date,
     parse_decimal,
     parse_table,
     run_ingest,
-    separator_pattern,
+    separator_patterns,
+    separators_in,
     split_joint_agents,
-    split_on_separator,
 )
 from tedclean.models import (
     ConfigError,
@@ -28,6 +27,7 @@ from tedclean.models import (
     RowRejection,
 )
 
+import separator_oracle as oracle
 from conftest import lot_row, write_lot_file
 
 DELIMITER = PipelineConfig().delimiter
@@ -35,23 +35,35 @@ DELIMITER = PipelineConfig().delimiter
 
 class TestSeparators:
     def test_homogeneous_run_matches_longer(self):
-        pattern = separator_pattern("---")
+        (pattern,) = separator_patterns(("---",))
         assert pattern.search("a----b")
         assert pattern.search("a---b")
         assert not pattern.search("a--b")
 
     def test_mixed_separator_is_literal(self):
-        pattern = separator_pattern(" // ")
+        (pattern,) = separator_patterns((" // ",))
         assert pattern.search("a // b")
         assert not pattern.search("a//b")
 
     def test_detect_longest_first(self):
         seps = ["---", "///", " / ", ";"]
-        assert detect_separators(["a --- b; c"], seps) == ["---", ";"]
-        assert detect_separators(["nothing"], seps) == []
+        assert separators_in("a --- b; c", seps) == list(separator_patterns(("---", ";")))
+        assert separators_in("nothing", seps) == []
 
     def test_split_strips_parts(self):
-        assert split_on_separator("a --- b ----- c", "---") == ["a", "b", "c"]
+        parts = split_joint_agents(AgentFields(name="a --- b ----- c"), ["---"])
+        assert [p.name for p, _ in parts] == ["a", "b", "c"]
+
+    @given(
+        st.builds(AgentFields, oracle.cells, oracle.cells, oracle.cells,
+                  oracle.cells, oracle.cells, oracle.cells),
+        oracle.separator_lists,
+    )
+    @settings(max_examples=400)
+    def test_split_joint_agents_equals_per_call_oracle(self, fields, separators):
+        assert split_joint_agents(fields, separators) == oracle.split_joint_agents(
+            fields, separators
+        )
 
 
 class TestParseDecimal:

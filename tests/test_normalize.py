@@ -114,6 +114,12 @@ class TestPostalTable:
         assert len(table) == 2
         assert fill_zipcode("BREST", table) == "29200"
 
+    def test_load_skips_full_width_zipcode(self, tmp_path):
+        path = tmp_path / "postal.csv"
+        path.write_text("city,zip\nLyon,\uff16\uff19\uff10\uff10\uff11\n", encoding="utf-8")
+        table = load_postal_table(str(path), PipelineConfig().delimiter)
+        assert table.city_to_zipcodes == {}
+
 
 class TestDepartmentOf:
     @pytest.mark.parametrize(
@@ -131,6 +137,9 @@ class TestDepartmentOf:
     )
     def test_cases(self, zipcode, expected):
         assert department_of(zipcode) == expected
+
+    def test_full_width_digits(self):
+        assert department_of("\uff16\uff19\uff10\uff10\uff11") is None
 
 
 class TestNormalizeOccurrence:

@@ -7,7 +7,13 @@ from tedclean.config import (
     DEFAULT_REGISTRY_FACILITY_MAP,
     PipelineConfig,
 )
-from tedclean.models import IdentifierKind, InputError, RegistryEntity, RegistryFacility
+from tedclean.models import (
+    Identifier,
+    IdentifierKind,
+    InputError,
+    RegistryEntity,
+    RegistryFacility,
+)
 from tedclean.registry import (
     Registry,
     load_registry,
@@ -18,6 +24,7 @@ from tedclean.registry import (
 from conftest import write_registry_files
 
 CONFIG = PipelineConfig()
+FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
 
 
 class TestValidateSiret:
@@ -161,6 +168,34 @@ class TestLoadRegistry:
 
         assert reg.facilities["33333333300011"].orphan is True
 
+    def _load(self, tmp_path, entities, facilities):
+        return load_registry(
+            *write_registry_files(tmp_path, entities, facilities),
+            DEFAULT_REGISTRY_ENTITY_MAP,
+            DEFAULT_REGISTRY_FACILITY_MAP,
+            CONFIG.delimiter,
+            CONFIG.date_formats,
+            CONFIG.match.activity_prefix_length,
+        )
+
+    def test_full_width_siren_skipped(self, tmp_path):
+        siren = "123456789".translate(FULL_WIDTH)
+        reg = self._load(tmp_path, [dict(SIREN=siren, LEGAL_NAME="Acme")], [])
+        assert reg.entities == {}
+
+    def test_full_width_siret_skipped(self, tmp_path):
+        siret = "12345678900011".translate(FULL_WIDTH)
+        reg = self._load(tmp_path, [], [dict(SIRET=siret, NAMES="Acme")])
+        assert reg.facilities == {}
+
+    def test_full_width_zipcode_dropped(self, tmp_path):
+        zipcode = "69003".translate(FULL_WIDTH)
+        reg = self._load(tmp_path, [], [dict(SIRET="12345678900011", POSTAL_CODE=zipcode)])
+        facility = reg.facilities["12345678900011"]
+        assert facility.zipcode is None
+        assert facility.department is None
+        assert reg.by_department == {}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_registry(
@@ -172,3 +207,13 @@ class TestLoadRegistry:
                 CONFIG.date_formats,
                 CONFIG.match.activity_prefix_length,
             )
+
+
+class TestIdentifier:
+    def test_full_width_full_siret_rejected(self):
+        with pytest.raises(ValueError, match="14 digits"):
+            Identifier(IdentifierKind.FULL_SIRET, "12345678900011".translate(FULL_WIDTH))
+
+    def test_full_width_siren_rejected(self):
+        with pytest.raises(ValueError, match="9 digits"):
+            Identifier(IdentifierKind.SIREN_ONLY, "123456789".translate(FULL_WIDTH))
