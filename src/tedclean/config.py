@@ -54,14 +54,13 @@ DEFAULT_COLUMN_MAP: dict[str, str] = {
     "price_weight": "CRIT_PRICE_WEIGHT",
 }
 
-# Semantic fields that must exist in the header (cells may still be empty).
-MANDATORY_FIELDS = (
-    "notice_id",
-    "lot_number",
-    "publication_date",
-    "buyer_name",
-    "winner_name",
-)
+# Fields each header map must name, by map; their columns must exist in the
+# file's header (cells may still be empty).
+MANDATORY_FIELDS: dict[str, tuple[str, ...]] = {
+    "column_map": ("notice_id", "lot_number", "publication_date", "buyer_name", "winner_name"),
+    "registry_entity_map": ("siren", "legal_name"),
+    "registry_facility_map": ("siret",),
+}
 
 DEFAULT_REGISTRY_ENTITY_MAP: dict[str, str] = {
     "siren": "SIREN",
@@ -226,9 +225,10 @@ class PipelineConfig:
             errors.append(f"jobs must be >= 1, got {self.jobs}")
         if len(self.delimiter) != 1:
             errors.append(f"delimiter must be a single character, got {self.delimiter!r}")
-        for sem in MANDATORY_FIELDS:
-            if sem not in self.column_map:
-                errors.append(f"column_map is missing the mandatory field {sem!r}")
+        for map_name, keys in MANDATORY_FIELDS.items():
+            for key in keys:
+                if not getattr(self, map_name).get(key):
+                    errors.append(f"{map_name}.{key} must name a column")
         if not self.separators or "" in self.separators:
             errors.append("separators must be a non-empty list of non-empty strings")
         if self.period[0] > self.period[1]:

@@ -4,9 +4,12 @@ Three phases per occurrence: block candidates on department, validity date
 and activity domain; keep candidates whose name is close enough; rank the
 rest by address score and take the best. Each failure records which phase
 emptied the pool, so the corpus-level failure attribution is measurable.
+No score reads the lot date, so each date-free payload's block is scored
+once, and each occurrence filters that scored block by its lot date.
 """
 from __future__ import annotations
 
+import datetime as dt
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .models import (
     Identifier,
     InvariantError,
     LotRecord,
+    RegistryFacility,
     full_siret,
 )
 from .normalize import department_of
@@ -29,7 +33,7 @@ from .registry import Registry, temporally_valid
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateScore:
     """Scores of one surviving candidate facility."""
 
@@ -116,14 +120,13 @@ def name_similarity(a: str, b: str) -> float:
 
 
 class Payload(NamedTuple):
-    """The inputs of one identification, hashable so repeats are cached."""
+    """The date-free inputs of one identification, hashable so repeats are cached."""
 
     name: str
     street: str | None
     zipcode: str | None
     city: str | None
     department: str | None
-    date: object
     activity: str | None
 
 
@@ -134,9 +137,12 @@ def payload_of(occurrence: AgentOccurrence, lot: LotRecord) -> Payload:
         zipcode=occurrence.zipcode,
         city=occurrence.city,
         department=occurrence.department,
-        date=lot.award_date or lot.publication_date,
         activity=lot.activity_code,
     )
+
+
+def _lot_date(lot: LotRecord) -> dt.date:
+    return lot.award_date or lot.publication_date
 
 
 def _activity_prefixes(
@@ -160,28 +166,21 @@ def _block_payload(
     registry: Registry,
     config: MatchConfig,
     cpv_map: dict[str, list[str]] | None,
-) -> tuple[set[str], bool]:
-    restricted = False
+) -> set[str] | None:
+    """SIRETs consistent with department and activity on any date; None = refused."""
     pool: set[str] | None = None
     if payload.department:
-        restricted = True
         pool = registry.by_department.get(payload.department, set())
     prefixes = _activity_prefixes(payload.activity, cpv_map, registry.activity_prefix_length)
     if prefixes is not None:
-        restricted = True
         allowed: set[str] = set()
         for prefix in prefixes:
             allowed |= registry.by_activity_prefix.get(prefix, set())
         pool = allowed if pool is None else pool & allowed
-    if not restricted:
+    if pool is None and config.allow_unblocked:
         # the date alone never justifies scanning the whole registry
-        if not config.allow_unblocked:
-            return set(), True
         pool = set(registry.facilities)
-    assert pool is not None
-    if payload.date is not None:
-        pool = {s for s in pool if temporally_valid(registry.facilities[s], payload.date)}
-    return pool, False
+    return pool
 
 
 def candidate_block(
@@ -197,8 +196,9 @@ def candidate_block(
     With no department and no usable activity the search is refused (empty
     set) unless the config allows unblocked scans.
     """
-    pool, _ = _block_payload(payload_of(occurrence, lot), registry, config, cpv_map)
-    return pool
+    date = _lot_date(lot)
+    block = _block_payload(payload_of(occurrence, lot), registry, config, cpv_map) or ()
+    return {siret for siret in block if temporally_valid(registry.facilities[siret], date)}
 
 
 _ADDRESS_FIELDS = ("street", "zipcode", "city")
@@ -246,22 +246,22 @@ class MatchResult:
     name_survivors: int = 0
 
 
-def _identify_payload(
+# a payload's undated block: each facility with its scores if its name passes
+_ScoredBlock = list[tuple[RegistryFacility, CandidateScore | None]]
+
+
+def _score_payload(
     payload: Payload,
     registry: Registry,
     config: MatchConfig,
     cpv_map: dict[str, list[str]] | None,
-) -> tuple[CandidateScore | None, str | None, int, int]:
-    if not payload.name:
-        return None, REASON_NO_NAME, 0, 0
-    pool, unblockable = _block_payload(payload, registry, config, cpv_map)
-    if unblockable:
-        return None, REASON_UNBLOCKABLE, 0, 0
-    if not pool:
-        return None, REASON_BLOCKING, 0, 0
-
-    by_name: list[tuple[str, float]] = []
-    for siret in pool:
+) -> _ScoredBlock | None:
+    """The payload's block, scored; None when it has no name or no block."""
+    block = _block_payload(payload, registry, config, cpv_map) if payload.name else None
+    if block is None:
+        return None
+    scored: _ScoredBlock = []
+    for siret in block:
         facility = registry.facilities[siret]
         best_sim = 0.0
         for candidate_name in registry.candidate_names(facility):
@@ -270,41 +270,40 @@ def _identify_payload(
                 best_sim = sim
                 if best_sim >= 1.0:
                     break
+        score = None
         if best_sim >= config.name_threshold:
-            by_name.append((siret, best_sim))
-    if not by_name:
-        return None, REASON_NAME, len(pool), 0
-
-    candidates: list[CandidateScore] = []
-    for siret, sim in by_name:
-        score, mask = address_score(payload, registry.facilities[siret], config)
-        # an empty mask means the address gives no evidence either way
-        if mask and score < config.min_address_score:
-            continue
-        candidates.append(CandidateScore(siret, sim, score, mask))
-    if not candidates:
-        return None, REASON_ADDRESS, len(pool), len(by_name)
-
-    best = min(
-        candidates,
-        key=lambda c: (-c.address_score, -c.name_similarity, c.siret),
-    )
-    return best, None, len(pool), len(by_name)
+            score = CandidateScore(siret, best_sim, *address_score(payload, facility, config))
+        scored.append((facility, score))
+    return scored
 
 
-def _match_result(
-    occurrence_id: int,
-    solved: tuple[CandidateScore | None, str | None, int, int],
+def _resolve(
+    occurrence: AgentOccurrence,
+    date: dt.date,
+    scored: _ScoredBlock | None,
+    config: MatchConfig,
 ) -> MatchResult:
-    best, reason, block_size, survivors = solved
+    """One occurrence's outcome: its scored block filtered by date, counted, ranked."""
+    valid = [score for facility, score in scored or () if temporally_valid(facility, date)]
+    survivors = [c for c in valid if c is not None]
+    best = min(
+        # an empty mask means the address gives no evidence either way
+        (c for c in survivors if not c.presence_mask or c.address_score >= config.min_address_score),
+        key=lambda c: (-c.address_score, -c.name_similarity, c.siret),
+        default=None,
+    )
+    # the phase that emptied the pool
+    reason = None if best else (
+        REASON_NO_NAME if not occurrence.normalized_name
+        else REASON_UNBLOCKABLE if scored is None
+        else REASON_ADDRESS if survivors
+        else REASON_NAME if valid
+        else REASON_BLOCKING
+    )
     return MatchResult(
-        occurrence_id=occurrence_id,
-        source="matched" if best else "none",
-        identifier=full_siret(best.siret) if best else None,
-        reason=reason,
-        best=best,
-        block_size=block_size,
-        name_survivors=survivors,
+        occurrence.occurrence_id, "matched" if best else "none",
+        identifier=full_siret(best.siret) if best else None, reason=reason, best=best,
+        block_size=len(valid), name_survivors=len(survivors),
     )
 
 
@@ -316,10 +315,8 @@ def identify_occurrence(
     cpv_map: dict[str, list[str]] | None = None,
 ) -> MatchResult:
     """Run the full filter pipeline for one occurrence."""
-    return _match_result(
-        occurrence.occurrence_id,
-        _identify_payload(payload_of(occurrence, lot), registry, config, cpv_map),
-    )
+    scored = _score_payload(payload_of(occurrence, lot), registry, config, cpv_map)
+    return _resolve(occurrence, _lot_date(lot), scored, config)
 
 
 def identify_all(
@@ -330,12 +327,13 @@ def identify_all(
 ) -> list[MatchResult]:
     """Identify every occurrence without an identifier, in occurrence order.
 
-    Repeated payloads (same name, address, lot date, activity) are solved
-    once; repeats of one agent dominate real corpora. The occurrences are
-    not changed: apply_match_results records the matches on them.
+    Repeated date-free payloads (same name, address, activity) are scored
+    once; repeats of one agent dominate real corpora. Each occurrence then
+    filters that scored block by its own lot date. The occurrences are not
+    changed: apply_match_results records the matches on them.
     """
     lots_by_id = {lot.lot_id: lot for lot in lots}
-    cache: dict[Payload, tuple[CandidateScore | None, str | None, int, int]] = {}
+    scored: dict[Payload, _ScoredBlock | None] = {}
     results: list[MatchResult] = []
     for occ in sorted(occurrences, key=lambda o: o.occurrence_id):
         if occ.identifier is not None:
@@ -347,9 +345,9 @@ def identify_all(
         if lot is None:
             raise InvariantError(f"occurrence {occ.occurrence_id} references unknown lot {occ.lot_id}")
         payload = payload_of(occ, lot)
-        if payload not in cache:
-            cache[payload] = _identify_payload(payload, registry, config.match, config.cpv_activity_map)
-        results.append(_match_result(occ.occurrence_id, cache[payload]))
+        if payload not in scored:
+            scored[payload] = _score_payload(payload, registry, config.match, config.cpv_activity_map)
+        results.append(_resolve(occ, _lot_date(lot), scored[payload], config.match))
     return results
 
 

@@ -84,9 +84,7 @@ def parse_table(
     header = next(csv.reader([lines[0]], delimiter=delimiter))
     header = [h.strip() for h in header]
     missing = [
-        column_map[sem]
-        for sem in MANDATORY_FIELDS
-        if column_map.get(sem) and column_map[sem] not in header
+        column_map[sem] for sem in MANDATORY_FIELDS["column_map"] if column_map[sem] not in header
     ]
     if missing:
         raise ConfigError(

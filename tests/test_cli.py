@@ -351,6 +351,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: header is missing mandatory column(s) {column}" in err
 
+    @pytest.mark.parametrize(
+        "map_name,key",
+        [
+            ("column_map", "buyer_name"),
+            ("column_map", "notice_id"),
+            ("registry_entity_map", "siren"),
+            ("registry_entity_map", "legal_name"),
+            ("registry_facility_map", "siret"),
+        ],
+    )
+    def test_empty_mandatory_column_name(self, tmp_path, capsys, map_name, key):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=22,
+                                          **{map_name: {key: ""}})
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        assert f"{map_name}.{key} must name a column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_truncated_row(self, normalized, tmp_path, capsys):
         def edit(rows):
             rows[-1] = rows[-1][:5]

@@ -12,6 +12,8 @@ from tedclean.identify import (
     REASON_NAME,
     REASON_NO_NAME,
     REASON_UNBLOCKABLE,
+    CandidateScore,
+    MatchResult,
     address_score,
     apply_match_results,
     candidate_block,
@@ -259,7 +261,7 @@ class TestAddressScore:
 
 
 class TestCandidateBlock:
-    def oracle(self, payload, registry, config, cpv_map):
+    def oracle(self, payload, date, registry, config, cpv_map):
         prefixes = None
         if payload.activity and cpv_map:
             code = payload.activity.strip()
@@ -284,12 +286,7 @@ class TestCandidateBlock:
                     if code is None or code[:plen] not in prefixes:
                         continue
                 pool.add(siret)
-        if payload.date is not None:
-            pool = {
-                s for s in pool
-                if temporally_valid(registry.facilities[s], payload.date)
-            }
-        return pool
+        return {s for s in pool if temporally_valid(registry.facilities[s], date)}
 
     def test_department_block(self, registry):
         occ = make_occurrence(zipcode="69001", department="69")
@@ -342,8 +339,9 @@ class TestCandidateBlock:
         config = MatchConfig(allow_unblocked=allow)
         cpv_map = {"45": ["43"], "03": []}
         payload = payload_of(occ, lot)
+        date = lot.award_date or lot.publication_date
         assert candidate_block(occ, lot, _REGISTRY, config, cpv_map) == self.oracle(
-            payload, _REGISTRY, config, cpv_map
+            payload, date, _REGISTRY, config, cpv_map
         )
 
 
@@ -463,6 +461,126 @@ class TestIdentifyAll:
         ]
         results = identify_all(occs, [make_lot(1)], registry, PipelineConfig())
         assert [r.occurrence_id for r in results] == [1, 2, 3]
+
+
+def dated_block(payload, date, registry, config, cpv_map):
+    """Blocking with the lot date inside: (pool, unblockable)."""
+    restricted = False
+    pool = None
+    if payload.department:
+        restricted = True
+        pool = registry.by_department.get(payload.department, set())
+    prefixes = identify._activity_prefixes(
+        payload.activity, cpv_map, registry.activity_prefix_length
+    )
+    if prefixes is not None:
+        restricted = True
+        allowed = set()
+        for prefix in prefixes:
+            allowed |= registry.by_activity_prefix.get(prefix, set())
+        pool = allowed if pool is None else pool & allowed
+    if not restricted:
+        if not config.allow_unblocked:
+            return set(), True
+        pool = set(registry.facilities)
+    pool = {s for s in pool if temporally_valid(registry.facilities[s], date)}
+    return pool, False
+
+
+def dated_identify(payload, date, registry, config, cpv_map):
+    """A dated payload identified on its own, its block filtered by date
+    before any score: (best, reason, block size, name survivors)."""
+    if not payload.name:
+        return None, REASON_NO_NAME, 0, 0
+    pool, unblockable = dated_block(payload, date, registry, config, cpv_map)
+    if unblockable:
+        return None, REASON_UNBLOCKABLE, 0, 0
+    if not pool:
+        return None, REASON_BLOCKING, 0, 0
+    by_name = []
+    for siret in pool:
+        facility = registry.facilities[siret]
+        best_sim = max(
+            (name_similarity(payload.name, n) for n in registry.candidate_names(facility)),
+            default=0.0,
+        )
+        if best_sim >= config.name_threshold:
+            by_name.append((siret, best_sim))
+    if not by_name:
+        return None, REASON_NAME, len(pool), 0
+    candidates = []
+    for siret, sim in by_name:
+        score, mask = address_score(payload, registry.facilities[siret], config)
+        if mask and score < config.min_address_score:
+            continue
+        candidates.append(CandidateScore(siret, sim, score, mask))
+    if not candidates:
+        return None, REASON_ADDRESS, len(pool), len(by_name)
+    best = min(candidates, key=lambda c: (-c.address_score, -c.name_similarity, c.siret))
+    return best, None, len(pool), len(by_name)
+
+
+# facility dates, and lot dates on both sides of each of them
+_EDGES = [dt.date(2012, 1, 1), dt.date(2014, 6, 30), dt.date(2016, 12, 31)]
+_LOT_DATES = sorted({e + dt.timedelta(days=d) for e in _EDGES for d in (-1, 0, 1)})
+_NAMES = ["MAIRIE DE LYON", "MAIRIE DE LYONS", "COMMUNE DE LYON", "ENTREPRISE DURAND"]
+
+
+@st.composite
+def dated_corpus(draw):
+    """A registry, and occurrences that share a few date-free payloads
+    across lots of many dates."""
+    reg = Registry(activity_prefix_length=2)
+    reg.add_entity(RegistryEntity(siren="555555555", legal_names=["COMMUNE DE LYON"],
+                                  activity_code="8411Z"))
+    for i in range(draw(st.integers(1, 8))):
+        reg.add_facility(fac(
+            f"555555555{i:05d}",
+            draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True)),
+            draw(st.sampled_from([None, "1 RUE X", "2 RUE Y"])),
+            draw(st.sampled_from([None, "69001", "69003", "75011"])),
+            draw(st.sampled_from([None, "LYON", "PARIS"])),
+            draw(st.sampled_from([None, "4399C", "8411Z"])),
+            opened=draw(st.sampled_from([None] + _EDGES)),
+            closed=draw(st.sampled_from([None] + _EDGES)),
+        ))
+    payloads = draw(st.lists(st.fixed_dictionaries({
+        "normalized_name": st.sampled_from([None] + _NAMES),
+        "street": st.sampled_from([None, "1 RUE X", "9 RUE Z"]),
+        "zipcode": st.sampled_from([None, "69001", "75011"]),
+        "city": st.sampled_from([None, "LYON"]),
+        "department": st.sampled_from([None, "69", "75"]),
+    }), min_size=1, max_size=3))
+    lots, occurrences = [], []
+    for i in range(1, draw(st.integers(1, 12)) + 1):
+        lots.append(make_lot(
+            i,
+            publication_date=draw(st.sampled_from(_LOT_DATES)),
+            award_date=draw(st.sampled_from([None] + _LOT_DATES)),
+            activity_code=draw(st.sampled_from([None, "45210000"])),
+        ))
+        occurrences.append(make_occurrence(i, i, **draw(st.sampled_from(payloads))))
+    return reg, lots, occurrences
+
+
+class TestDateFreeScoring:
+    @given(corpus=dated_corpus(), allow=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_identify_all_equals_dated_oracle(self, corpus, allow):
+        registry, lots, occs = corpus
+        config = PipelineConfig(match=MatchConfig(allow_unblocked=allow),
+                                cpv_activity_map={"45": ["43"]})
+        expected = []
+        for occ, lot in zip(occs, lots):
+            best, reason, block_size, survivors = dated_identify(
+                payload_of(occ, lot), lot.award_date or lot.publication_date,
+                registry, config.match, config.cpv_activity_map,
+            )
+            expected.append(MatchResult(
+                occ.occurrence_id, "matched" if best else "none",
+                full_siret(best.siret) if best else None, reason, best, block_size, survivors,
+            ))
+        assert identify_all(occs, lots, registry, config) == expected
 
 
 class TestWriteMatchLog:

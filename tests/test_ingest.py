@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tedclean.config import PipelineConfig
+from tedclean.config import MANDATORY_FIELDS, PipelineConfig
 from tedclean.ingest import (
     AgentFields,
     build_lot,
@@ -31,6 +31,8 @@ import separator_oracle as oracle
 from conftest import lot_row, write_lot_file
 
 DELIMITER = PipelineConfig().delimiter
+# every mandatory field named, on a file whose header is A,B
+AB_MAP = {**dict.fromkeys(MANDATORY_FIELDS["column_map"], "A"), "lot_number": "B"}
 
 
 class TestSeparators:
@@ -105,14 +107,14 @@ class TestParseTable:
     def test_bad_cell_count_skipped(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B,C\n1,2,3\n1,2\n1,2,3,4\n\n4,5,6\n", encoding="utf-8")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
+        parsed = parse_table(str(path), AB_MAP, DELIMITER)
         assert len(parsed.rows) == 2
         assert parsed.skipped == 2
 
     def test_unbalanced_quote_skipped_line_only(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text('A,B\n"broken,2\nok,3\n', encoding="utf-8")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
+        parsed = parse_table(str(path), AB_MAP, DELIMITER)
         assert [r.cells["A"] for r in parsed.rows] == ["ok"]
         assert parsed.skipped == 1
 
@@ -158,7 +160,7 @@ class TestParseTable:
     def test_crlf_line_ends(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B\r\n1,2\r\n\r\n3,4\r\n", encoding="utf-8", newline="")
-        parsed = parse_table(str(path), {"notice_id": "A", "lot_number": "B"}, DELIMITER)
+        parsed = parse_table(str(path), AB_MAP, DELIMITER)
         assert [(r.cells["B"], r.source_line) for r in parsed.rows] == [("2", 2), ("4", 4)]
         assert parsed.skipped == 0
 

@@ -5,13 +5,15 @@ codec: absent values are empty cells, a plain `str` field keeps "", and
 the column layout of every checkpoint stays pinned. The store tests check
 that a written list reaches its first reader only. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
-reruns are byte-identical, and that parallel identification cannot change
-the output.
+reruns are byte-identical, that parallel identification cannot change
+the output, and that the criterion-7 fixture's output keeps a pinned
+digest.
 """
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import shutil
 import tempfile
@@ -317,10 +319,17 @@ class TestCheckpoints:
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {
-        str(p.relative_to(root)): p.read_bytes()
+        p.relative_to(root).as_posix(): p.read_bytes()
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# Their sourceFile cells hold the absolute input path, which differs per run.
+_PATH_DEPENDENT = {"checkpoints/ingest/lots.csv", "checkpoints/ingest/rejections.csv"}
+# sha256 of the criterion-7 fixture's masked output tree without the files
+# above; a change that alters any output byte must say why and pin anew.
+GOLDEN_DIGEST = "e8bcfdc09365d88caa2b6ff4d2076c9d4117e316bbde43450ed25fd1946e05a1"
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +384,16 @@ class TestOrchestration:
         for stage in STAGE_ORDER:
             run_stage(stage, cfg_b, mask=mask)
         assert _tree(Path(cfg_a.output_dir)) == _tree(Path(cfg_b.output_dir))
+
+    def test_golden_digest(self, tmp_path):
+        """The criterion-7 fixture's masked output tree keeps its bytes."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+        run_pipeline(cfg, mask=True)
+        digest = hashlib.sha256()
+        for name, data in _tree(Path(cfg.output_dir)).items():
+            if name not in _PATH_DEPENDENT:
+                digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+        assert digest.hexdigest() == GOLDEN_DIGEST
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=3)
