@@ -8,7 +8,6 @@ normalized and kept raw (flagged) when they cannot.
 """
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -19,8 +18,6 @@ from .config import PipelineConfig
 from .models import CriteriaRaw, Criterion, CriterionClass
 from .normalize import normalize_name
 from .ingest import parse_decimal, separators_in
-
-log = logging.getLogger(__name__)
 
 _NUMBER_RE = re.compile(r"\d+(?:[.,]\d+)?")
 _SEGMENT_SPLIT_RE = re.compile(r"[;,]")

@@ -8,7 +8,6 @@ and foreign keys and reloads into any stock SQL engine.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +20,6 @@ from .models import (
     LotRecord,
     Role,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -97,7 +94,7 @@ def build_tables(
         types=["TEXT"] * 9,
         rows=[
             (
-                agent.agent_id.render(),
+                agent.agent_id.value,
                 agent.agent_id.kind.value,
                 agent.names[0] if agent.names else None,
                 agent.street,
@@ -107,12 +104,12 @@ def build_tables(
                 agent.country,
                 "+".join(sorted({k.value for k in agent.case_kinds})),
             )
-            for agent in sorted(agents, key=lambda a: a.agent_id.render())
+            for agent in sorted(agents, key=lambda a: a.agent_id.value)
         ],
     )
 
     names_rows = sorted(
-        {(agent.agent_id.render(), name) for agent in agents for name in agent.names}
+        {(agent.agent_id.value, name) for agent in agents for name in agent.names}
     )
     schema["Names"] = Table(
         name="Names",
@@ -130,7 +127,7 @@ def build_tables(
             raise InvariantError(
                 f"occurrence {occ.occurrence_id} has no agent assignment"
             )
-        key = (occ.lot_id, ident.render())
+        key = (occ.lot_id, ident.value)
         entry = links[occ.role].setdefault(key, {"sources": set(), "conflict": False})
         entry["sources"].add(occ.identifier_source or "none")
         entry["conflict"] = entry["conflict"] or occ.split_conflict
@@ -221,16 +218,12 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
     return problems
 
 
-def write_csv(schema: OutputSchema, directory: str) -> list[str]:
+def write_csv(schema: OutputSchema, directory: str) -> None:
     """One file per table, header row, rows already primary-key sorted."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for name in TABLE_ORDER:
-        path = out_dir / f"{name}.csv"
-        write_rows(path, schema[name].columns, schema[name].rows)
-        written.append(str(path))
-    return written
+        write_rows(out_dir / f"{name}.csv", schema[name].columns, schema[name].rows)
 
 
 def _sql_literal(value) -> str:

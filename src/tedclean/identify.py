@@ -10,7 +10,6 @@ once, and each occurrence filters that scored block by its lot date.
 from __future__ import annotations
 
 import datetime as dt
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,8 +28,6 @@ from .models import (
 )
 from .normalize import department_of
 from .registry import Registry, temporally_valid
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,6 +316,29 @@ def identify_occurrence(
     return _resolve(occurrence, _lot_date(lot), scored, config)
 
 
+def payload_groups(
+    occurrences: list[AgentOccurrence], lots: list[LotRecord]
+) -> dict[Payload | None, list[tuple[AgentOccurrence, LotRecord | None]]]:
+    """Occurrences in id order, each with its lot, grouped by date-free payload
+    in order of first appearance.
+
+    Declared occurrences go under None, and their lot may be unknown. An
+    undeclared occurrence with an unknown lot is an InvariantError.
+    """
+    lots_by_id = {lot.lot_id: lot for lot in lots}
+    groups: dict[Payload | None, list[tuple[AgentOccurrence, LotRecord | None]]] = {}
+    for occ in sorted(occurrences, key=lambda o: o.occurrence_id):
+        lot = lots_by_id.get(occ.lot_id)
+        if occ.identifier is not None:
+            payload = None
+        elif lot is None:
+            raise InvariantError(f"occurrence {occ.occurrence_id} references unknown lot {occ.lot_id}")
+        else:
+            payload = payload_of(occ, lot)
+        groups.setdefault(payload, []).append((occ, lot))
+    return groups
+
+
 def identify_all(
     occurrences: list[AgentOccurrence],
     lots: list[LotRecord],
@@ -327,28 +347,20 @@ def identify_all(
 ) -> list[MatchResult]:
     """Identify every occurrence without an identifier, in occurrence order.
 
-    Repeated date-free payloads (same name, address, activity) are scored
-    once; repeats of one agent dominate real corpora. Each occurrence then
-    filters that scored block by its own lot date. The occurrences are not
-    changed: apply_match_results records the matches on them.
+    Works one payload group at a time: each date-free payload (same name,
+    address, activity) has its block scored once, every occurrence in the
+    group filters that scored block by its own lot date, and the block is
+    dropped before the next group. The occurrences are not changed:
+    apply_match_results records the matches on them.
     """
-    lots_by_id = {lot.lot_id: lot for lot in lots}
-    scored: dict[Payload, _ScoredBlock | None] = {}
     results: list[MatchResult] = []
-    for occ in sorted(occurrences, key=lambda o: o.occurrence_id):
-        if occ.identifier is not None:
-            results.append(
-                MatchResult(occ.occurrence_id, source="declared", identifier=occ.identifier)
-            )
+    for payload, members in payload_groups(occurrences, lots).items():
+        if payload is None:
+            results += (MatchResult(o.occurrence_id, "declared", o.identifier) for o, _ in members)
             continue
-        lot = lots_by_id.get(occ.lot_id)
-        if lot is None:
-            raise InvariantError(f"occurrence {occ.occurrence_id} references unknown lot {occ.lot_id}")
-        payload = payload_of(occ, lot)
-        if payload not in scored:
-            scored[payload] = _score_payload(payload, registry, config.match, config.cpv_activity_map)
-        results.append(_resolve(occ, _lot_date(lot), scored[payload], config.match))
-    return results
+        scored = _score_payload(payload, registry, config.match, config.cpv_activity_map)
+        results += (_resolve(o, _lot_date(lot), scored, config.match) for o, lot in members)
+    return sorted(results, key=lambda r: r.occurrence_id)
 
 
 def apply_match_results(
@@ -378,7 +390,7 @@ def write_match_log(results: list[MatchResult], path: Path) -> None:
                 r.occurrence_id,
                 r.source,
                 r.reason or "",
-                r.identifier.render() if r.identifier else "",
+                r.identifier.value if r.identifier else "",
                 f"{r.best.name_similarity:.4f}" if r.best else "",
                 f"{r.best.address_score:.4f}" if r.best else "",
                 "+".join(r.best.presence_mask) if r.best else "",

@@ -7,7 +7,6 @@ and members merge field-wise under a majority rule.
 """
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
@@ -22,8 +21,6 @@ from .models import (
     Identifier,
     internal_code,
 )
-
-log = logging.getLogger(__name__)
 
 REJECT_BLOCK = None  # key for occurrences that cannot be blocked
 

@@ -93,9 +93,6 @@ class Identifier:
             return self.value
         return None
 
-    def render(self) -> str:
-        return self.value
-
 
 def full_siret(value: str) -> Identifier:
     return Identifier(IdentifierKind.FULL_SIRET, value)

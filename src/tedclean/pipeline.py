@@ -47,7 +47,7 @@ from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
 from .files import read_text, replacing, write_rows
-from .identify import MatchResult, apply_match_results, identify_all, write_match_log
+from .identify import MatchResult, apply_match_results, identify_all, payload_groups, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
 from .models import (
@@ -82,7 +82,12 @@ class Checkpoints:
     """
 
     def __init__(self, output_dir: str) -> None:
-        self.root = Path(output_dir) / "checkpoints"
+        out = Path(output_dir)
+        # a file there, or above it, would end the first write in a traceback
+        blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if blocker is not None:
+            raise ConfigError(f"output directory {output_dir}: {blocker} is not a directory")
+        self.root = out / "checkpoints"
         self._kept: dict[tuple[str, str], list] = {}
 
     def stage_dir(self, stage: str) -> Path:
@@ -349,26 +354,20 @@ def _identify_parallel(
     registry: Registry,
     config: PipelineConfig,
 ) -> list[MatchResult]:
-    # fixed-size chunks in occurrence order; collection re-sorts, so
-    # the schedule cannot change the output
-    ordered = sorted(occurrences, key=lambda o: o.occurrence_id)
-    step = (len(ordered) + config.jobs - 1) // config.jobs
-    chunks = [ordered[i : i + step] for i in range(0, len(ordered), step)]
-    lots_by_id = {lot.lot_id: lot for lot in lots}
+    # whole payload groups dealt round-robin, so no payload is scored in two
+    # workers; collection re-sorts, so the schedule cannot change the output
+    shards: list[tuple[list[AgentOccurrence], dict[int, LotRecord]]] = [
+        ([], {}) for _ in range(config.jobs)
+    ]
+    for i, members in enumerate(payload_groups(occurrences, lots).values()):
+        shard_occurrences, shard_lots = shards[i % config.jobs]
+        shard_occurrences += (occ for occ, _ in members)
+        # a declared occurrence's lot may be unknown; it is not needed
+        shard_lots.update((lot.lot_id, lot) for _, lot in members if lot is not None)
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
         parts = pool.map(
             _identify_chunk,
-            [
-                (
-                    chunk,
-                    # an unknown lot is left out: the worker's identify_all
-                    # then raises the InvariantError serial identify raises
-                    [lots_by_id[i] for i in sorted({o.lot_id for o in chunk}) if i in lots_by_id],
-                    registry,
-                    config,
-                )
-                for chunk in chunks
-            ],
+            [(occs, list(by_id.values()), registry, config) for occs, by_id in shards if occs],
         )
     return sorted((r for part in parts for r in part), key=lambda r: r.occurrence_id)
 

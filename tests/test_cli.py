@@ -204,6 +204,17 @@ class TestExitCodes:
         assert main(["identify", "--config", config_path]) == EXIT_CONFIG
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    @pytest.mark.parametrize("under", ["", "sub/dir"], ids=["file", "under-file"])
+    def test_out_is_a_file(self, tmp_path, capsys, command, under):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = blocker / under if under else blocker
+        assert main([command, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_stage_range_inverted(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=16)
         code = main(["pipeline", "--config", config_path,

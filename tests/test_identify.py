@@ -21,6 +21,7 @@ from tedclean.identify import (
     identify_occurrence,
     levenshtein,
     name_similarity,
+    payload_groups,
     payload_of,
     write_match_log,
 )
@@ -461,6 +462,34 @@ class TestIdentifyAll:
         ]
         results = identify_all(occs, [make_lot(1)], registry, PipelineConfig())
         assert [r.occurrence_id for r in results] == [1, 2, 3]
+
+
+class TestPayloadGroups:
+    LYON = dict(normalized_name="MAIRIE DE LYON", department="69")
+
+    def test_groups_in_order_of_first_appearance(self):
+        lots = [make_lot(1), make_lot(2, activity_code="45210000"), make_lot(3)]
+        occs = [
+            make_occurrence(5, 3, **self.LYON),
+            make_occurrence(4, 2, **self.LYON),
+            make_occurrence(3, 9, identifier=full_siret("99999999900011"), **self.LYON),
+            make_occurrence(2, 1, **self.LYON),
+            make_occurrence(1, 2, **self.LYON),
+        ]
+        groups = payload_groups(occs, lots)
+        # lots 1 and 3 share a payload: the lot's date is not part of it
+        assert list(groups) == [payload_of(occs[4], lots[1]), payload_of(occs[3], lots[0]), None]
+        assert [[(o.occurrence_id, lot and lot.lot_id) for o, lot in members]
+                for members in groups.values()] == [[(1, 2), (4, 2)], [(2, 1), (5, 3)], [(3, None)]]
+
+    def test_unknown_lot_names_the_lowest_undeclared_id(self):
+        occs = [
+            make_occurrence(3, 8, **self.LYON),
+            make_occurrence(2, 7, **self.LYON),
+            make_occurrence(1, 9, identifier=full_siret("99999999900011"), **self.LYON),
+        ]
+        with pytest.raises(InvariantError, match="occurrence 2 references unknown lot 7"):
+            payload_groups(occs, [make_lot(1)])
 
 
 def dated_block(payload, date, registry, config, cpv_map):

@@ -17,6 +17,7 @@ import hashlib
 import json
 import shutil
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus_config
+from tedclean import identify
 from tedclean import pipeline as pl
 from tedclean.files import write_rows
 from tedclean.models import (
@@ -403,21 +405,44 @@ class TestOrchestration:
         assert _tree(Path(cfg_a.output_dir)) == _tree(Path(cfg_b.output_dir))
 
     def test_parallel_identify_equals_serial(self, tmp_path):
-        cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=30, seed=4)
-        run_pipeline(cfg_a, stage_to="normalize")
-        out_b = tmp_path / "b"
-        out_b.mkdir()
-        shutil.copytree(
-            Path(cfg_a.output_dir) / "checkpoints", out_b / "checkpoints"
-        )
-        cfg_b = dataclasses.replace(cfg_a, output_dir=str(out_b), jobs=4)
-        stage_identify(cfg_a, Checkpoints(cfg_a.output_dir))
-        stage_identify(cfg_b, Checkpoints(cfg_b.output_dir))
-        dir_a = Path(cfg_a.output_dir) / "checkpoints" / "identify"
-        dir_b = out_b / "checkpoints" / "identify"
-        assert _tree(dir_a) == _tree(dir_b)
-        occs = pl._load(dir_b / "occurrences.csv", AgentOccurrence)
-        assert 2 * cfg_b.jobs <= len(occs), "fixture must actually take the parallel path"
+        # with 4 registry agents, payloads repeat across lots with other dates
+        for rows, agents, jobs in [(30, 40, 4), (60, 4, 2), (60, 4, 4)]:
+            base = tmp_path / f"agents{agents}-jobs{jobs}"
+            cfg_a = corpus_config(
+                base / "in", base / "a", rows=rows, seed=4, registry_agents=agents
+            )
+            run_pipeline(cfg_a, stage_to="normalize")
+            out_b = base / "b"
+            out_b.mkdir()
+            shutil.copytree(
+                Path(cfg_a.output_dir) / "checkpoints", out_b / "checkpoints"
+            )
+            cfg_b = dataclasses.replace(cfg_a, output_dir=str(out_b), jobs=jobs)
+            stage_identify(cfg_a, Checkpoints(cfg_a.output_dir))
+            stage_identify(cfg_b, Checkpoints(cfg_b.output_dir))
+            dir_a = Path(cfg_a.output_dir) / "checkpoints" / "identify"
+            dir_b = out_b / "checkpoints" / "identify"
+            assert _tree(dir_a) == _tree(dir_b)
+            occs = pl._load(dir_b / "occurrences.csv", AgentOccurrence)
+            assert 2 * cfg_b.jobs <= len(occs), "fixture must actually take the parallel path"
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_parallel_identify_scores_each_payload_once(self, tmp_path, monkeypatch, jobs):
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=60, seed=4,
+                            registry_agents=4, jobs=jobs)
+        run_pipeline(cfg, stage_to="normalize")
+        score, scored = identify._score_payload, []
+
+        def spy(payload, *args):
+            scored.append(payload)
+            return score(payload, *args)
+
+        monkeypatch.setattr(identify, "_score_payload", spy)
+        # threads stand in for the pool's processes, so the spy sees every worker
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", ThreadPoolExecutor)
+        stage_identify(cfg, Checkpoints(cfg.output_dir))
+        assert len(scored) > jobs
+        assert len(scored) == len(set(scored))
 
     def test_stage_to_stops_early(self, tmp_path):
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=5)
