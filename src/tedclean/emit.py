@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from pathlib import Path
 
 from .files import replacing, write_rows
@@ -30,10 +32,6 @@ class Table:
     types: list[str]  # SQL type per column
     rows: list[tuple] = field(default_factory=list)
     foreign: list[tuple[str, str, str]] = field(default_factory=list)
-
-    def key_of(self, row: tuple) -> tuple:
-        indices = [self.columns.index(k) for k in self.key]
-        return tuple(row[i] for i in indices)
 
 
 # The six tables by name, in TABLE_ORDER.
@@ -120,28 +118,25 @@ def build_tables(
         foreign=[("agentId", "Agents", "agentId")],
     )
 
-    links: dict[Role, dict[tuple[int, str], dict]] = {Role.BUYER: {}, Role.WINNER: {}}
+    # one (lotId, agentId, source, conflict) tuple per occurrence and role;
+    # sorted, each (lotId, agentId) group is one row with its sources in order
+    links: dict[Role, list[tuple]] = {Role.BUYER: [], Role.WINNER: []}
     for occ in occurrences:
         ident = occ.identifier
         if ident is None:
             raise InvariantError(
                 f"occurrence {occ.occurrence_id} has no agent assignment"
             )
-        key = (occ.lot_id, ident.value)
-        entry = links[occ.role].setdefault(key, {"sources": set(), "conflict": False})
-        entry["sources"].add(occ.identifier_source or "none")
-        entry["conflict"] = entry["conflict"] or occ.split_conflict
+        links[occ.role].append(
+            (occ.lot_id, ident.value, occ.identifier_source or "none", occ.split_conflict)
+        )
 
     for role, table_name in ((Role.BUYER, "LotBuyers"), (Role.WINNER, "LotSuppliers")):
-        rows = [
-            (
-                lot_id,
-                agent_id,
-                "+".join(sorted(entry["sources"])),
-                1 if entry["conflict"] else 0,
-            )
-            for (lot_id, agent_id), entry in sorted(links[role].items())
-        ]
+        rows = []
+        for key, group in groupby(sorted(links.pop(role)), key=itemgetter(0, 1)):
+            group = list(group)
+            sources = "+".join(dict.fromkeys(link[2] for link in group))
+            rows.append((*key, sources, 1 if any(link[3] for link in group) else 0))
         schema[table_name] = Table(
             name=table_name,
             columns=["lotId", "agentId", "identifierSources", "splitConflict"],
@@ -188,15 +183,14 @@ def build_tables(
 def verify_integrity(schema: OutputSchema) -> list[str]:
     """Primary-key uniqueness and referential containment across tables."""
     problems: list[str] = []
-    keys: dict[str, set] = {}
     for table in schema.values():
+        indices = [table.columns.index(k) for k in table.key]
         seen = set()
         for row in table.rows:
-            k = table.key_of(row)
+            k = tuple(row[i] for i in indices)
             if k in seen:
                 problems.append(f"{table.name}: duplicate primary key {k}")
             seen.add(k)
-        keys[table.name] = seen
 
     for table in schema.values():
         for column, ref_table, ref_column in table.foreign:
@@ -237,42 +231,38 @@ def _sql_literal(value) -> str:
 
 def write_sql_dump(schema: OutputSchema, path: str) -> None:
     """Schema plus inserts, reloadable into a stock SQL engine."""
-    lines = ["BEGIN TRANSACTION;"]
-    for name in TABLE_ORDER:
-        table = schema[name]
-        column_defs = [
-            f"  {col} {typ}" for col, typ in zip(table.columns, table.types)
-        ]
-        column_defs.append(f"  PRIMARY KEY ({', '.join(table.key)})")
-        for column, ref_table, ref_column in table.foreign:
-            column_defs.append(
-                f"  FOREIGN KEY ({column}) REFERENCES {ref_table}({ref_column})"
-            )
-        lines.append(f"CREATE TABLE {name} (")
-        lines.append(",\n".join(column_defs))
-        lines.append(");")
-    for name in TABLE_ORDER:
-        table = schema[name]
-        for row in table.rows:
-            values = ", ".join(_sql_literal(v) for v in row)
-            lines.append(f"INSERT INTO {name} VALUES ({values});")
-    lines.append("COMMIT;")
     with replacing(Path(path)) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("BEGIN TRANSACTION;\n")
+        for name in TABLE_ORDER:
+            table = schema[name]
+            column_defs = [
+                f"  {col} {typ}" for col, typ in zip(table.columns, table.types)
+            ]
+            column_defs.append(f"  PRIMARY KEY ({', '.join(table.key)})")
+            for column, ref_table, ref_column in table.foreign:
+                column_defs.append(
+                    f"  FOREIGN KEY ({column}) REFERENCES {ref_table}({ref_column})"
+                )
+            fh.write(f"CREATE TABLE {name} (\n" + ",\n".join(column_defs) + "\n);\n")
+        for name in TABLE_ORDER:
+            fh.writelines(
+                f"INSERT INTO {name} VALUES ({', '.join(map(_sql_literal, row))});\n"
+                for row in schema[name].rows
+            )
+        fh.write("COMMIT;\n")
 
 
 def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
-    """Re-read the emitted CSVs and compare cell-for-cell with memory."""
+    """Re-read the emitted CSVs and compare cell-for-cell with memory, row by
+    row as they are read; a missing or extra row differs too."""
     problems = []
     for name in TABLE_ORDER:
         table = schema[name]
-        path = Path(directory) / f"{name}.csv"
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(Path(directory) / f"{name}.csv", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            rows = [list(r) for r in reader]
-        if header != table.columns:
-            problems.append(f"{name}: header mismatch after round-trip")
-        if rows != [["" if v is None else str(v) for v in row] for row in table.rows]:
-            problems.append(f"{name}: rows differ after round-trip")
+            if next(reader, None) != table.columns:
+                problems.append(f"{name}: header mismatch after round-trip")
+            expected = (["" if v is None else str(v) for v in row] for row in table.rows)
+            if any(read != want for read, want in zip_longest(reader, expected)):
+                problems.append(f"{name}: rows differ after round-trip")
     return problems

@@ -71,10 +71,10 @@ def parse_table(
     """Read one delimiter-separated file into verbatim rows.
 
     The header must contain every mandatory mapped column; data lines whose
-    cell count does not match the header (unbalanced quoting included) are
-    skipped and counted. Lines end only at "\n" or "\r\n": str.splitlines
-    would also cut a row at U+0085, U+2028, form feeds and the like, which
-    turn up inside cells.
+    cell count does not match the header (unbalanced quoting included), or
+    that hold a NUL character, are skipped and counted. Lines end only at
+    "\n" or "\r\n": str.splitlines would also cut a row at U+0085, U+2028,
+    form feeds and the like, which turn up inside cells.
     """
     text = read_text(path, "lot file")
     if not text:
@@ -100,6 +100,8 @@ def parse_table(
         if not line.strip():
             continue
         try:
+            if "\0" in line:  # csv takes NUL from Python 3.11 on; SQL engines do not
+                raise csv.Error("line contains NUL")
             cells = next(csv.reader([line], delimiter=delimiter, strict=True))
         except (csv.Error, StopIteration):
             skipped += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .files import read_rows
 from .models import AgentOccurrence
@@ -64,7 +65,8 @@ def normalize_name(raw: str) -> str:
     return _SPACES_RE.sub(" ", text).strip()
 
 
-def _postal_token_re(tokens: list[str]) -> re.Pattern:
+@lru_cache(maxsize=8)
+def _postal_token_re(tokens: tuple[str, ...]) -> re.Pattern:
     alts = "|".join(re.escape(t) for t in tokens)
     return re.compile(rf"\b(?:{alts})\b(?:\s+\d+)?")
 
@@ -81,7 +83,7 @@ def normalize_address(
     CEDEX... plus trailing digits) are stripped from all three fields; the
     zipcode is reduced to its 5-digit run or dropped; cities lose digits.
     """
-    token_re = _postal_token_re(postal_tokens)
+    token_re = _postal_token_re(tuple(postal_tokens))
 
     def clean(value: str | None) -> str | None:
         if not value:

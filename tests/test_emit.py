@@ -188,6 +188,18 @@ class TestWriteOutputs:
                         encoding="utf-8")
         assert any("Lots" in p for p in verify_roundtrip(schema, str(tmp_path)))
 
+    @pytest.mark.parametrize("edit", ["drop-last", "repeat-row"])
+    def test_roundtrip_detects_missing_or_extra_row(self, tmp_path, edit):
+        schema = build_tables(*small_world())
+        write_csv(schema, str(tmp_path))
+        path = tmp_path / "Lots.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = lines[:-1] if edit == "drop-last" else lines + [lines[1]]
+        path.write_text("".join(lines), encoding="utf-8")
+        assert verify_roundtrip(schema, str(tmp_path)) == [
+            "Lots: rows differ after round-trip"
+        ]
+
     def test_sql_dump_reloads_in_sqlite(self, tmp_path):
         schema = build_tables(*small_world())
         sql_path = tmp_path / "foppa.sql"

@@ -118,6 +118,13 @@ class TestParseTable:
         assert [r.cells["A"] for r in parsed.rows] == ["ok"]
         assert parsed.skipped == 1
 
+    def test_nul_line_skipped(self, tmp_path):
+        path = tmp_path / "lots.csv"
+        path.write_text("A,B\n1,2\nx\0y,3\n4,5\n", encoding="utf-8")
+        parsed = parse_table(str(path), AB_MAP, DELIMITER)
+        assert [r.cells["A"] for r in parsed.rows] == ["1", "4"]
+        assert parsed.skipped == 1
+
     def test_duplicate_identities_counted(self, tmp_path):
         rows = [lot_row("n1", "1"), lot_row("n1", "1"), lot_row("n1", "2")]
         path = write_lot_file(tmp_path / "lots.csv", rows)

@@ -16,6 +16,7 @@ import datetime as dt
 import hashlib
 import json
 import shutil
+import sqlite3
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -396,6 +397,25 @@ class TestOrchestration:
             if name not in _PATH_DEPENDENT:
                 digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
         assert digest.hexdigest() == GOLDEN_DIGEST
+
+    def test_nul_line_skipped_and_dump_reloads(self, tmp_path):
+        """csv reads a NUL from Python 3.11 on; the line must still be skipped,
+        or the NUL reaches foppa.sql, which sqlite3 then refuses to run."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=20, seed=0)
+        lot_path = Path(cfg.lot_files[0])
+        text = lot_path.read_text(encoding="utf-8")
+        text = text.replace("broken,row,with,too,few,cells\n", "")
+        text = text.replace("Valeur technique", "Valeur\0technique", 1)
+        lot_path.write_text(text, encoding="utf-8")
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        stats = json.loads((out / "checkpoints" / "ingest" / "stats.json").read_text())
+        assert stats["skipped_lines"] == 1
+        connection = sqlite3.connect(":memory:")
+        connection.executescript((out / "foppa.sql").read_text(encoding="utf-8"))
+        lots = connection.execute("SELECT COUNT(*) FROM Lots").fetchone()[0]
+        connection.close()
+        assert lots == stats["lots"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=3)
