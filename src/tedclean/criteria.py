@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .config import PipelineConfig
 from .models import CriteriaRaw, Criterion, CriterionClass
@@ -113,38 +113,28 @@ def unmix_names_weights(mixed: str, separators: list[str]) -> list[tuple[str, De
     return pairs
 
 
-def _round_half_up_2(value: Fraction) -> Fraction:
-    scaled = value * 100
-    floor = scaled.numerator // scaled.denominator
-    if (scaled - floor) * 2 >= 1:
-        floor += 1
-    return Fraction(floor, 100)
-
-
 def normalize_weights(weights: list[Decimal]) -> list[Decimal] | None:
     """Rescale weights to sum exactly 100.00.
 
     Each weight becomes 100·w/Σw rounded half-up to 2 decimals; the
-    rounding residual goes to the first largest input weight. Exact
-    rational arithmetic keeps the result scale-invariant. Returns None
-    when the input cannot be normalized (empty, negative, or zero-sum).
+    rounding residual goes to the first largest input weight. The weights
+    are first made integers exactly: each Decimal's integer ratio times
+    the lcm of the denominators over its own (no Decimal arithmetic, which
+    rounds to the context's 28 digits), so the result is scale-invariant.
+    Returns None when the input cannot be normalized (empty, negative, or
+    zero-sum).
     """
     if not weights:
         return None
-    fracs = [Fraction(w) for w in weights]
-    total = sum(fracs)
-    if total <= 0 or any(f < 0 for f in fracs):
+    ratios = [w.as_integer_ratio() for w in weights]
+    common = lcm(*(d for _, d in ratios))
+    units = [n * (common // d) for n, d in ratios]
+    total = sum(units)
+    if total <= 0 or any(u < 0 for u in units):
         return None
-    rounded = [_round_half_up_2(100 * f / total) for f in fracs]
-    residual = 100 - sum(rounded)
-    if residual:
-        largest = fracs.index(max(fracs))
-        rounded[largest] += residual
-    two_places = Decimal("0.01")
-    return [
-        (Decimal(r.numerator) / Decimal(r.denominator)).quantize(two_places)
-        for r in rounded
-    ]
+    cents = [(20000 * u + total) // (2 * total) for u in units]  # ⌊10000·u/Σ + ½⌋
+    cents[units.index(max(units))] += 10000 - sum(cents)
+    return [Decimal(c).scaleb(-2) for c in cents]  # 100.00 and 0.00 keep two places
 
 
 @lru_cache(maxsize=8)

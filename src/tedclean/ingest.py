@@ -70,19 +70,24 @@ def parse_table(
 ) -> ParsedTable:
     """Read one delimiter-separated file into verbatim rows.
 
-    The header must contain every mandatory mapped column; data lines whose
-    cell count does not match the header (unbalanced quoting included), or
-    that hold a NUL character, are skipped and counted. Lines end only at
-    "\n" or "\r\n": str.splitlines would also cut a row at U+0085, U+2028,
-    form feeds and the like, which turn up inside cells.
+    The header must hold no NUL character and contain every mandatory
+    mapped column; data lines whose cell count does not match the header
+    (unbalanced quoting included), or that hold a NUL character, are
+    skipped and counted. Lines end only at "\n" or "\r\n": str.splitlines
+    would also cut a row at U+0085, U+2028, form feeds and the like, which
+    turn up inside cells.
     """
     text = read_text(path, "lot file")
     if not text:
         raise InputError(f"lot file {path} is empty")
     lines = [line.removesuffix("\r") for line in text.split("\n")]
 
-    header = next(csv.reader([lines[0]], delimiter=delimiter))
-    header = [h.strip() for h in header]
+    try:
+        if "\0" in lines[0]:  # as for data lines, on every Python version
+            raise csv.Error("line contains NUL")
+        header = [h.strip() for h in next(csv.reader([lines[0]], delimiter=delimiter))]
+    except csv.Error as exc:
+        raise InputError(f"cannot parse lot file {path} header: {exc}") from exc
     missing = [
         column_map[sem] for sem in MANDATORY_FIELDS["column_map"] if column_map[sem] not in header
     ]

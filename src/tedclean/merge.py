@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 
 from .config import MatchConfig, PipelineConfig
 from . import identify
@@ -135,18 +136,37 @@ def cluster_occurrences(
     return clusters
 
 
+def _majority(members: list[AgentOccurrence], value_of, key=None):
+    """The most frequent present value among the members, or None.
+
+    Ties go to the value borne by the most field-complete occurrence, then
+    to the smallest value (compared through key, when given).
+    """
+    counts = Counter(v for occ in members if (v := value_of(occ)))
+    if not counts:
+        return None
+    top = max(counts.values())
+    bearer = {v: 0 for v, n in counts.items() if n == top}
+    if len(bearer) > 1:
+        for occ in members:
+            v = value_of(occ)
+            if v in bearer:
+                bearer[v] = max(bearer[v], field_completeness(occ))
+    best = max(bearer.values())
+    return min((v for v, c in bearer.items() if c == best), key=key)
+
+
 def resolve_cluster(
     members: list[AgentOccurrence], allocate_internal
 ) -> tuple[CaseKind, Identifier]:
     """Case-classify a cluster and pick its identifier.
 
-    CONFLICTING_IDS resolves by majority; ties go to the identifier borne
-    by the most field-complete occurrence, then the lexicographically
-    smallest value. Clusters with no identifier at all get a fresh
-    internal code from allocate_internal.
+    CONFLICTING_IDS resolves by the majority rule of `_majority`, the
+    smallest identifier being the one with the smallest value. Clusters
+    with no identifier at all get a fresh internal code from
+    allocate_internal.
     """
-    identifiers = [occ.identifier for occ in members if occ.identifier is not None]
-    distinct = set(identifiers)
+    distinct = {occ.identifier for occ in members if occ.identifier is not None}
 
     if len(members) == 1:
         resolved = members[0].identifier or allocate_internal()
@@ -155,38 +175,8 @@ def resolve_cluster(
         return CaseKind.ALL_UNIDENTIFIED, allocate_internal()
     if len(distinct) == 1:
         return CaseKind.SINGLE_IDENTIFIED, next(iter(distinct))
-
-    counts = Counter(identifiers)
-    top = max(counts.values())
-    tied = [ident for ident, n in counts.items() if n == top]
-    if len(tied) > 1:
-        def bearer_completeness(ident: Identifier) -> int:
-            return max(
-                field_completeness(occ) for occ in members if occ.identifier == ident
-            )
-
-        best = max(bearer_completeness(ident) for ident in tied)
-        tied = sorted(
-            (i for i in tied if bearer_completeness(i) == best),
-            key=lambda i: i.value,
-        )
-    return CaseKind.CONFLICTING_IDS, tied[0]
-
-
-def _majority_value(members: list[AgentOccurrence], field_name: str) -> str | None:
-    values = [getattr(occ, field_name) for occ in members if getattr(occ, field_name)]
-    if not values:
-        return None
-    counts = Counter(values)
-    top = max(counts.values())
-    tied = sorted(v for v, n in counts.items() if n == top)
-    if len(tied) == 1:
-        return tied[0]
-    bearers = [occ for occ in members if getattr(occ, field_name) in tied]
-    best = max(field_completeness(occ) for occ in bearers)
-    return min(
-        getattr(occ, field_name) for occ in bearers if field_completeness(occ) == best
-    )
+    identifier = _majority(members, attrgetter("identifier"), key=attrgetter("value"))
+    return CaseKind.CONFLICTING_IDS, identifier
 
 
 def _merge_members(
@@ -200,11 +190,11 @@ def _merge_members(
     return CanonicalAgent(
         agent_id=agent_id,
         names=names,
-        street=_majority_value(members, "street"),
-        zipcode=_majority_value(members, "zipcode"),
-        city=_majority_value(members, "city"),
-        department=_majority_value(members, "department"),
-        country=_majority_value(members, "country"),
+        street=_majority(members, attrgetter("street")),
+        zipcode=_majority(members, attrgetter("zipcode")),
+        city=_majority(members, attrgetter("city")),
+        department=_majority(members, attrgetter("department")),
+        country=_majority(members, attrgetter("country")),
         case_kinds=case_kinds,
         member_occurrence_ids=sorted(occ.occurrence_id for occ in members),
     )

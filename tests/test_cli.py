@@ -232,6 +232,21 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(cfg2)]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header", ["A\0,B", ",".join(LOT_COLUMNS + ["X\0"])], ids=["two-columns", "all-mandatory"]
+    )
+    def test_nul_in_lot_header_is_input_error(self, tmp_path, capsys, header):
+        # Python 3.10's csv raises on the NUL; 3.11+ keeps it in the column name
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=17)
+        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        lots = tmp_path / "nul.csv"
+        lots.write_text(header + "\n1,2\n", encoding="utf-8")
+        data["inputs"]["lots"] = [str(lots)]
+        cfg2 = tmp_path / "cfg2.json"
+        cfg2.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg2)]) == EXIT_INPUT
+        assert f"{lots} header" in capsys.readouterr().err
+
     def test_corrupted_checkpoint_is_invariant_error(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=18)
         assert main(["pipeline", "--config", config_path, "--stage-to", "merge"]) == EXIT_OK

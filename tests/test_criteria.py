@@ -16,6 +16,7 @@ from tedclean.criteria import (
 )
 from tedclean.models import CriteriaRaw, Criterion, CriterionClass
 
+import rule_oracle
 import separator_oracle as oracle
 
 SEPS = list(DEFAULT_SEPARATORS)
@@ -168,6 +169,37 @@ class TestNormalizeWeights:
         weights = [Decimal(w) for w in raw]
         scaled = [w * factor for w in weights]
         assert normalize_weights(weights) == normalize_weights(scaled)
+
+
+def decimal_weight(digits: int, places: int) -> Decimal:
+    return Decimal(f"{digits}E-{places}")  # exact, whatever the digit count
+
+
+ORACLE_WEIGHTS = st.one_of(
+    st.integers(min_value=0, max_value=3).map(Decimal),  # zeros and tied largest weights
+    st.integers(min_value=-3, max_value=-1).map(Decimal),
+    st.builds(decimal_weight, st.integers(0, 10**6), st.integers(0, 3)),
+    # more significant digits than the 28 of the default decimal context
+    st.builds(decimal_weight, st.integers(10**28, 10**36), st.integers(0, 36)),
+)
+
+
+def as_text(weights: list[Decimal] | None) -> list[str] | None:
+    # str, not ==: Decimal("50.00") == Decimal("50.0")
+    return None if weights is None else [str(w) for w in weights]
+
+
+class TestNormalizeWeightsFractionOracle:
+    @given(st.lists(ORACLE_WEIGHTS, max_size=8))
+    @example([Decimal(1), Decimal(19999)])  # a half cent rounds up, not to even
+    @example([Decimal(1), Decimal("19999.000000000000000000000000000001")])
+    @example([Decimal(1), Decimal(3), Decimal(3)])  # residual to the first largest
+    @example([Decimal(0), Decimal(0)])
+    @settings(max_examples=500)
+    def test_matches_fraction_oracle(self, weights):
+        assert as_text(normalize_weights(weights)) == as_text(
+            rule_oracle.normalize_weights(weights)
+        )
 
 
 class TestClassify:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tedclean import identify
@@ -24,6 +24,7 @@ from tedclean.models import (
 )
 from tedclean.normalize import department_of
 
+import rule_oracle
 from conftest import make_occurrence
 
 MATCH = MatchConfig()
@@ -328,6 +329,40 @@ class TestMergeRecords:
             assert (again.street, again.zipcode, again.city, again.names) == (
                 base.street, base.zipcode, base.city, base.names,
             )
+
+
+# by value SIRET_A comes first; by (kind, value) a SIREN comes before any SIRET
+SIREN_HIGH = siren_only("999999999")
+
+cluster_rows = st.lists(
+    st.tuples(
+        st.sampled_from([None, "MAIRIE", "VILLE"]),
+        st.sampled_from([None, "", "1 RUE X", "2 RUE Y"]),
+        st.sampled_from([None, "69001", "75002"]),
+        st.sampled_from([None, "LYON", "PARIS"]),
+        st.sampled_from([None, "FR", "BE"]),
+        st.sampled_from([None, SIRET_A, SIRET_B, SIREN_HIGH, siren_only("111111111")]),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+class TestMajorityOracle:
+    @given(cluster_rows)
+    @example([("X", None, None, None, None, SIREN_HIGH), ("X", None, None, None, None, SIRET_A)])
+    @settings(max_examples=500)
+    def test_matches_per_use_oracles(self, rows):
+        members = [
+            occ(i, name, street, zipcode, city, identifier=ident, country=country)
+            for i, (name, street, zipcode, city, country, ident) in enumerate(rows, 1)
+        ]
+        assert resolve_cluster(members, make_allocator()) == rule_oracle.resolve_cluster(
+            members, make_allocator()
+        )
+        agent = _merge_members(SIRET_A, members, [CaseKind.SINGLE_IDENTIFIED])
+        for name in ("street", "zipcode", "city", "department", "country"):
+            assert getattr(agent, name) == rule_oracle.majority_value(members, name)
 
 
 class TestMergeAll:
