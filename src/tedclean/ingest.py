@@ -163,12 +163,23 @@ def parse_decimal(raw: str | None) -> Decimal | None:
         return None
 
 
+# lots repeat their dates (6,260 dates parsed, 171 distinct, on a 5,000-lot
+# run); the bound caps the memo's memory on a corpus spanning many years
+PARSE_DATE_MEMO_SIZE = 1 << 16
+
+
 def parse_date(raw: str | None, formats: list[str]) -> dt.date | None:
     if not raw or not raw.strip():
         return None
+    return _parse_stripped_date(raw.strip(), tuple(formats))
+
+
+# keyed on the format list too, so two format lists never share an entry
+@lru_cache(maxsize=PARSE_DATE_MEMO_SIZE)
+def _parse_stripped_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
     for fmt in formats:
         try:
-            return dt.datetime.strptime(raw.strip(), fmt).date()
+            return dt.datetime.strptime(text, fmt).date()
         except ValueError:
             continue
     return None

@@ -72,13 +72,21 @@ log = logging.getLogger(__name__)
 STAGE_ORDER = ("ingest", "criteria", "normalize", "identify", "merge", "emit", "evaluate")
 
 
+_LOTS = ("ingest", "lots.csv")
+
+
 class Checkpoints:
     """The one way a stage gets and gives records: `write` dumps a checkpoint
-    and keeps its records, `read` hands kept records to their first reader
-    only and forgets them, and any other read parses the file. normalize,
-    identify, merge and a masked evaluate change the records they read, so
-    no list may reach two readers; nothing is kept past its first read, and
-    a list no stage reads (rejections.csv) lives as long as the store.
+    and keeps its records, and `read` hands them out.
+
+    ingest/lots.csv is kept for the life of the store and every reader gets
+    the same list, parsed at most once: no stage changes a LotRecord
+    (identify, emit, notice_coverage and mask_and_rerun only read them).
+    Every other list goes to its first reader only and is forgotten, and
+    any later read parses the file: normalize, identify, merge and a masked
+    evaluate change the records they read, so such a list may not reach
+    two readers. A list no stage reads (rejections.csv) lives as long as
+    the store.
     """
 
     def __init__(self, output_dir: str) -> None:
@@ -108,11 +116,15 @@ class Checkpoints:
         self._kept[stage, name] = records
 
     def read(self, stage: str, name: str, cls: type) -> list:
-        kept = self._kept.pop((stage, name), None)
+        key = (stage, name)
+        kept = self._kept.get(key) if key == _LOTS else self._kept.pop(key, None)
         if kept is not None:
             return kept
         self.require(stage, name)
-        return _load(self.root / stage / name, cls)
+        records = _load(self.root / stage / name, cls)
+        if key == _LOTS:
+            self._kept[key] = records
+        return records
 
 
 # ---------------------------------------------------------------- codec

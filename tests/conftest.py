@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import LOT_COLUMNS
 from tedclean.config import PipelineConfig
 from tedclean.models import (
     AgentOccurrence,
@@ -72,16 +73,6 @@ def write_registry_files(
         for row in facilities:
             writer.writerow({c: row.get(c, "") for c in facility_cols})
     return str(entity_path), str(facility_path)
-
-
-LOT_COLUMNS = [
-    "ID_NOTICE_CAN", "ID_LOT", "DT_DISPATCH", "DT_AWARD", "TYPE_OF_CONTRACT",
-    "CPV", "NUMBER_OFFERS", "AWARD_VALUE_EURO", "CURRENCY", "CANCELLED",
-    "ID_NOTICE_CN", "CAE_NAME", "CAE_ADDRESS", "CAE_POSTAL_CODE", "CAE_TOWN",
-    "CAE_COUNTRY", "CAE_NATIONALID", "WIN_NAME", "WIN_ADDRESS",
-    "WIN_POSTAL_CODE", "WIN_TOWN", "WIN_COUNTRY", "WIN_NATIONALID",
-    "CRIT_CRITERIA", "CRIT_WEIGHTS", "CRIT_PRICE_WEIGHT",
-]
 
 
 def write_lot_file(path: Path, rows: list[dict]) -> str:

@@ -10,10 +10,17 @@ import json
 import random
 from pathlib import Path
 
-from conftest import LOT_COLUMNS
-
 STREET_WORDS = ["GARE", "EGLISE", "REPUBLIQUE", "MOULIN", "LILAS", "FORGES"]
 DEPARTMENTS = ["13", "29", "33", "59", "69", "75"]
+
+LOT_COLUMNS = [
+    "ID_NOTICE_CAN", "ID_LOT", "DT_DISPATCH", "DT_AWARD", "TYPE_OF_CONTRACT",
+    "CPV", "NUMBER_OFFERS", "AWARD_VALUE_EURO", "CURRENCY", "CANCELLED",
+    "ID_NOTICE_CN", "CAE_NAME", "CAE_ADDRESS", "CAE_POSTAL_CODE", "CAE_TOWN",
+    "CAE_COUNTRY", "CAE_NATIONALID", "WIN_NAME", "WIN_ADDRESS",
+    "WIN_POSTAL_CODE", "WIN_TOWN", "WIN_COUNTRY", "WIN_NATIONALID",
+    "CRIT_CRITERIA", "CRIT_WEIGHTS", "CRIT_PRICE_WEIGHT",
+]
 
 CRITERIA_VARIANTS = [
     ("Prix;Valeur technique", "60;40", ""),

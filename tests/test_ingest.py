@@ -344,3 +344,9 @@ class TestParseDate:
         assert parse_date("06/01/2015", formats) == dt.date(2015, 1, 6)
         assert parse_date("junk", formats) is None
         assert parse_date(None, formats) is None
+
+    def test_memo_keeps_format_lists_apart(self):
+        # one process, one memo: the second list must not get the first's entry
+        assert parse_date("03/04/2016", ["%d/%m/%Y"]) == dt.date(2016, 4, 3)
+        assert parse_date("03/04/2016", ["%m/%d/%Y"]) == dt.date(2016, 3, 4)
+        assert parse_date(" 03/04/2016\t", ["%m/%d/%Y"]) == dt.date(2016, 3, 4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tedclean.config import PipelineConfig
 from tedclean.models import IdentifierKind
 from tedclean.normalize import (
+    _FOLD_TABLE,
     PostalTable,
     department_of,
     fill_zipcode,
@@ -64,6 +65,21 @@ class TestNormalizeName:
         assert set(folded) <= FOLD_ALPHABET
         assert folded == folded.strip()
         assert "  " not in folded
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from(
+                [chr(c) for c in _FOLD_TABLE]
+                + list("éèÊçàùÖñ\u0301()&.-' aZ9")
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_memo_equals_the_fold(self, raw):
+        # the first call may fill the memo, the second reads it
+        for _ in range(2):
+            assert normalize_name(raw) == normalize_name.__wrapped__(raw)
 
 
 class TestNormalizeAddress:

@@ -3,7 +3,8 @@
 The serde tests check the lossless round-trip contract of the checkpoint
 codec: absent values are empty cells, a plain `str` field keeps "", and
 the column layout of every checkpoint stays pinned. The store tests check
-that a written list reaches its first reader only. The orchestration
+that a written list reaches its first reader only, except ingest/lots.csv,
+which reaches every reader unchanged. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
 reruns are byte-identical, that parallel identification cannot change
 the output, and that the criterion-7 fixture's output keeps a pinned
@@ -318,6 +319,28 @@ class TestCheckpoints:
         kept = cp.read("merge", "agent_names.csv", pl._AgentName)
         assert type(kept) is list and kept == expected
         assert cp.read("merge", "agent_names.csv", pl._AgentName) == expected
+
+    def test_every_reader_gets_the_one_lots_list(self, tmp_path):
+        """ingest/lots.csv is handed to identify, emit and evaluate alike, and no
+        stage changes a lot, so the list still equals the file afterwards."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+        cp = Checkpoints(cfg.output_dir)
+        read = cp.read
+        handed: dict[str, list[LotRecord]] = {}  # held, so no id() is reused
+
+        def recording_read(stage, name, cls):
+            records = read(stage, name, cls)
+            if (stage, name) == ("ingest", "lots.csv"):
+                handed[current] = records
+            return records
+
+        cp.read = recording_read
+        for current in STAGE_ORDER:
+            run_stage(current, cfg, mask=True, checkpoints=cp)
+        assert handed.keys() == {"identify", "emit", "evaluate"}
+        assert len({id(lots) for lots in handed.values()}) == 1
+        written = pl._load(Path(cfg.output_dir) / "checkpoints" / "ingest" / "lots.csv", LotRecord)
+        assert handed["evaluate"] == written
 
 
 def _tree(root: Path) -> dict[str, bytes]:
