@@ -21,7 +21,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .models import ConfigError, CriterionClass
+from .models import ConfigError, ContractType, CriterionClass
 
 # Header names of the award-notice table, semantic field -> source column.
 # TED-2010+ style names; real corpora override this in the config file.
@@ -139,13 +139,13 @@ DEFAULT_CRITERION_LEXICON: dict[str, CriterionClass] = {
     "ESTHETIQUE": CriterionClass.TECHNICAL,
 }
 
-DEFAULT_CONTRACT_TYPE_VALUES: dict[str, str] = {
-    "SUPPLIES": "goods",
-    "FOURNITURES": "goods",
-    "GOODS": "goods",
-    "SERVICES": "services",
-    "WORKS": "works",
-    "TRAVAUX": "works",
+DEFAULT_CONTRACT_TYPE_VALUES: dict[str, ContractType] = {
+    "SUPPLIES": ContractType.GOODS,
+    "FOURNITURES": ContractType.GOODS,
+    "GOODS": ContractType.GOODS,
+    "SERVICES": ContractType.SERVICES,
+    "WORKS": ContractType.WORKS,
+    "TRAVAUX": ContractType.WORKS,
 }
 
 DEFAULT_DATE_FORMATS = ["%Y-%m-%d", "%d/%m/%Y"]
@@ -202,7 +202,7 @@ class PipelineConfig:
     criterion_lexicon: dict[str, CriterionClass] = field(
         default_factory=lambda: dict(DEFAULT_CRITERION_LEXICON)
     )
-    contract_type_values: dict[str, str] = field(
+    contract_type_values: dict[str, ContractType] = field(
         default_factory=lambda: dict(DEFAULT_CONTRACT_TYPE_VALUES)
     )
     date_formats: list[str] = field(default_factory=lambda: list(DEFAULT_DATE_FORMATS))
@@ -223,8 +223,10 @@ class PipelineConfig:
             errors.append(f"merge_threshold must be in [0, 1], got {self.merge_threshold}")
         if self.jobs < 1:
             errors.append(f"jobs must be >= 1, got {self.jobs}")
-        if len(self.delimiter) != 1:
-            errors.append(f"delimiter must be a single character, got {self.delimiter!r}")
+        # csv refuses each of these as a delimiter on some Python version
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n\0':
+            errors.append("delimiter must be a single character other than a quote, CR, LF "
+                          f"or NUL, got {self.delimiter!r}")
         for map_name, keys in MANDATORY_FIELDS.items():
             for key in keys:
                 if not getattr(self, map_name).get(key):

@@ -5,13 +5,26 @@ under a temp name next to its target and renamed into place only once
 complete, so a killed run leaves either the previous file or none, never
 a truncated one. Every CSV output is one dialect: `,` with `\\n`.
 
-Every input file is UTF-8. One that cannot be opened, decoded or parsed
-is an InputError naming the file, never a traceback.
+Every input file is UTF-8 and read through `input_lines`; one that cannot
+be opened or decoded is an InputError naming the file, never a traceback.
+Every input CSV, lot, registry, postal and ground-truth file alike, is
+split and parsed by one rule:
+
+- a line ends only at "\\n" or "\\r\\n" (str.splitlines would also cut a
+  row at U+0085, U+2028, form feeds and the like, which turn up inside
+  cells);
+- each line is parsed on its own by csv in strict mode, so a quote can
+  neither swallow the lines after it nor join two lines into one row;
+- a NUL is a parse failure on every Python version (csv takes it from
+  Python 3.11 on; SQL engines do not).
+
+A line that does not parse is the caller's to handle: ingest skips and
+counts a bad lot line, `read_rows` stops at a bad reference-file line
+with an InputError naming the file and the line.
 """
 from __future__ import annotations
 
 import csv
-import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,22 +55,34 @@ def write_rows(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
         writer.writerows(rows)
 
 
-def read_text(path: str, what: str) -> str:
-    """The whole of an input file, decoded as UTF-8, line endings kept."""
+def input_lines(path: str, what: str) -> list[str]:
+    """The lines of an input file, line ends removed; none if it is empty."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    lines = text.removesuffix("\n").split("\n") if text else []
+    return [line.removesuffix("\r") for line in lines]
+
+
+def parse_line(line: str, delimiter: str) -> list[str]:
+    """The cells of one input line; csv.Error when it does not parse on its own."""
+    if "\0" in line:
+        raise csv.Error("line contains NUL")
+    return next(csv.reader([line], delimiter=delimiter, strict=True))
 
 
 def read_rows(path: str, what: str, delimiter: str) -> list[list[str]]:
-    """Every row of an input CSV file, the header too if it has one."""
-    text = read_text(path, what)
-    try:
-        return list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
-    except csv.Error as exc:
-        raise InputError(f"cannot parse {what} {path}: {exc}") from exc
+    """Every row of an input CSV file, the header too if it has one; a blank
+    line is an empty row."""
+    rows = []
+    for lineno, line in enumerate(input_lines(path, what), start=1):
+        try:
+            rows.append(parse_line(line, delimiter))
+        except csv.Error as exc:
+            raise InputError(f"cannot parse {what} {path}, line {lineno}: {exc}") from exc
+    return rows
 
 
 def read_table(path: str, what: str, delimiter: str) -> tuple[list[str], list[dict[str, str]]]:

@@ -1,8 +1,8 @@
 """Parse raw award-notice tables into typed lots and agent occurrences.
 
-Parsing is line-based on purpose: a malformed line (bad quoting, wrong cell
-count) is skipped and counted, never silently dropped and never allowed to
-swallow its neighbours.
+Parsing is line-based on purpose (the rule is in `files`): a malformed line
+(bad quoting, wrong cell count) is skipped and counted, never silently
+dropped and never allowed to swallow its neighbours.
 """
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 
 from .config import MANDATORY_FIELDS, PipelineConfig
-from .files import read_text
+from .files import input_lines, parse_line
 from .models import (
     AgentOccurrence,
     ConfigError,
-    ContractType,
     CriteriaRaw,
     InputError,
     LotRecord,
@@ -70,22 +69,16 @@ def parse_table(
 ) -> ParsedTable:
     """Read one delimiter-separated file into verbatim rows.
 
-    The header must hold no NUL character and contain every mandatory
-    mapped column; data lines whose cell count does not match the header
-    (unbalanced quoting included), or that hold a NUL character, are
-    skipped and counted. Lines end only at "\n" or "\r\n": str.splitlines
-    would also cut a row at U+0085, U+2028, form feeds and the like, which
-    turn up inside cells.
+    Lines are split and parsed by the one input rule of `files`. The header
+    must parse and contain every mandatory mapped column; a data line that
+    does not parse, or whose cell count does not match the header, is
+    skipped and counted.
     """
-    text = read_text(path, "lot file")
-    if not text:
+    lines = input_lines(path, "lot file")
+    if not lines:
         raise InputError(f"lot file {path} is empty")
-    lines = [line.removesuffix("\r") for line in text.split("\n")]
-
     try:
-        if "\0" in lines[0]:  # as for data lines, on every Python version
-            raise csv.Error("line contains NUL")
-        header = [h.strip() for h in next(csv.reader([lines[0]], delimiter=delimiter))]
+        header = [h.strip() for h in parse_line(lines[0], delimiter)]
     except csv.Error as exc:
         raise InputError(f"cannot parse lot file {path} header: {exc}") from exc
     missing = [
@@ -105,10 +98,8 @@ def parse_table(
         if not line.strip():
             continue
         try:
-            if "\0" in line:  # csv takes NUL from Python 3.11 on; SQL engines do not
-                raise csv.Error("line contains NUL")
-            cells = next(csv.reader([line], delimiter=delimiter, strict=True))
-        except (csv.Error, StopIteration):
+            cells = parse_line(line, delimiter)
+        except csv.Error:
             skipped += 1
             log.warning("%s:%d: unparseable line skipped", path, lineno)
             continue
@@ -214,8 +205,7 @@ def build_lot(
         return reject("out-of-period")
 
     raw_type = _cell(row, config.column_map, "contract_type").upper()
-    mapped = config.contract_type_values.get(raw_type)
-    contract_type = ContractType(mapped) if mapped else None
+    contract_type = config.contract_type_values.get(raw_type)
 
     offers_raw = _cell(row, config.column_map, "number_of_offers")
     offers = int(offers_raw) if offers_raw.isascii() and offers_raw.isdigit() else None

@@ -34,6 +34,7 @@ import datetime as dt
 import functools
 import json
 import logging
+import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
@@ -46,7 +47,7 @@ from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .files import read_text, replacing, write_rows
+from .files import input_lines, replacing, write_rows
 from .identify import MatchResult, apply_match_results, identify_all, payload_groups, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
@@ -376,11 +377,10 @@ def _identify_parallel(
         shard_occurrences += (occ for occ, _ in members)
         # a declared occurrence's lot may be unknown; it is not needed
         shard_lots.update((lot.lot_id, lot) for _, lot in members if lot is not None)
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        parts = pool.map(
-            _identify_chunk,
-            [(occs, list(by_id.values()), registry, config) for occs, by_id in shards if occs],
-        )
+    work = [(occs, list(by_id.values()), registry, config) for occs, by_id in shards if occs]
+    # a forked pool starts all its workers at once, busy or not
+    with ProcessPoolExecutor(max_workers=min(len(work), os.cpu_count() or 1)) as pool:
+        parts = pool.map(_identify_chunk, work)
     return sorted((r for part in parts for r in part), key=lambda r: r.occurrence_id)
 
 
@@ -434,10 +434,9 @@ def stage_emit(config: PipelineConfig, checkpoints: Checkpoints) -> None:
 def _load_contract_ids(config: PipelineConfig) -> set[str]:
     if not config.contract_notice_file:
         return set()
-    text = read_text(config.contract_notice_file, "contract notice file")
-    # one id a line, where a line ends at "\n", "\r\n" or "\r"
-    lines = text.replace("\r", "\n").split("\n")
-    return {line.strip() for line in lines if line.strip()}
+    lines = input_lines(config.contract_notice_file, "contract notice file")
+    # one id a line; unlike in a CSV input, a bare "\r" also ends a line here
+    return {part.strip() for line in lines for part in line.split("\r") if part.strip()}
 
 
 def stage_evaluate(

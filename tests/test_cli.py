@@ -13,6 +13,12 @@ from hypothesis import strategies as st
 from conftest import LOT_COLUMNS
 from corpus import write_corpus_config
 from tedclean.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, build_parser, main
+from tedclean.config import (
+    DEFAULT_COLUMN_MAP,
+    DEFAULT_REGISTRY_ENTITY_MAP,
+    DEFAULT_REGISTRY_FACILITY_MAP,
+)
+from tedclean.models import ContractType, CriterionClass
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +60,25 @@ INPUT_FILES = (
     "lots", "registry_entities", "registry_facilities", "postal", "contract_notice_ids",
     "ground_truth",
 )
+
+
+# the reference files, by config key, and the name an error gives each
+REFERENCE_FILES = {
+    "registry_entities": "registry entity file",
+    "registry_facilities": "registry facility file",
+    "postal": "postal file",
+    "ground_truth": "ground truth file",
+}
+
+# ways to break one line so that it does not parse on its own: the line(s)
+# that replace it
+BAD_LINES = {
+    "unbalanced-quote": lambda line: ['"' + line],
+    "cell-spans-lines": lambda line: ['"spans', 'lines",' + line],
+    "text-after-quote": lambda line: ['"' + line[:1] + '" ' + line[1:]],
+    "nul": lambda line: [line[:1] + "\0" + line[1:]],
+    "bare-cr": lambda line: [line[:1] + "\r" + line[1:]],
+}
 
 
 def _input_path(inputs: dict, key: str) -> str:
@@ -338,6 +363,30 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config_path]) == EXIT_INPUT
         assert f"input error: cannot parse postal file {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n", "\0"], ids=["quote", "cr", "lf", "nul"])
+    def test_delimiter_csv_refuses_is_config_error(self, tmp_path, capsys, delimiter):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=23,
+                                          delimiter=delimiter)
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        assert "delimiter must be a single character other than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", REFERENCE_FILES)
+    @pytest.mark.parametrize("breakage", BAD_LINES)
+    def test_bad_reference_line_is_input_error(self, tmp_path, capsys, key, breakage):
+        """Line 2 of a registry, postal or ground-truth file does not parse on
+        its own: the run stops naming the file and the line, whatever a
+        whole-file reader would have made of the lines after it."""
+        def edit(inputs, _):
+            path = Path(_input_path(inputs, key))
+            lines = path.read_text(encoding="utf-8").split("\n")
+            lines[1:2] = BAD_LINES[breakage](lines[1])
+            path.write_text("\n".join(lines), encoding="utf-8", newline="")
+
+        config_path, path = _corpus_with(tmp_path, key, edit)
+        assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: cannot parse {REFERENCE_FILES[key]} {path}, line 2: " in err
+
     @pytest.mark.parametrize(
         "content,message",
         [
@@ -433,4 +482,91 @@ def test_any_lot_file_ends_in_an_exit_code(fuzz_config, body):
     config_path, lots = fuzz_config
     lots.write_bytes((",".join(LOT_COLUMNS) + "\n").encode("utf-8") + body)
     code = main(["pipeline", "--config", config_path, "--mask"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT)
+
+
+@pytest.fixture(scope="module")
+def config_corpus(tmp_path_factory):
+    """An 8-row corpus with a ground-truth file; each fuzz example rewrites
+    its config."""
+    base = tmp_path_factory.mktemp("config-fuzz")
+    config_path = write_corpus_config(base / "in", base / "out", rows=8, seed=24)
+    data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    truth = base / "in" / "truth.csv"
+    truth.write_text("occurrenceId,siret\n1,10000000000011\n", encoding="utf-8")
+    data["inputs"]["ground_truth"] = str(truth)
+    return Path(config_path), data
+
+
+# quotes, NUL, line breaks, % formats, separators and column names the corpus has
+_STRING = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ['"', "\0", "\r", "\n", "\r\n", "%", "%s", "%Q", "%Y", "%Y-%m-%d", "%d/%m/%Y",
+         "---", ";", " / ", ",", "\t", "", "SIREN", "SIRET", "LEGAL_NAME", "NAMES",
+         "POSTAL_CODE", "OPENED", "city", "zipcode", "45", "43", "84", "INFRUCTUEUX"]
+        + LOT_COLUMNS
+    ),
+)
+_NUMBER = st.sampled_from([0, 1, 5e-324, 1e308, 0.25, 0.8, -1])
+_STRINGS = st.lists(_STRING, max_size=3)
+
+
+def _header_map(defaults: dict) -> st.SearchStrategy:
+    return st.dictionaries(st.sampled_from(sorted(defaults)), _STRING, max_size=4)
+
+
+def _some(**fields) -> st.SearchStrategy:
+    """A JSON object holding any subset of the fields, each drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_CONFIG_FIELDS = _some(
+    delimiter=_STRING,
+    column_map=_header_map(DEFAULT_COLUMN_MAP),
+    registry_entity_map=_header_map(DEFAULT_REGISTRY_ENTITY_MAP),
+    registry_facility_map=_header_map(DEFAULT_REGISTRY_FACILITY_MAP),
+    separators=_STRINGS,
+    postal_tokens=_STRINGS,
+    unsuccessful_markers=_STRINGS,
+    criterion_lexicon=st.dictionaries(
+        st.sampled_from(["PRIX", "QUALITE", "DELAI"]) | _STRING,
+        st.sampled_from([c.value for c in CriterionClass]) | _STRING,
+        max_size=3,
+    ),
+    contract_type_values=st.dictionaries(
+        st.sampled_from(["WORKS", "SERVICES", "SUPPLIES"]) | _STRING,
+        st.sampled_from([t.value for t in ContractType]) | _STRING,
+        max_size=3,
+    ),
+    date_formats=_STRINGS,
+    period=st.lists(st.dates(), min_size=2, max_size=2).map(
+        lambda dates: [d.isoformat() for d in sorted(dates)]
+    ),
+    match=_some(
+        name_threshold=_NUMBER,
+        min_address_score=_NUMBER,
+        address_weights=_some(street=_NUMBER, zipcode=_NUMBER, city=_NUMBER),
+        activity_prefix_length=st.sampled_from([0, 1, 2, 5, 10 ** 6]),
+        allow_unblocked=st.booleans(),
+    ),
+    merge_threshold=_NUMBER,
+    cpv_activity_map=st.none() | st.dictionaries(_STRING, _STRINGS, max_size=3),
+)
+# optional inputs, each kept or dropped
+_DROPPED_INPUTS = st.sets(st.sampled_from(
+    ["registry_entities", "registry_facilities", "postal", "contract_notice_ids", "ground_truth"]
+))
+
+
+@given(fields=_CONFIG_FIELDS, dropped=_DROPPED_INPUTS)
+@settings(max_examples=100, deadline=None)
+def test_any_config_ends_in_an_exit_code(config_corpus, fields, dropped):
+    """Values of the right type in every field of a real corpus's config: an
+    exit code, never a traceback (jobs stays 1, so no example forks)."""
+    config_path, data = config_corpus
+    inputs = {k: v for k, v in data["inputs"].items() if k not in dropped}
+    config_path.write_text(json.dumps({**data, **fields, "inputs": inputs, "jobs": 1}),
+                           encoding="utf-8")
+    code = main(["pipeline", "--config", str(config_path), "--mask"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT)

@@ -40,6 +40,8 @@ MALFORMED = {
     "inputs-string": ({"inputs": "a.csv"}, "inputs"),
     "weight-string": ({"match": {"address_weights": {"city": "x"}}}, "match.address_weights.city"),
     "activity-map-string": ({"cpv_activity_map": {"45": "43"}}, "cpv_activity_map.45"),
+    "unknown-contract-type": ({"contract_type_values": {"WORKS": "bogus"}},
+                              "contract_type_values.WORKS"),
     "lexicon-path-missing": ({"criterion_lexicon_path": "/no/such/lexicon.json"},
                              "criterion_lexicon_path"),
     "lexicon-path-int": ({"criterion_lexicon_path": 3}, "criterion_lexicon_path"),

@@ -16,6 +16,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import os
 import shutil
 import sqlite3
 import tempfile
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from corpus import corpus_config
 from tedclean import identify
 from tedclean import pipeline as pl
+from tedclean.config import PipelineConfig
 from tedclean.files import write_rows
 from tedclean.models import (
     AgentCluster,
@@ -487,6 +489,28 @@ class TestOrchestration:
         assert len(scored) > jobs
         assert len(scored) == len(set(scored))
 
+    def test_parallel_identify_starts_no_idle_worker(self, tmp_path, monkeypatch):
+        """A forked pool starts every worker it may have, so it may have no
+        more than there are shards with work, or CPUs."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=80, seed=4,
+                            registry_agents=4, jobs=64)
+        run_pipeline(cfg, stage_to="normalize")
+        root = Path(cfg.output_dir) / "checkpoints"
+        occurrences = pl._load(root / "normalize" / "occurrences.csv", AgentOccurrence)
+        lots = pl._load(root / "ingest" / "lots.csv", LotRecord)
+        groups = len(identify.payload_groups(occurrences, lots))
+        assert groups < cfg.jobs <= len(occurrences) // 2, "fixture must take the parallel path"
+        started = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pl, "ProcessPoolExecutor", RecordingPool)
+        stage_identify(cfg, Checkpoints(cfg.output_dir))
+        assert started == [min(groups, os.cpu_count() or 1)]
+
     def test_stage_to_stops_early(self, tmp_path):
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=5)
         run_pipeline(cfg, stage_to="criteria")
@@ -511,6 +535,12 @@ class TestOrchestration:
 
 
 class TestEvaluateStage:
+    def test_contract_ids_end_at_any_line_end(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("C1\nC2\r\nC3\rC4\n\n  C 5 \r", encoding="utf-8", newline="")
+        config = PipelineConfig(contract_notice_file=str(path))
+        assert pl._load_contract_ids(config) == {"C1", "C2", "C3", "C4", "C 5"}
+
     def test_report_files(self, full_run):
         out = Path(full_run.output_dir) / "checkpoints" / "evaluate"
         for name in ("report.txt", "cluster_sizes.csv", "cluster_identifiers.csv"):

@@ -68,12 +68,6 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"), str(ROOT / "src")]
     from run import WORKLOADS, make_inputs
 
-    try:
-        import corpus  # noqa: F401  make_inputs' generator; it imports pytest via conftest
-    except ImportError as exc:
-        print(f"same_bytes: cannot make the benchmark inputs: {exc}", file=sys.stderr)
-        return 2
-
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         work = Path(tmp)
