@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from .config import PipelineConfig
-from .files import read_table, write_rows
+from .files import read_fields, write_rows
 from .identify import apply_match_results, identify_all
 from .merge import merge_all
 from .models import (
@@ -27,8 +27,10 @@ from .models import (
     LotRecord,
     MatchOutcome,
     Role,
+    ascii_digits,
+    validate_siret,
 )
-from .registry import Registry, validate_siret
+from .registry import Registry
 
 STAGES = ("separation", "normalization", "identification", "clustering")
 
@@ -203,20 +205,15 @@ def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
     A row whose siret is not a valid 14-digit value is skipped; a missing
     column or an id that is not a whole number is an InputError.
     """
-    header, rows = read_table(path, "ground truth file", delimiter)
-    missing = [column for column in ("occurrenceId", "siret") if column not in header]
-    if missing:
-        raise InputError(
-            f"ground truth file {path}: header is missing column(s) {', '.join(missing)}"
-        )
+    columns = {"occurrence_id": "occurrenceId", "siret": "siret"}
     truth = {}
-    for row in rows:
-        occ_id = (row.get("occurrenceId") or "").strip()
-        if not (occ_id.isascii() and occ_id.isdigit()):
+    for row in read_fields(path, "ground truth file", delimiter, columns, columns, InputError):
+        occ_id = row["occurrence_id"]
+        if not ascii_digits(occ_id):
             raise InputError(
                 f"ground truth file {path}: occurrenceId {occ_id!r} is not a whole number"
             )
-        ident = validate_siret(row.get("siret", ""))
+        ident = validate_siret(row["siret"])
         if ident is None or ident.kind is not IdentifierKind.FULL_SIRET:
             continue
         truth[int(occ_id)] = ident

@@ -5,10 +5,11 @@ under a temp name next to its target and renamed into place only once
 complete, so a killed run leaves either the previous file or none, never
 a truncated one. Every CSV output is one dialect: `,` with `\\n`.
 
-Every input file is UTF-8 and read through `input_lines`; one that cannot
-be opened or decoded is an InputError naming the file, never a traceback.
-Every input CSV, lot, registry, postal and ground-truth file alike, is
-split and parsed by one rule:
+Every input file is UTF-8, a leading byte-order mark dropped, and read
+through `input_lines`; one that cannot be opened or decoded is an
+InputError naming the file, never a traceback. Every input CSV, lot,
+registry, postal and ground-truth file alike, is split and parsed by one
+rule:
 
 - a line ends only at "\\n" or "\\r\\n" (str.splitlines would also cut a
   row at U+0085, U+2028, form feeds and the like, which turn up inside
@@ -21,6 +22,14 @@ split and parsed by one rule:
 A line that does not parse is the caller's to handle: ingest skips and
 counts a bad lot line, `read_rows` stops at a bad reference-file line
 with an InputError naming the file and the line.
+
+Every table with a header, lot, registry and ground-truth file alike,
+maps it to fields (a header map names each field's column) by one rule,
+`field_plan`: header cells are stripped, and a field's column is the last
+one with its name; a field mapped to "", to a column the header lacks, or
+not at all has no column; a field reads its cell stripped, and "" without
+a column or a cell; a mandatory field without a column is a ConfigError
+when the config maps it, an InputError when tedclean fixes the header.
 """
 from __future__ import annotations
 
@@ -28,9 +37,9 @@ import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
-from .models import InputError
+from .models import ConfigError, InputError
 
 
 @contextmanager
@@ -58,7 +67,7 @@ def write_rows(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
 def input_lines(path: str, what: str) -> list[str]:
     """The lines of an input file, line ends removed; none if it is empty."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
@@ -85,8 +94,36 @@ def read_rows(path: str, what: str, delimiter: str) -> list[list[str]]:
     return rows
 
 
-def read_table(path: str, what: str, delimiter: str) -> tuple[list[str], list[dict[str, str]]]:
-    """An input CSV file's header, and each non-blank row keyed by it; a
-    short row has no key for the columns it lacks."""
+class Fields(dict):
+    """One row's values by field; a field without a column reads ""."""
+
+    def __missing__(self, field: str) -> str:
+        return ""
+
+
+def field_plan(path: str, what: str, header: list[str], field_map: dict[str, str],
+               mandatory: Iterable[str], error: type[Exception] = ConfigError
+               ) -> Callable[[list[str]], Fields]:
+    """What reads `field_map`'s fields from a row under `header`; `error`
+    when a mandatory field has no column."""
+    position = {name.strip(): i for i, name in enumerate(header)}
+    columns = {f: position[c] for f, c in field_map.items() if c and c in position}
+    missing = [field_map[f] for f in mandatory if f not in columns]
+    if missing:
+        kind = "mandatory " if error is ConfigError else ""
+        raise error(f"{what} {path}: header is missing {kind}column(s) {', '.join(missing)}")
+
+    def fields(cells: list[str]) -> Fields:
+        width = len(cells)
+        return Fields({f: cells[i].strip() for f, i in columns.items() if i < width})
+
+    return fields
+
+
+def read_fields(path: str, what: str, delimiter: str, field_map: dict[str, str],
+                mandatory: Iterable[str], error: type[Exception] = ConfigError) -> list[Fields]:
+    """The fields of each non-blank data row of an input CSV file, read by
+    the field plan of its header; an empty file has an empty header."""
     header, *rows = read_rows(path, what, delimiter) or [[]]
-    return header, [dict(zip(header, row)) for row in rows if row]
+    fields = field_plan(path, what, header, field_map, mandatory, error)
+    return [fields(row) for row in rows if row]

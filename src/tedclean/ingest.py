@@ -15,16 +15,16 @@ from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 
 from .config import MANDATORY_FIELDS, PipelineConfig
-from .files import input_lines, parse_line
+from .files import field_plan, input_lines, parse_line
 from .models import (
     AgentOccurrence,
-    ConfigError,
     CriteriaRaw,
     InputError,
     LotRecord,
     RawLotRow,
     Role,
     RowRejection,
+    ascii_digits,
 )
 from .normalize import normalize_name
 
@@ -67,33 +67,26 @@ def parse_table(
     column_map: dict[str, str],
     delimiter: str,
 ) -> ParsedTable:
-    """Read one delimiter-separated file into verbatim rows.
+    """Read one delimiter-separated file into rows of mapped fields.
 
-    Lines are split and parsed by the one input rule of `files`. The header
-    must parse and contain every mandatory mapped column; a data line that
-    does not parse, or whose cell count does not match the header, is
-    skipped and counted.
+    Lines are split and parsed, and the header mapped to fields, by the
+    rules of `files`. The header must parse and have every mandatory mapped
+    column; a data line that does not parse, or whose cell count does not
+    match the header, is skipped and counted.
     """
     lines = input_lines(path, "lot file")
     if not lines:
         raise InputError(f"lot file {path} is empty")
     try:
-        header = [h.strip() for h in parse_line(lines[0], delimiter)]
+        header = parse_line(lines[0], delimiter)
     except csv.Error as exc:
         raise InputError(f"cannot parse lot file {path} header: {exc}") from exc
-    missing = [
-        column_map[sem] for sem in MANDATORY_FIELDS["column_map"] if column_map[sem] not in header
-    ]
-    if missing:
-        raise ConfigError(
-            f"{path}: header is missing mandatory column(s) {', '.join(missing)}"
-        )
+    fields_of = field_plan(path, "lot file", header, column_map, MANDATORY_FIELDS["column_map"])
 
     rows: list[RawLotRow] = []
     skipped = 0
     seen_identity: set[tuple[str, str]] = set()
     duplicates = 0
-    id_col, lot_col = column_map["notice_id"], column_map["lot_number"]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -110,8 +103,8 @@ def parse_table(
                 path, lineno, len(cells), len(header),
             )
             continue
-        row = RawLotRow(cells=dict(zip(header, cells)), source_file=path, source_line=lineno)
-        identity = (row.cells.get(id_col, ""), row.cells.get(lot_col, ""))
+        row = RawLotRow(fields=fields_of(cells), source_file=path, source_line=lineno)
+        identity = (row.fields["notice_id"], row.fields["lot_number"])
         if identity in seen_identity:
             duplicates += 1
             log.warning("%s:%d: duplicate row identity %s", path, lineno, identity)
@@ -176,13 +169,6 @@ def _parse_stripped_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
     return None
 
 
-def _cell(row: RawLotRow, column_map: dict[str, str], semantic: str) -> str:
-    column = column_map.get(semantic)
-    if not column:
-        return ""
-    return (row.cells.get(column) or "").strip()
-
-
 def build_lot(
     row: RawLotRow, config: PipelineConfig, lot_id: int
 ) -> LotRecord | RowRejection:
@@ -191,31 +177,29 @@ def build_lot(
     def reject(reason: str) -> RowRejection:
         return RowRejection(row.source_file, row.source_line, reason)
 
-    notice_id = _cell(row, config.column_map, "notice_id")
+    fields = row.fields
+    notice_id = fields["notice_id"]
     if not notice_id:
         return reject("missing-notice-id")
 
-    publication = parse_date(
-        _cell(row, config.column_map, "publication_date"), config.date_formats
-    )
+    publication = parse_date(fields["publication_date"], config.date_formats)
     if publication is None:
         return reject("missing-publication-date")
     start, end = config.period
     if not start <= publication <= end:
         return reject("out-of-period")
 
-    raw_type = _cell(row, config.column_map, "contract_type").upper()
-    contract_type = config.contract_type_values.get(raw_type)
+    contract_type = config.contract_type_values.get(fields["contract_type"].upper())
 
-    offers_raw = _cell(row, config.column_map, "number_of_offers")
-    offers = int(offers_raw) if offers_raw.isascii() and offers_raw.isdigit() else None
+    offers_raw = fields["number_of_offers"]
+    offers = int(offers_raw) if ascii_digits(offers_raw) else None
 
-    value = parse_decimal(_cell(row, config.column_map, "awarded_value"))
+    value = parse_decimal(fields["awarded_value"])
     if value is not None and value < 0:
         value = None
 
-    winner_name = _cell(row, config.column_map, "winner_name")
-    marker_set = _cell(row, config.column_map, "cancelled").lower() in _TRUTHY
+    winner_name = fields["winner_name"]
+    marker_set = fields["cancelled"].lower() in _TRUTHY
     folded_winner = normalize_name(winner_name)
     cancelled = (not winner_name and marker_set) or (
         bool(folded_winner) and folded_winner in config.unsuccessful_markers
@@ -224,16 +208,16 @@ def build_lot(
     return LotRecord(
         lot_id=lot_id,
         notice_id=notice_id,
-        lot_number=_cell(row, config.column_map, "lot_number"),
+        lot_number=fields["lot_number"],
         publication_date=publication,
-        award_date=parse_date(_cell(row, config.column_map, "award_date"), config.date_formats),
+        award_date=parse_date(fields["award_date"], config.date_formats),
         contract_type=contract_type,
-        activity_code=_cell(row, config.column_map, "activity_code") or None,
+        activity_code=fields["activity_code"] or None,
         number_of_offers=offers,
         awarded_value=value,
-        currency=_cell(row, config.column_map, "currency") or None,
+        currency=fields["currency"] or None,
         cancelled=cancelled,
-        contract_notice_ref=_cell(row, config.column_map, "contract_notice_ref") or None,
+        contract_notice_ref=fields["contract_notice_ref"] or None,
         source_file=row.source_file,
         source_line=row.source_line,
     )
@@ -327,15 +311,15 @@ class IngestResult:
     descriptions_before_split: int = 0
 
 
-def _agent_fields(row: RawLotRow, column_map: dict[str, str], role: Role) -> AgentFields:
+def _agent_fields(row: RawLotRow, role: Role) -> AgentFields:
     prefix = "buyer" if role is Role.BUYER else "winner"
     return AgentFields(
-        name=_cell(row, column_map, f"{prefix}_name"),
-        street=_cell(row, column_map, f"{prefix}_street"),
-        zipcode=_cell(row, column_map, f"{prefix}_zipcode"),
-        city=_cell(row, column_map, f"{prefix}_city"),
-        country=_cell(row, column_map, f"{prefix}_country"),
-        siret=_cell(row, column_map, f"{prefix}_siret"),
+        name=row.fields[f"{prefix}_name"],
+        street=row.fields[f"{prefix}_street"],
+        zipcode=row.fields[f"{prefix}_zipcode"],
+        city=row.fields[f"{prefix}_city"],
+        country=row.fields[f"{prefix}_country"],
+        siret=row.fields[f"{prefix}_siret"],
     )
 
 
@@ -359,13 +343,13 @@ def run_ingest(config: PipelineConfig) -> IngestResult:
             result.criteria_raw.append(
                 CriteriaRaw(
                     lot_id=lot.lot_id,
-                    names_field=_cell(row, config.column_map, "criteria_names"),
-                    weights_field=_cell(row, config.column_map, "criteria_weights"),
-                    price_field=_cell(row, config.column_map, "price_weight"),
+                    names_field=row.fields["criteria_names"],
+                    weights_field=row.fields["criteria_weights"],
+                    price_field=row.fields["price_weight"],
                 )
             )
             for role in (Role.BUYER, Role.WINNER):
-                fields = _agent_fields(row, config.column_map, role)
+                fields = _agent_fields(row, role)
                 if not fields.name:
                     continue
                 if role is Role.WINNER and lot.cancelled:

@@ -62,6 +62,11 @@ class MatchOutcome(str, Enum):
 INTERNAL_CODE_PREFIX = "U"
 
 
+def ascii_digits(text: str, length: int | None = None) -> bool:
+    """True when the text is ASCII digits only, `length` of them if given."""
+    return text.isascii() and text.isdigit() and (length is None or len(text) == length)
+
+
 @dataclass(frozen=True, order=True)
 class Identifier:
     """National identifier of an agent, or an internal fallback code.
@@ -75,10 +80,10 @@ class Identifier:
 
     def __post_init__(self) -> None:
         if self.kind is IdentifierKind.FULL_SIRET:
-            if not (len(self.value) == 14 and self.value.isascii() and self.value.isdigit()):
+            if not ascii_digits(self.value, 14):
                 raise ValueError(f"full identifier must be 14 digits: {self.value!r}")
         elif self.kind is IdentifierKind.SIREN_ONLY:
-            if not (len(self.value) == 9 and self.value.isascii() and self.value.isdigit()):
+            if not ascii_digits(self.value, 9):
                 raise ValueError(f"entity identifier must be 9 digits: {self.value!r}")
         else:
             if not self.value.startswith(INTERNAL_CODE_PREFIX):
@@ -106,11 +111,28 @@ def internal_code(sequence: int) -> Identifier:
     return Identifier(IdentifierKind.INTERNAL, f"{INTERNAL_CODE_PREFIX}{sequence:06d}")
 
 
+def validate_siret(raw: str | None) -> Identifier | None:
+    """Parse a declared identifier: 14 digits -> full, 9 -> entity-only.
+
+    Spaces are stripped first, and only ASCII digits count. Anything else
+    is invalid and yields None; there is no checksum validation, the
+    registry match is the check.
+    """
+    if not raw:
+        return None
+    digits = "".join(raw.split())
+    if ascii_digits(digits, 14):
+        return full_siret(digits)
+    if ascii_digits(digits, 9):
+        return siren_only(digits)
+    return None
+
+
 @dataclass
 class RawLotRow:
-    """One data line of a source table, cells kept verbatim."""
+    """One data line of a source table: its fields, stripped, by semantic name."""
 
-    cells: dict[str, str]
+    fields: dict[str, str]
     source_file: str
     source_line: int
 

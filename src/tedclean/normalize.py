@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .files import read_rows
-from .models import AgentOccurrence
+from .models import AgentOccurrence, ascii_digits, validate_siret
 
 # Ligatures and letters NFKD leaves alone.
 _FOLD_TABLE = str.maketrans(
@@ -136,7 +136,7 @@ def load_postal_table(path: str, delimiter: str) -> PostalTable:
         if len(row) < 2:
             continue
         city, zipcode = row[0].strip(), row[1].strip()
-        if not (zipcode.isascii() and zipcode.isdigit()):
+        if not ascii_digits(zipcode):
             continue
         table.add(city, zipcode)
     return table
@@ -156,7 +156,7 @@ def department_of(zipcode: str | None) -> str | None:
     Overseas (97x/98x) keeps three digits; Corsica stays "20" (2A/2B are
     not distinguishable from the zipcode alone).
     """
-    if not zipcode or len(zipcode) != 5 or not (zipcode.isascii() and zipcode.isdigit()):
+    if not zipcode or not ascii_digits(zipcode, 5):
         return None
     if zipcode[:2] in ("97", "98"):
         return zipcode[:3]
@@ -192,8 +192,6 @@ def merge_by_declared_siret(occurrences: list[AgentOccurrence]) -> None:
     SIREN); malformed declarations are treated as absent, and an
     occurrence that already has an identifier is left alone.
     """
-    from .registry import validate_siret  # local import: registry folds names via this module
-
     for occ in occurrences:
         if occ.identifier is not None:
             continue

@@ -10,41 +10,16 @@ import datetime as dt
 import logging
 from dataclasses import dataclass, field
 
-from .files import read_table
+from .config import MANDATORY_FIELDS
+from .files import read_fields
 from .ingest import parse_date
-from .models import (
-    ConfigError,
-    Identifier,
-    RegistryEntity,
-    RegistryFacility,
-    full_siret,
-    siren_only,
-)
+from .models import InputError, RegistryEntity, RegistryFacility, ascii_digits
 from .normalize import department_of, normalize_name
 
 log = logging.getLogger(__name__)
 
 # Separates the names listed in one registry cell (former names, facility names).
 NAME_LIST_SEPARATOR = "|"
-
-
-def validate_siret(raw: str | None) -> Identifier | None:
-    """Parse a declared identifier: 14 digits -> full, 9 -> entity-only.
-
-    Spaces are stripped first, and only ASCII digits count. Anything else
-    is invalid and yields None; there is no checksum validation, the
-    registry match is the check.
-    """
-    if not raw:
-        return None
-    digits = "".join(raw.split())
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    if len(digits) == 14:
-        return full_siret(digits)
-    if len(digits) == 9:
-        return siren_only(digits)
-    return None
 
 
 @dataclass
@@ -96,14 +71,6 @@ def temporally_valid(facility: RegistryFacility, date: dt.date) -> bool:
     return True
 
 
-def _read_registry_file(path: str, what: str, delimiter: str, *columns: str) -> list[dict[str, str]]:
-    header, rows = read_table(path, what, delimiter)
-    missing = [column for column in columns if column not in header]
-    if missing:
-        raise ConfigError(f"{path}: header is missing mandatory column(s) {', '.join(missing)}")
-    return rows
-
-
 def load_registry(
     entity_path: str,
     facility_path: str,
@@ -120,64 +87,51 @@ def load_registry(
     """
     registry = Registry(activity_prefix_length)
 
-    entity_rows = _read_registry_file(
-        entity_path, "registry entity file", delimiter,
-        entity_map["siren"], entity_map["legal_name"],
-    )
-    for row in entity_rows:
-        siren = (row.get(entity_map["siren"]) or "").strip()
-        if not (len(siren) == 9 and siren.isascii() and siren.isdigit()):
+    for row in read_fields(entity_path, "registry entity file", delimiter, entity_map,
+                           MANDATORY_FIELDS["registry_entity_map"]):
+        siren = row["siren"]
+        if not ascii_digits(siren, 9):
             log.warning("skipping entity row with bad identifier %r", siren)
             continue
-        names = [normalize_name(row.get(entity_map["legal_name"]) or "")]
-        former = (row.get(entity_map.get("former_names", ""), "") or "").strip()
-        if former:
+        if siren in registry.entities:
+            raise InputError(f"registry entity file {entity_path}: SIREN {siren} listed twice")
+        names = [normalize_name(row["legal_name"])]
+        if row["former_names"]:
             names.extend(
-                normalize_name(part) for part in former.split(NAME_LIST_SEPARATOR)
+                normalize_name(part) for part in row["former_names"].split(NAME_LIST_SEPARATOR)
             )
         names = [n for n in names if n]
         if not names:
             log.warning("skipping entity %s without any legal name", siren)
             continue
         registry.add_entity(
-            RegistryEntity(
-                siren=siren,
-                legal_names=names,
-                activity_code=(row.get(entity_map.get("activity_code", ""), "") or "").strip() or None,
-            )
+            RegistryEntity(siren, legal_names=names, activity_code=row["activity_code"] or None)
         )
 
-    facility_rows = _read_registry_file(
-        facility_path, "registry facility file", delimiter, facility_map["siret"]
-    )
-    for row in facility_rows:
-        siret = (row.get(facility_map["siret"]) or "").strip()
-        if not (len(siret) == 14 and siret.isascii() and siret.isdigit()):
+    for row in read_fields(facility_path, "registry facility file", delimiter, facility_map,
+                           MANDATORY_FIELDS["registry_facility_map"]):
+        siret = row["siret"]
+        if not ascii_digits(siret, 14):
             log.warning("skipping facility row with bad identifier %r", siret)
             continue
-        raw_names = (row.get(facility_map.get("names", ""), "") or "").strip()
+        if siret in registry.facilities:
+            raise InputError(f"registry facility file {facility_path}: SIRET {siret} listed twice")
         names = [
             folded
-            for part in raw_names.split(NAME_LIST_SEPARATOR)
+            for part in row["names"].split(NAME_LIST_SEPARATOR)
             if (folded := normalize_name(part))
         ]
-        street, zipcode, city = (
-            normalize_name(row.get(facility_map.get("street", ""), "") or "") or None,
-            (row.get(facility_map.get("zipcode", ""), "") or "").strip() or None,
-            normalize_name(row.get(facility_map.get("city", ""), "") or "") or None,
-        )
-        if zipcode is not None and not (len(zipcode) == 5 and zipcode.isascii() and zipcode.isdigit()):
-            zipcode = None
+        zipcode = row["zipcode"] if ascii_digits(row["zipcode"], 5) else None
         facility = RegistryFacility(
             siret=siret,
             names=names,
-            street=street,
+            street=normalize_name(row["street"]) or None,
             zipcode=zipcode,
-            city=city,
+            city=normalize_name(row["city"]) or None,
             department=department_of(zipcode),
-            activity_code=(row.get(facility_map.get("activity_code", ""), "") or "").strip() or None,
-            open_date=parse_date(row.get(facility_map.get("open_date", "")), date_formats),
-            close_date=parse_date(row.get(facility_map.get("close_date", "")), date_formats),
+            activity_code=row["activity_code"] or None,
+            open_date=parse_date(row["open_date"], date_formats),
+            close_date=parse_date(row["close_date"], date_formats),
         )
         registry.add_facility(facility)
         if facility.orphan:

@@ -100,6 +100,21 @@ def _corpus_with(tmp_path, key, edit):
     return config_path, _input_path(data["inputs"], key)
 
 
+def _masked_run(tmp_path, key, edit, **overrides):
+    """Exit code of `pipeline --mask` on _corpus_with's corpus after edit,
+    with the config overrides, and the report it wrote (None if none)."""
+    config_path, _ = _corpus_with(tmp_path, key, edit)
+    data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    Path(config_path).write_text(json.dumps({**data, **overrides}), encoding="utf-8")
+    code = main(["pipeline", "--config", config_path, "--mask"])
+    report = tmp_path / "out" / "checkpoints" / "evaluate" / "report.txt"
+    return code, report.read_text(encoding="utf-8") if report.exists() else None
+
+
+def _unedited(inputs, directory):
+    pass
+
+
 def test_parser_identity_and_subcommands():
     parser = build_parser()
     assert parser.prog == "tedclean"
@@ -425,6 +440,67 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{path}: header is missing mandatory column(s) {column}" in err
+
+    @pytest.mark.parametrize(
+        "key", ["lots", "registry_entities", "registry_facilities", "ground_truth",
+                "contract_notice_ids"],
+    )
+    def test_byte_order_mark_changes_nothing(self, tmp_path, key):
+        def add_mark(inputs, _):
+            path = Path(_input_path(inputs, key))
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+        plain = _masked_run(tmp_path / "plain", key, _unedited)
+        assert plain[0] == EXIT_OK
+        assert _masked_run(tmp_path / "marked", key, add_mark) == plain
+
+    @pytest.mark.parametrize(
+        "key,what,kind",
+        [
+            ("registry_entities", "registry entity file", "SIREN"),
+            ("registry_facilities", "registry facility file", "SIRET"),
+        ],
+    )
+    def test_repeated_registry_identifier_is_input_error(self, tmp_path, capsys, key, what, kind):
+        """A second row for a loaded identifier would replace the first and
+        leave the first one's index entries behind."""
+        def repeat(inputs, _):
+            path = Path(inputs[key])
+            lines = path.read_text(encoding="utf-8").split("\n")
+            lines.insert(-1, lines[1].replace("Ville000", "Ville999"))
+            path.write_text("\n".join(lines), encoding="utf-8")
+
+        config_path, path = _corpus_with(tmp_path, key, repeat)
+        identifier = Path(path).read_text(encoding="utf-8").split("\n")[1].split(",")[0]
+        assert main(["pipeline", "--config", config_path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {what} {path}: {kind} {identifier} listed twice" in err
+
+    def test_padded_registry_header_names_are_read(self, tmp_path):
+        def pad(inputs, _):
+            path = Path(inputs["registry_facilities"])
+            header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            path.write_text(",".join(f" {h} " for h in header.split(",")) + "\n" + rest,
+                            encoding="utf-8")
+
+        plain = _masked_run(tmp_path / "plain", "registry_facilities", _unedited)
+        assert plain[0] == EXIT_OK
+        assert _masked_run(tmp_path / "padded", "registry_facilities", pad) == plain
+
+    def test_field_mapped_to_nothing_reads_no_blank_named_column(self, tmp_path):
+        """activity_code mapped to "": a blank-named column holding an
+        activity no CPV code allows is not the facilities' activity."""
+        def add_blank_column(inputs, _):
+            path = Path(inputs["registry_facilities"])
+            header, *rows = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
+            path.write_text("\n".join([header + ","] + [row + ",9999Z" for row in rows]) + "\n",
+                            encoding="utf-8")
+
+        off = {"registry_facility_map": {"activity_code": ""}}
+        plain = _masked_run(tmp_path / "plain", "registry_facilities", _unedited, **off)
+        assert plain[0] == EXIT_OK
+        assert _masked_run(tmp_path / "blank", "registry_facilities", add_blank_column,
+                           **off) == plain
 
     @pytest.mark.parametrize(
         "map_name,key",

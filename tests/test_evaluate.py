@@ -40,6 +40,7 @@ from tedclean.models import (
     full_siret,
     internal_code,
     siren_only,
+    validate_siret,
 )
 from tedclean.normalize import (
     PostalTable,
@@ -48,7 +49,7 @@ from tedclean.normalize import (
     normalize_occurrence,
 )
 from tedclean.pipeline import Checkpoints, run_pipeline
-from tedclean.registry import Registry, validate_siret
+from tedclean.registry import Registry
 
 from conftest import make_lot, make_occurrence
 from test_identify import fac

@@ -1,4 +1,5 @@
-"""The one input line rule: how every input CSV is split and parsed."""
+"""The input rules: how every input CSV is split and parsed, and how a
+header maps to the configured fields."""
 from __future__ import annotations
 
 import csv
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tedclean.files import parse_line, read_rows
+from tedclean.files import field_plan, parse_line, read_rows
+from tedclean.models import ConfigError, InputError
 
 _DELIMITERS = st.sampled_from([",", ";", "\t", "|"])
 # quotes, delimiters and line-end characters often enough to reach every csv state
@@ -65,3 +67,51 @@ def test_only_newline_ends_a_line_and_blank_lines_are_empty_rows(tmp_path):
         ["a", "b"], ["c\x85d", "e f"], [], ["g"],
     ]
 
+
+
+# duplicate, blank and padded names, and one no header has
+_NAMES = st.sampled_from(["A", "B", " A", "B ", "", " ", "Z"])
+_FIELDS = ("f1", "f2", "f3", "f4")  # f4 is never mapped
+_PADDED = st.text(alphabet=" \txy", max_size=4)
+
+
+def _header_dict_rule(header: list[str], field_map: dict[str, str], cells: list[str],
+                      field: str) -> str:
+    """The rule lot files had before the field plan: the row keyed by the
+    stripped header, `dict(zip(...))` keeping the last of two same-named
+    columns, then the field's column looked up, "" for an unmapped field
+    or one mapped to ""."""
+    row = dict(zip([name.strip() for name in header], cells))
+    column = field_map.get(field)
+    if not column:
+        return ""
+    return (row.get(column) or "").strip()
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_field_plan_reads_what_the_header_dict_read(data):
+    header = data.draw(st.lists(_NAMES, max_size=5))
+    field_map = data.draw(st.dictionaries(st.sampled_from(_FIELDS[:3]), _NAMES))
+    cells = data.draw(st.lists(_PADDED, min_size=len(header), max_size=len(header)))
+    fields = field_plan("t.csv", "table", header, field_map, ())(cells)
+    for field in _FIELDS:
+        assert fields[field] == _header_dict_rule(header, field_map, cells, field), field
+
+
+def test_short_row_reads_nothing_for_the_cells_it_lacks():
+    fields = field_plan("t.csv", "table", ["A", "B", "A"], {"a": "A", "b": "B"}, ())
+    assert fields([" 1 ", " 2 "]) == {"b": "2"}
+    assert (fields([" 1 "])["a"], fields([" 1 "])["b"]) == ("", "")
+
+
+@pytest.mark.parametrize("column", ["Z", "", " A"])
+def test_missing_mandatory_column_is_config_error(column):
+    message = f"table t.csv: header is missing mandatory column\\(s\\) {column}$"
+    with pytest.raises(ConfigError, match=message):
+        field_plan("t.csv", "table", ["A", "B"], {"a": column}, ["a"])
+
+
+def test_missing_fixed_column_is_the_error_asked_for():
+    with pytest.raises(InputError, match=r"^table t.csv: header is missing column\(s\) B, C$"):
+        field_plan("t.csv", "table", ["A"], {"b": "B", "c": "C"}, ["b", "c"], InputError)

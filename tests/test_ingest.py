@@ -115,14 +115,14 @@ class TestParseTable:
         path = tmp_path / "lots.csv"
         path.write_text('A,B\n"broken,2\nok,3\n', encoding="utf-8")
         parsed = parse_table(str(path), AB_MAP, DELIMITER)
-        assert [r.cells["A"] for r in parsed.rows] == ["ok"]
+        assert [r.fields["notice_id"] for r in parsed.rows] == ["ok"]
         assert parsed.skipped == 1
 
     def test_nul_line_skipped(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B\n1,2\nx\0y,3\n4,5\n", encoding="utf-8")
         parsed = parse_table(str(path), AB_MAP, DELIMITER)
-        assert [r.cells["A"] for r in parsed.rows] == ["1", "4"]
+        assert [r.fields["notice_id"] for r in parsed.rows] == ["1", "4"]
         assert parsed.skipped == 1
 
     def test_duplicate_identities_counted(self, tmp_path):
@@ -162,20 +162,21 @@ class TestParseTable:
         parsed = parse_table(path, PipelineConfig().column_map, DELIMITER)
         assert parsed.skipped == 0
         assert [r.source_line for r in parsed.rows] == [2, 3, 4]
-        assert parsed.rows[0].cells["CAE_NAME"] == f"Mairie{char} de Lyon"
+        assert parsed.rows[0].fields["buyer_name"] == f"Mairie{char} de Lyon"
 
     def test_crlf_line_ends(self, tmp_path):
         path = tmp_path / "lots.csv"
         path.write_text("A,B\r\n1,2\r\n\r\n3,4\r\n", encoding="utf-8", newline="")
         parsed = parse_table(str(path), AB_MAP, DELIMITER)
-        assert [(r.cells["B"], r.source_line) for r in parsed.rows] == [("2", 2), ("4", 4)]
+        assert [(r.fields["lot_number"], r.source_line) for r in parsed.rows] == [("2", 2), ("4", 4)]
         assert parsed.skipped == 0
 
 
 def _build(cells: dict, **config_kw) -> LotRecord | RowRejection:
     config = PipelineConfig(**config_kw)
-    row = RawLotRow(cells=lot_row(**cells) if "ID_NOTICE_CAN" not in cells else cells,
-                    source_file="f.csv", source_line=2)
+    cells = lot_row(**cells) if "ID_NOTICE_CAN" not in cells else cells
+    fields = {field: cells.get(column, "").strip() for field, column in config.column_map.items()}
+    row = RawLotRow(fields=fields, source_file="f.csv", source_line=2)
     return build_lot(row, config, lot_id=7)
 
 

@@ -13,12 +13,12 @@ from tedclean.models import (
     InputError,
     RegistryEntity,
     RegistryFacility,
+    validate_siret,
 )
 from tedclean.registry import (
     Registry,
     load_registry,
     temporally_valid,
-    validate_siret,
 )
 
 from conftest import write_registry_files

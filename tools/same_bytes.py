@@ -7,14 +7,18 @@ REF's src/ is written to a temporary directory (`git archive REF src | tar
 are made once per workload and seed, so both sides read the same input
 paths: output tables hold the absolute path of their source file. Then
 `tedclean pipeline --mask` runs from each source tree on the match, bulk and
-mask workloads at seeds 0 and 7, and the two output trees are compared file
-by file. Exits 0 when every file matches, and 1, listing the paths that
-differ, when any does not; a run that fails on either side counts as a
-difference. Exits 2 on a usage error, a ref git cannot archive, or inputs
-that cannot be made.
+mask workloads at seeds 0 and 7, and on a remapped copy of the mask inputs
+at seed 0 (every lot and registry column renamed, the lot columns in reverse
+order, `;` as the delimiter, the config's header maps naming the new
+columns), and the two output trees are compared file by file. Exits 0
+when every file matches, and 1, listing the paths that differ, when any
+does not; a run that fails on either side counts as a difference. Exits 2
+on a usage error, a ref git cannot archive, or inputs that cannot be made.
 """
 from __future__ import annotations
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +27,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+# the input files of a remapped case whose header names change, by config key
+RENAMED = {"lots": "column_map", "registry_entities": "registry_entity_map",
+           "registry_facilities": "registry_facility_map"}
+
+
+def rewrite_csv(path: Path, edit) -> None:
+    """Rewrite a comma-separated file as `;`-separated, each row through edit(lineno, row)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [edit(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=";", lineterminator="\n").writerows(rows)
+
+
+def remap_inputs(config: Path) -> None:
+    """Rewrite a case's inputs and config in place: every lot and registry
+    column renamed, the lot columns reversed, `;` as the delimiter, and the
+    three header maps naming the new columns."""
+    from tedclean.config import PipelineConfig
+
+    data = json.loads(config.read_text(encoding="utf-8"))
+    inputs, defaults = data["inputs"], PipelineConfig()
+
+    def rename(column: str) -> str:
+        return f"col {column.lower()}"
+
+    for key, map_name in RENAMED.items():
+        order = -1 if key == "lots" else 1
+        path = Path(inputs[key][0] if key == "lots" else inputs[key])
+        rewrite_csv(path, lambda n, row: [rename(c) if n == 1 else c for c in row][::order])
+        data[map_name] = {f: rename(c) for f, c in getattr(defaults, map_name).items()}
+    rewrite_csv(Path(inputs["postal"]), lambda n, row: row)
+    data["delimiter"] = ";"
+    config.write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
 def export_src(ref: str, dest: Path) -> Path:
@@ -72,18 +109,22 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         work = Path(tmp)
         sides = {"ref": export_src(argv[0], work / "ref"), "here": ROOT / "src"}
-        for name, workload in WORKLOADS.items():
-            for seed in SEEDS:
-                case = work / f"{name}-{seed}"
-                config, _, _ = make_inputs(case / "in", workload, seed)
-                found = [
-                    f"{case.name}: {side} side {failure}"
-                    for side, src in sides.items()
-                    if (failure := run_pipeline(src, config, case / side))
-                ]
-                found += [f"{case.name}/{rel}" for rel in differing(case / "ref", case / "here")]
-                print(f"{case.name}: {'differs' if found else 'same bytes'}", file=sys.stderr)
-                problems += found
+        cases = [(f"{name}-{seed}", workload, seed, False)
+                 for name, workload in WORKLOADS.items() for seed in SEEDS]
+        cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, True))
+        for case_name, workload, seed, remapped in cases:
+            case = work / case_name
+            config, _, _ = make_inputs(case / "in", workload, seed)
+            if remapped:
+                remap_inputs(config)
+            found = [
+                f"{case.name}: {side} side {failure}"
+                for side, src in sides.items()
+                if (failure := run_pipeline(src, config, case / side))
+            ]
+            found += [f"{case.name}/{rel}" for rel in differing(case / "ref", case / "here")]
+            print(f"{case.name}: {'differs' if found else 'same bytes'}", file=sys.stderr)
+            problems += found
     for line in problems:
         print(line)
     return 1 if problems else 0
