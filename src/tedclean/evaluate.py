@@ -203,20 +203,26 @@ def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
     """Read (occurrenceId, siret) labels from a delimiter-separated file.
 
     A row whose siret is not a valid 14-digit value is skipped; a missing
-    column or an id that is not a whole number is an InputError.
+    column, an id that is not a whole number, or an id on two rows is an
+    InputError.
     """
     columns = {"occurrence_id": "occurrenceId", "siret": "siret"}
     truth = {}
+    seen: set[int] = set()
     for row in read_fields(path, "ground truth file", delimiter, columns, columns, InputError):
-        occ_id = row["occurrence_id"]
-        if not ascii_digits(occ_id):
+        cell = row["occurrence_id"]
+        if not ascii_digits(cell):
             raise InputError(
-                f"ground truth file {path}: occurrenceId {occ_id!r} is not a whole number"
+                f"ground truth file {path}: occurrenceId {cell!r} is not a whole number"
             )
+        occ_id = int(cell)
+        if occ_id in seen:
+            raise InputError(f"ground truth file {path}: occurrenceId {occ_id} listed twice")
+        seen.add(occ_id)
         ident = validate_siret(row["siret"])
         if ident is None or ident.kind is not IdentifierKind.FULL_SIRET:
             continue
-        truth[int(occ_id)] = ident
+        truth[occ_id] = ident
     return truth
 
 

@@ -6,6 +6,12 @@ rest by address score and take the best. Each failure records which phase
 emptied the pool, so the corpus-level failure attribution is measurable.
 No score reads the lot date, so each date-free payload's block is scored
 once, and each occurrence filters that scored block by its lot date.
+
+Names are scored in two levels. A cheap bound (token overlap, or the
+character-multiset difference in place of the edit distance) rules out a
+candidate name that cannot reach the name threshold; only the names that
+can pass get the exact similarity. Each string's tokens, characters and
+bit-parallel match masks are prepared once, in a bounded memo.
 """
 from __future__ import annotations
 
@@ -53,23 +59,28 @@ def levenshtein(a: str, b: str) -> int:
     whether row i of the edit-distance column over the shorter string
     rises or falls by one from row i-1. One pass over the longer string
     advances the column and tracks its bottom cell. Python ints have no
-    word size, so any length is exact.
+    word size, so any length is exact. A shared prefix or suffix costs no
+    edit, so the column runs over the rest only, on the shorter string's
+    prepared masks shifted past the prefix.
     """
-    if a == b:
-        return 0
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    bit = 1
-    for char in b:
-        peq[char] = peq.get(char, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    top = bit >> 1
-    pv, mv, score = mask, 0, len(b)
-    for char in a:
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_b and a[start] == b[start]:
+        start += 1
+    while end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    if end_b == start:
+        return end_a - start
+    peq = _profile(b).match_masks
+    if start:
+        peq = {char: bits >> start for char, bits in peq.items()}
+    # bits above top never carry down into it, so the suffix's bits may stay
+    top = 1 << (end_b - 1 - start)
+    mask = (top << 1) - 1
+    pv, mv, score = mask, 0, end_b - start
+    for char in a[start:end_a]:
         eq = peq.get(char, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -87,8 +98,63 @@ def levenshtein(a: str, b: str) -> int:
 
 # name pairs repeat across payloads, candidates and merge's pair checks
 # (45,899 calls, 1,342 distinct pairs on a 1,000-lot masked run); the bound
-# caps the memo's memory on corpora with many more distinct names
+# caps the memory of the pair memo, and of the per-string one, on corpora
+# with many more distinct names
 NAME_SIMILARITY_MEMO_SIZE = 1 << 16
+
+
+class _Profile(NamedTuple):
+    """What every comparison of one string needs, prepared once and shared
+    by every caller, so read only."""
+
+    tokens: dict[str, int]
+    token_total: int
+    chars: dict[str, int]
+    match_masks: dict[str, int]  # Myers' Peq: bit i set where text[i] is the char
+
+
+@lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
+def _profile(text: str) -> _Profile:
+    words = text.split()
+    match_masks: dict[str, int] = {}
+    bit = 1
+    for char in text:
+        match_masks[char] = match_masks.get(char, 0) | bit
+        bit <<= 1
+    return _Profile(Counter(words), len(words), Counter(text), match_masks)
+
+
+def _overlap(pa: _Profile, pb: _Profile) -> float:
+    """Token-multiset overlap coefficient of two strings that have tokens."""
+    if len(pa.tokens) > len(pb.tokens):
+        pa, pb = pb, pa
+    other = pb.tokens
+    shared = 0
+    for token, count in pa.tokens.items():
+        if token in other:
+            shared += min(count, other[token])
+    return shared / min(pa.token_total, pb.token_total)
+
+
+def _edit_ceiling(a: str, b: str, pa: _Profile, pb: _Profile) -> float:
+    """An upper bound on 1 - levenshtein(a, b) / max(len(a), len(b)).
+
+    One edit removes at most one character of a and adds at most one of
+    b, so each one-sided character-multiset difference is at most the edit
+    distance: Ukkonen's q-gram bound with q = 1 (TCS 92, 1992). The two
+    differences part by len(a) - len(b), so one pass over the smaller
+    character set gives the larger.
+    """
+    if len(pa.chars) > len(pb.chars):
+        a, b, pa, pb = b, a, pb, pa
+    other = pb.chars
+    surplus = 0  # characters of a that b lacks
+    for char, count in pa.chars.items():
+        missing = count - other.get(char, 0)
+        if missing > 0:
+            surplus += missing
+    longest = max(len(a), len(b))
+    return 1.0 - (surplus + max(0, len(b) - len(a))) / longest
 
 
 @lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
@@ -100,20 +166,31 @@ def name_similarity(a: str, b: str) -> float:
     score high. 1.0 exactly when one token multiset contains the other or
     the strings are equal. Memoized: the result depends on a and b alone.
     """
-    if not a.strip() or not b.strip():
+    pa, pb = _profile(a), _profile(b)
+    if not pa.token_total or not pb.token_total:
         return 0.0
     if a == b:
         return 1.0
-    tokens_a, tokens_b = Counter(a.split()), Counter(b.split())
-    shared = sum((tokens_a & tokens_b).values())
-    overlap = shared / min(sum(tokens_a.values()), sum(tokens_b.values()))
+    overlap = _overlap(pa, pb)
     if overlap >= 1.0:
         return 1.0
-    longest = max(len(a), len(b))
-    # the length gap bounds edit similarity; skip the distance when it cannot win
-    if 1.0 - abs(len(a) - len(b)) / longest <= overlap:
+    # the edit distance cannot win where its bound does not
+    if _edit_ceiling(a, b, pa, pb) <= overlap:
         return overlap
-    return max(overlap, 1.0 - levenshtein(a, b) / longest)
+    return max(overlap, 1.0 - levenshtein(a, b) / max(len(a), len(b)))
+
+
+def name_bound(a: str, b: str) -> float:
+    """An upper bound on name_similarity(a, b), with no edit distance.
+
+    The distance's term is replaced by its character-multiset ceiling;
+    IEEE division and subtraction are monotone, so the float bound is at
+    least the float similarity.
+    """
+    pa, pb = _profile(a), _profile(b)
+    if not pa.token_total or not pb.token_total:
+        return 0.0
+    return max(_overlap(pa, pb), _edit_ceiling(a, b, pa, pb))
 
 
 class Payload(NamedTuple):
@@ -262,6 +339,10 @@ def _score_payload(
         facility = registry.facilities[siret]
         best_sim = 0.0
         for candidate_name in registry.candidate_names(facility):
+            # a name that cannot pass cannot make the facility a survivor,
+            # and its similarity is written nowhere
+            if name_bound(payload.name, candidate_name) < config.name_threshold:
+                continue
             sim = name_similarity(payload.name, candidate_name)
             if sim > best_sim:
                 best_sim = sim

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .config import DEFAULT_POSTAL_TOKENS
 from .files import read_rows
 from .models import AgentOccurrence, ascii_digits, validate_siret
 
@@ -31,6 +33,7 @@ _PARENS_RE = re.compile(r"\([^()]*\)")
 _NON_ALNUM_RE = re.compile(r"[^A-Z0-9]+")
 _SPACES_RE = re.compile(r"\s+")
 _FIVE_DIGITS_RE = re.compile(r"\d{5}")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 def _strip_parens(text: str) -> str:
@@ -78,6 +81,22 @@ def _postal_token_re(tokens: tuple[str, ...]) -> re.Pattern:
     return re.compile(rf"\b(?:{alts})\b(?:\s+\d+)?")
 
 
+def _strip_postal(value: str | None, token_re: re.Pattern) -> str | None:
+    if not value:
+        return None
+    folded = token_re.sub(" ", normalize_name(value))
+    return _SPACES_RE.sub(" ", folded).strip() or None
+
+
+def normalize_city(city: str | None, postal_tokens: Sequence[str]) -> str | None:
+    """Fold a city as both sides of the postal lookup see it: the name fold
+    without postal tokens (and the digits after them), then without digits."""
+    folded = _strip_postal(city, _postal_token_re(tuple(postal_tokens)))
+    if not folded:
+        return None
+    return _SPACES_RE.sub(" ", _DIGITS_RE.sub(" ", folded)).strip() or None
+
+
 def normalize_address(
     street: str | None,
     zipcode: str | None,
@@ -91,36 +110,27 @@ def normalize_address(
     zipcode is reduced to its 5-digit run or dropped; cities lose digits.
     """
     token_re = _postal_token_re(tuple(postal_tokens))
-
-    def clean(value: str | None) -> str | None:
-        if not value:
-            return None
-        folded = normalize_name(value)
-        folded = token_re.sub(" ", folded)
-        folded = _SPACES_RE.sub(" ", folded).strip()
-        return folded or None
-
-    out_street = clean(street)
     out_zip = None
-    if zipcode:
-        cleaned = clean(zipcode)
-        if cleaned:
-            run = _FIVE_DIGITS_RE.search(cleaned)
-            out_zip = run.group(0) if run else None
-    out_city = clean(city)
-    if out_city:
-        out_city = _SPACES_RE.sub(" ", re.sub(r"\d+", " ", out_city)).strip() or None
-    return out_street, out_zip, out_city
+    cleaned = _strip_postal(zipcode, token_re)
+    if cleaned:
+        run = _FIVE_DIGITS_RE.search(cleaned)
+        out_zip = run.group(0) if run else None
+    return _strip_postal(street, token_re), out_zip, normalize_city(city, postal_tokens)
 
 
 @dataclass
 class PostalTable:
-    """folded city name -> set of zipcodes, loaded from a Hexaposte-style file."""
+    """City -> set of zipcodes, loaded from a Hexaposte-style file.
+
+    Cities are folded by normalize_city with the table's postal tokens, as
+    the occurrences' cities are, so `Lyon 3e` and `LYON 3E` meet as `LYON E`.
+    """
 
     city_to_zipcodes: dict[str, set[str]] = field(default_factory=dict)
+    postal_tokens: tuple[str, ...] = tuple(DEFAULT_POSTAL_TOKENS)
 
     def add(self, city: str, zipcode: str) -> None:
-        folded = normalize_name(city)
+        folded = normalize_city(city, self.postal_tokens)
         if not folded or not zipcode:
             return
         self.city_to_zipcodes.setdefault(folded, set()).add(zipcode)
@@ -129,9 +139,11 @@ class PostalTable:
         return len(self.city_to_zipcodes)
 
 
-def load_postal_table(path: str, delimiter: str) -> PostalTable:
+def load_postal_table(
+    path: str, delimiter: str, postal_tokens: Sequence[str] = DEFAULT_POSTAL_TOKENS
+) -> PostalTable:
     """Read (city, zipcode) lines; header optional (detected on the zipcode cell)."""
-    table = PostalTable()
+    table = PostalTable(postal_tokens=tuple(postal_tokens))
     for row in read_rows(path, "postal file", delimiter):
         if len(row) < 2:
             continue

@@ -347,7 +347,8 @@ def stage_criteria(config: PipelineConfig, checkpoints: Checkpoints) -> None:
 def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     occurrences = checkpoints.read("ingest", "occurrences.csv", AgentOccurrence)
     postal = (
-        load_postal_table(config.postal_file, config.delimiter) if config.postal_file else None
+        load_postal_table(config.postal_file, config.delimiter, config.postal_tokens)
+        if config.postal_file else None
     )
     for occ in occurrences:
         normalize_occurrence(occ, postal, config.postal_tokens)

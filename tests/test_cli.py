@@ -409,6 +409,8 @@ class TestExitCodes:
             ("id,siret\n1,11111111100011\n", "missing column(s) occurrenceId"),
             ("occurrenceId,siret\none,11111111100011\n", "'one' is not a whole number"),
             ("occurrenceId,siret\n99999,11111111100011\n", "[99999] name no occurrence"),
+            ("occurrenceId,siret\n1,99999999900011\n01,10000000000011\n",
+             "occurrenceId 1 listed twice"),
         ],
     )
     def test_bad_ground_truth_is_input_error(self, tmp_path, capsys, content, message):
@@ -475,6 +477,30 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config_path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {what} {path}: {kind} {identifier} listed twice" in err
+
+    def test_digit_bearing_city_gets_its_zipcode(self, tmp_path):
+        """The postal table folds its cities as the occurrences' are folded,
+        digits and all, so `Lyon 3e` finds `LYON 3E`'s zipcode."""
+        def lyon(inputs, _):
+            path = Path(inputs["lots"][0])
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            header = rows[0]
+            rows[2][header.index("CAE_POSTAL_CODE")] = ""
+            rows[2][header.index("CAE_TOWN")] = "Lyon 3e"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            with open(inputs["postal"], "a", encoding="utf-8") as fh:
+                fh.write("LYON 3E,69003\n")
+
+        config_path, _ = _corpus_with(tmp_path, "lots", lyon)
+        assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
+        path = tmp_path / "out" / "checkpoints" / "normalize" / "occurrences.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            lyon_rows = [r for r in csv.DictReader(fh) if r["city"] == "LYON E"]
+        assert [(r["lotId"], r["role"], r["zipcode"], r["department"]) for r in lyon_rows] == [
+            ("2", "buyer", "69003", "69")
+        ]
 
     def test_padded_registry_header_names_are_read(self, tmp_path):
         def pad(inputs, _):

@@ -14,12 +14,14 @@ from tedclean.identify import (
     REASON_UNBLOCKABLE,
     CandidateScore,
     MatchResult,
+    Payload,
     address_score,
     apply_match_results,
     candidate_block,
     identify_all,
     identify_occurrence,
     levenshtein,
+    name_bound,
     name_similarity,
     payload_groups,
     payload_of,
@@ -218,6 +220,110 @@ def registry():
 
 
 MATCH = MatchConfig()
+
+
+# folded name tokens whose variants fall on both sides of the 0.8 threshold
+_WORDS = ["MAIRIE", "DE", "VILLE001", "VILLE013", "ENTREPRISE", "DURAND", "COMMUNE", "LYON"]
+
+
+@st.composite
+def near_name(draw, base: str) -> str:
+    """base with its tokens swapped and a few characters inserted, deleted or replaced."""
+    tokens = base.split()
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    text = " ".join(tokens)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from("ABDEILNORU01 "))
+        text = draw(st.sampled_from([
+            text[:at] + char + text[at:], text[:at] + text[at + 1:], text[:at] + char + text[at + 1:],
+        ]))
+    return text
+
+
+BASE_NAMES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join)
+NEAR_PAIRS = BASE_NAMES.flatmap(lambda base: st.tuples(st.just(base), near_name(base)))
+
+
+class TestNameBound:
+    @given(NEAR_PAIRS)
+    @settings(max_examples=400)
+    def test_bounds_the_similarity_near_the_threshold(self, pair):
+        a, b = pair
+        assert name_bound(a, b) == name_bound(b, a) >= name_similarity(a, b)
+
+    @given(FOLDED, FOLDED)
+    @settings(max_examples=300)
+    def test_bounds_the_similarity_anywhere(self, a, b):
+        assert name_bound(a, b) == name_bound(b, a) >= oracle_name_similarity(a, b)
+
+    def test_rules_out_a_cross_kind_name_without_a_distance(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return levenshtein(a, b)
+
+        monkeypatch.setattr(identify, "levenshtein", counting)
+        name_similarity.cache_clear()
+        reg = Registry(activity_prefix_length=2)
+        reg.add_facility(fac("44444444400011", ["ENTREPRISE DURAND003"], zipcode="69001"))
+        payload = Payload("MAIRIE DE VILLE001", None, None, None, "69", None)
+        assert name_bound(payload.name, "ENTREPRISE DURAND003") < MATCH.name_threshold
+        scored = identify._score_payload(payload, reg, MATCH, None)
+        assert [score for _, score in scored] == [None]
+        assert calls == []
+        # the similarity alone needs the distance for this pair
+        name_similarity(payload.name, "ENTREPRISE DURAND003")
+        assert calls == [("MAIRIE DE VILLE001", "ENTREPRISE DURAND003")]
+
+
+def plain_score_payload(payload, registry, config, cpv_map):
+    """_score_payload with every candidate name scored, and no bound."""
+    block = identify._block_payload(payload, registry, config, cpv_map) if payload.name else None
+    if block is None:
+        return None
+    scored = []
+    for siret in block:
+        facility = registry.facilities[siret]
+        best = max(
+            (name_similarity(payload.name, n) for n in registry.candidate_names(facility)),
+            default=0.0,
+        )
+        score = None
+        if best >= config.name_threshold:
+            score = CandidateScore(siret, best, *address_score(payload, facility, config))
+        scored.append((facility, score))
+    return scored
+
+
+@st.composite
+def near_block(draw):
+    """A payload and a one-department registry whose names, and its
+    entities' names, are variants of the payload's name or of another."""
+    base = draw(BASE_NAMES)
+    names = st.one_of(near_name(base), BASE_NAMES.flatmap(near_name))
+    reg = Registry(activity_prefix_length=2)
+    reg.add_entity(RegistryEntity(siren="666666666", legal_names=draw(st.lists(names, max_size=2))))
+    for i in range(draw(st.integers(1, 8))):
+        reg.add_facility(fac(f"666666666{i:05d}", draw(st.lists(names, max_size=3)),
+                             draw(st.sampled_from([None, "1 RUE X", "1 RUE Y"])), "69001"))
+    payload = Payload(draw(st.sampled_from([base, draw(near_name(base))])),
+                      draw(st.sampled_from([None, "1 RUE X"])), None, None, "69", None)
+    return payload, reg
+
+
+class TestBoundedScoring:
+    @given(near_block(), st.sampled_from([0.5, 0.8, 0.9, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scoring_every_name(self, block, threshold):
+        payload, reg = block
+        config = MatchConfig(name_threshold=threshold)
+        assert identify._score_payload(payload, reg, config, None) == plain_score_payload(
+            payload, reg, config, None
+        )
 
 
 class TestAddressScore:
