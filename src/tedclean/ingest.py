@@ -26,7 +26,7 @@ from .models import (
     RowRejection,
     ascii_digits,
 )
-from .normalize import normalize_name
+from .normalize import fold_contract_types, fold_words, normalize_name
 
 log = logging.getLogger(__name__)
 
@@ -189,7 +189,8 @@ def build_lot(
     if not start <= publication <= end:
         return reject("out-of-period")
 
-    contract_type = config.contract_type_values.get(fields["contract_type"].upper())
+    contract_types = fold_contract_types(tuple(config.contract_type_values.items()))
+    contract_type = contract_types.get(normalize_name(fields["contract_type"]))
 
     offers_raw = fields["number_of_offers"]
     offers = int(offers_raw) if ascii_digits(offers_raw) else None
@@ -202,7 +203,7 @@ def build_lot(
     marker_set = fields["cancelled"].lower() in _TRUTHY
     folded_winner = normalize_name(winner_name)
     cancelled = (not winner_name and marker_set) or (
-        bool(folded_winner) and folded_winner in config.unsuccessful_markers
+        bool(folded_winner) and folded_winner in fold_words(tuple(config.unsuccessful_markers))
     )
 
     return LotRecord(

@@ -3,6 +3,13 @@
 All matching downstream happens on the folded forms produced here, so the
 fold must be deterministic and idempotent: the output alphabet is exactly
 [A-Z0-9 ] with single spaces and no leading/trailing blanks.
+
+Both sides of a comparison fold alike: the registry's streets and cities
+by `normalize_address`, and the configured `postal_tokens`,
+`unsuccessful_markers` and `contract_type_values` keys (with the cell) by
+`normalize_name`. A word folding to nothing is dropped, so an empty token
+list strips nothing; contract-type keys folding alike to different types
+are a ConfigError.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from functools import lru_cache
 
 from .config import DEFAULT_POSTAL_TOKENS
 from .files import read_rows
-from .models import AgentOccurrence, ascii_digits, validate_siret
+from .models import AgentOccurrence, ConfigError, ContractType, ascii_digits, validate_siret
 
 # Ligatures and letters NFKD leaves alone.
 _FOLD_TABLE = str.maketrans(
@@ -76,9 +83,29 @@ def normalize_name(raw: str) -> str:
 
 
 @lru_cache(maxsize=8)
+def fold_words(words: tuple[str, ...]) -> tuple[str, ...]:
+    """Configured words folded by normalize_name; a word that folds to nothing is dropped."""
+    return tuple(folded for word in words if (folded := normalize_name(word)))
+
+
+@lru_cache(maxsize=8)
+def fold_contract_types(items: tuple[tuple[str, ContractType], ...]) -> dict[str, ContractType]:
+    """`contract_type_values` keyed by the folded key; keys folding to nothing are dropped."""
+    folded: dict[str, tuple[str, ContractType]] = {}
+    for key, value in items:
+        word = normalize_name(key)
+        first, seen = folded.setdefault(word, (key, value))
+        if word and seen is not value:
+            raise ConfigError(f"contract_type_values: keys {first!r} and {key!r} both fold "
+                              f"to {word!r} but map to different types")
+    return {word: value for word, (_, value) in folded.items() if word}
+
+
+@lru_cache(maxsize=8)
 def _postal_token_re(tokens: tuple[str, ...]) -> re.Pattern:
-    alts = "|".join(re.escape(t) for t in tokens)
-    return re.compile(rf"\b(?:{alts})\b(?:\s+\d+)?")
+    alts = "|".join(re.escape(t) for t in fold_words(tokens))
+    # no alternative at all would match every word boundary and strip every number
+    return re.compile(rf"\b(?:{alts})\b(?:\s+\d+)?" if alts else "(?!)")
 
 
 def _strip_postal(value: str | None, token_re: re.Pattern) -> str | None:

@@ -93,9 +93,13 @@ class Checkpoints:
     def __init__(self, output_dir: str) -> None:
         out = Path(output_dir)
         # a file there, or above it, would end the first write in a traceback
-        blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
-        if blocker is not None:
-            raise ConfigError(f"output directory {output_dir}: {blocker} is not a directory")
+        try:
+            blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+            if blocker is not None:
+                raise ConfigError(f"output directory {output_dir}: {blocker} is not a directory")
+            out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # a NUL in the path, a name too long
+            raise ConfigError(f"output directory {output_dir!r} cannot be made: {exc}") from None
         self.root = out / "checkpoints"
         self._kept: dict[tuple[str, str], list] = {}
 
@@ -310,6 +314,7 @@ def _load_registry_from_config(config: PipelineConfig) -> Registry:
         delimiter=config.delimiter,
         date_formats=config.date_formats,
         activity_prefix_length=config.match.activity_prefix_length,
+        postal_tokens=config.postal_tokens,
     )
 
 

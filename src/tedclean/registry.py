@@ -2,7 +2,8 @@
 
 Loaded once from delimiter-separated extracts, then read-only. Facilities
 carry back-references to their parent entity; two indexes (department,
-activity prefix) support candidate blocking.
+activity prefix) support candidate blocking. A facility's street and city
+are folded by `normalize_address`, as the occurrences they meet are.
 """
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ import datetime as dt
 import logging
 from dataclasses import dataclass, field
 
-from .config import MANDATORY_FIELDS
+from .config import DEFAULT_POSTAL_TOKENS, MANDATORY_FIELDS
 from .files import read_fields
 from .ingest import parse_date
 from .models import InputError, RegistryEntity, RegistryFacility, ascii_digits
-from .normalize import department_of, normalize_name
+from .normalize import department_of, normalize_address, normalize_name
 
 log = logging.getLogger(__name__)
 
@@ -79,11 +80,12 @@ def load_registry(
     delimiter: str,
     date_formats: list[str],
     activity_prefix_length: int,
+    postal_tokens: list[str] = DEFAULT_POSTAL_TOKENS,
 ) -> Registry:
     """Build the in-memory registry with its two lookup indexes.
 
     Facilities whose parent entity is missing are kept and flagged orphan.
-    Names are folded at load so every later comparison is fold-to-fold.
+    Names and addresses are folded at load, so every comparison is fold-to-fold.
     """
     registry = Registry(activity_prefix_length)
 
@@ -122,12 +124,13 @@ def load_registry(
             if (folded := normalize_name(part))
         ]
         zipcode = row["zipcode"] if ascii_digits(row["zipcode"], 5) else None
+        street, _, city = normalize_address(row["street"], None, row["city"], postal_tokens)
         facility = RegistryFacility(
             siret=siret,
             names=names,
-            street=normalize_name(row["street"]) or None,
+            street=street,
             zipcode=zipcode,
-            city=normalize_name(row["city"]) or None,
+            city=city,
             department=department_of(zipcode),
             activity_code=row["activity_code"] or None,
             open_date=parse_date(row["open_date"], date_formats),

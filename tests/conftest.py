@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from corpus import LOT_COLUMNS
 from tedclean.config import PipelineConfig
@@ -18,6 +19,25 @@ from tedclean.models import (
     Role,
 )
 from tedclean.registry import Registry
+
+
+_ACCENTED = {"A": "ÀÂ", "C": "Ç", "E": "ÉÈÊË", "I": "ÎÏ", "O": "Ô", "U": "ÙÛÜ"}
+
+
+@st.composite
+def respelled(draw, word: str) -> str:
+    """A folded word as a person might type it: re-cased, accented, padded
+    or punctuated; normalize_name folds it back to the word."""
+    letters = []
+    for c in word:
+        if c == " ":
+            c = draw(st.sampled_from([" ", "-", "  ", " - ", "'"]))
+        else:
+            c = draw(st.sampled_from(c + _ACCENTED.get(c, "")))
+            c = c.lower() if draw(st.booleans()) else c
+        letters.append(c)
+    pad = st.sampled_from(["", " ", ".", "!", " - "])
+    return draw(pad) + "".join(letters) + draw(pad)
 
 
 def make_lot(lot_id: int = 1, **overrides) -> LotRecord:

@@ -255,6 +255,21 @@ class TestExitCodes:
         assert f"{blocker} is not a directory" in capsys.readouterr().err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize("name", ["out\0x", "x" * 300 + "/out"], ids=["nul", "too-long"])
+    def test_out_cannot_be_made(self, tmp_path, capsys, name):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
+        out = str(tmp_path / name)
+        assert main(["pipeline", "--config", config_path, "--out", out]) == EXIT_CONFIG
+        assert f"output directory {out!r} cannot be made" in capsys.readouterr().err
+
+    def test_contract_type_keys_that_fold_alike(self, tmp_path, capsys):
+        config_path = write_corpus_config(
+            tmp_path / "in", tmp_path / "out", rows=3, seed=14,
+            contract_type_values={"Travaux": "works", "TRAVAUX": "goods"},
+        )
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        assert "keys 'Travaux' and 'TRAVAUX' both fold to 'TRAVAUX'" in capsys.readouterr().err
+
     def test_stage_range_inverted(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=16)
         code = main(["pipeline", "--config", config_path,

@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 from decimal import Decimal
 
 import pytest
@@ -28,7 +29,7 @@ from tedclean.models import (
 )
 
 import separator_oracle as oracle
-from conftest import lot_row, write_lot_file
+from conftest import lot_row, respelled, write_lot_file
 
 DELIMITER = PipelineConfig().delimiter
 # every mandatory field named, on a file whose header is A,B
@@ -231,6 +232,29 @@ class TestBuildLot:
         for name in ("infructueux", "Lot INFRUCTUEUX", "Sans suite"):
             lot = _build(dict(notice="1", lot="1", WIN_NAME=name))
             assert lot.cancelled is True, name
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_configured_words_fold_like_the_cells(self, data):
+        """Markers and contract-type keys spelled any way a person might give
+        the lots the defaults give them."""
+        defaults = PipelineConfig()
+        markers = [data.draw(respelled(m)) for m in defaults.unsuccessful_markers]
+        types = {data.draw(respelled(k)): v for k, v in defaults.contract_type_values.items()}
+        winners = [*defaults.unsuccessful_markers, "Sans-suite", "Entreprise Durand", ""]
+        cells = [*defaults.contract_type_values, "travaux", " Services.", "UNKNOWN", ""]
+        for winner, cell in itertools.product(winners, cells):
+            row = dict(notice="1", lot="1", WIN_NAME=winner, TYPE_OF_CONTRACT=cell)
+            respelled_lot = _build(row, unsuccessful_markers=markers, contract_type_values=types)
+            assert respelled_lot == _build(row), (winner, cell)
+
+    def test_contract_type_keys_folding_alike_must_agree(self):
+        row = dict(notice="1", lot="1", TYPE_OF_CONTRACT="WORKS")
+        same = {"Travaux": ContractType.WORKS, "TRAVAUX": ContractType.WORKS}
+        assert _build(row, contract_type_values=same).contract_type is None
+        apart = {"Travaux": ContractType.WORKS, "TRAVAUX ": ContractType.GOODS}
+        with pytest.raises(ConfigError, match="'Travaux' and 'TRAVAUX '"):
+            _build(row, contract_type_values=apart)
 
 
 def lot_cells(notice="n", lot="1", **cells):

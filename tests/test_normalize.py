@@ -18,7 +18,7 @@ from tedclean.normalize import (
     normalize_occurrence,
 )
 
-from conftest import make_occurrence
+from conftest import make_occurrence, respelled
 
 FOLD_ALPHABET = set(string.ascii_uppercase + string.digits + " ")
 TOKENS = PipelineConfig().postal_tokens
@@ -111,6 +111,19 @@ class TestNormalizeAddress:
     def test_custom_tokens(self):
         street, _, _ = normalize_address("3 rue X LIEU 4", None, None, ["LIEU"])
         assert street == "3 RUE X"
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_respelled_tokens_strip_like_the_defaults(self, data):
+        tokens = [data.draw(respelled(t)) for t in TOKENS]
+        for address in [("12 rue de la Paix BP 45", "69003 Cedex", "Lyon CEDEX 03"),
+                        ("Tsa 1 Rue X cs 9", "F-69003", "Lyon 3e"), ("BP 12", None, "cedex")]:
+            assert normalize_address(*address, tokens) == normalize_address(*address, TOKENS)
+
+    @pytest.mark.parametrize("tokens", [[], [""], ["", " - ", "(BP)"]])
+    def test_no_token_strips_nothing(self, tokens):
+        street, _, city = normalize_address("Rue de la Paix 12 bis", None, "Lyon BP", tokens)
+        assert (street, city) == ("RUE DE LA PAIX 12 BIS", "LYON BP")
 
 
 class TestPostalTable:

@@ -12,6 +12,7 @@ digest.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import corpus_config
+from corpus import LOT_COLUMNS, corpus_config
 from tedclean import identify
 from tedclean import pipeline as pl
 from tedclean.config import PipelineConfig
@@ -357,7 +358,7 @@ def _tree(root: Path) -> dict[str, bytes]:
 _PATH_DEPENDENT = {"checkpoints/ingest/lots.csv", "checkpoints/ingest/rejections.csv"}
 # sha256 of the criterion-7 fixture's masked output tree without the files
 # above; a change that alters any output byte must say why and pin anew.
-GOLDEN_DIGEST = "e8bcfdc09365d88caa2b6ff4d2076c9d4117e316bbde43450ed25fd1946e05a1"
+GOLDEN_DIGEST = "e88e61987bf970562c8cdcd98a2427da5e393e3772617e1187a7827782de6562"
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +442,23 @@ class TestOrchestration:
         lots = connection.execute("SELECT COUNT(*) FROM Lots").fetchone()[0]
         connection.close()
         assert lots == stats["lots"]
+
+    def test_equal_weights_leave_the_residual_to_the_first(self, tmp_path):
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=0)
+        with open(cfg.lot_files[0], "a", encoding="utf-8", newline="") as fh:
+            cells = dict(ID_NOTICE_CAN="NEQUAL", ID_LOT="1", DT_DISPATCH="2015-01-01",
+                         CAE_NAME="Mairie", CRIT_CRITERIA="Prix;Qualité;Délai",
+                         CRIT_WEIGHTS="1;1;1")
+            csv.writer(fh, lineterminator="\n").writerow([cells.get(c, "") for c in LOT_COLUMNS])
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        with open(out / "Lots.csv", encoding="utf-8", newline="") as fh:
+            (lot_id,) = [row["lotId"] for row in csv.DictReader(fh) if row["noticeId"] == "NEQUAL"]
+        with open(out / "Criteria.csv", encoding="utf-8", newline="") as fh:
+            weights = [(row["ordinal"], row["rawName"], row["weight"])
+                       for row in csv.DictReader(fh) if row["lotId"] == lot_id]
+        assert weights == [("1", "Prix", "33.34"), ("2", "Qualité", "33.33"),
+                           ("3", "Délai", "33.33")]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=18, seed=3)

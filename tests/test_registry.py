@@ -15,6 +15,7 @@ from tedclean.models import (
     RegistryFacility,
     validate_siret,
 )
+from tedclean.normalize import normalize_address
 from tedclean.registry import (
     Registry,
     load_registry,
@@ -168,7 +169,7 @@ class TestLoadRegistry:
 
         assert reg.facilities["33333333300011"].orphan is True
 
-    def _load(self, tmp_path, entities, facilities):
+    def _load(self, tmp_path, entities, facilities, **kw):
         return load_registry(
             *write_registry_files(tmp_path, entities, facilities),
             DEFAULT_REGISTRY_ENTITY_MAP,
@@ -176,7 +177,24 @@ class TestLoadRegistry:
             CONFIG.delimiter,
             CONFIG.date_formats,
             CONFIG.match.activity_prefix_length,
+            **kw,
         )
+
+    @pytest.mark.parametrize(
+        "street, city, tokens, expected",
+        [
+            ("12 rue X BP 45", "Lyon 3e", CONFIG.postal_tokens, ("12 RUE X", "LYON E")),
+            ("1 rue de la Gare", "VILLE006", CONFIG.postal_tokens, ("1 RUE DE LA GARE", "VILLE")),
+            ("3 rue X Lieu 4", "Lyon Cédex 03", ["lieu"], ("3 RUE X", "LYON CEDEX")),
+            ("BP 7", "", CONFIG.postal_tokens, (None, None)),
+        ],
+    )
+    def test_address_folds_like_an_occurrence(self, tmp_path, street, city, tokens, expected):
+        facility = dict(SIRET="12345678900011", STREET=street, POSTAL_CODE="69003", CITY=city)
+        reg = self._load(tmp_path, [], [facility], postal_tokens=tokens)
+        loaded = reg.facilities["12345678900011"]
+        folded_street, _, folded_city = normalize_address(street, None, city, tokens)
+        assert (loaded.street, loaded.city) == (folded_street, folded_city) == expected
 
     def test_full_width_siren_skipped(self, tmp_path):
         siren = "123456789".translate(FULL_WIDTH)

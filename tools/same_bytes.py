@@ -7,13 +7,16 @@ REF's src/ is written to a temporary directory (`git archive REF src | tar
 are made once per workload and seed, so both sides read the same input
 paths: output tables hold the absolute path of their source file. Then
 `tedclean pipeline --mask` runs from each source tree on the match, bulk and
-mask workloads at seeds 0 and 7, and on a remapped copy of the mask inputs
-at seed 0 (every lot and registry column renamed, the lot columns in reverse
+mask workloads at seeds 0 and 7, on a remapped copy of the mask inputs at
+seed 0 (every lot and registry column renamed, the lot columns in reverse
 order, `;` as the delimiter, the config's header maps naming the new
-columns), and the two output trees are compared file by file. Exits 0
-when every file matches, and 1, listing the paths that differ, when any
-does not; a run that fails on either side counts as a difference. Exits 2
-on a usage error, a ref git cannot archive, or inputs that cannot be made.
+columns), and on a recased copy of them (the config's unsuccessful markers,
+postal tokens and contract-type keys spelled in mixed case with accents, as
+`Annulé` or `Cédex`, which fold to the defaults), and the two output trees
+are compared file by file. Exits 0 when every file matches, and 1, listing
+the paths that differ, when any does not; a run that fails on either side
+counts as a difference. Exits 2 on a usage error, a ref git cannot archive,
+or inputs that cannot be made.
 """
 from __future__ import annotations
 
@@ -30,6 +33,14 @@ SEEDS = (0, 7)
 # the input files of a remapped case whose header names change, by config key
 RENAMED = {"lots": "column_map", "registry_entities": "registry_entity_map",
            "registry_facilities": "registry_facility_map"}
+# the configured words of a recased case, as a person might spell the defaults
+RECASED = {
+    "INFRUCTUEUX": "Infructueux", "INFRUCTEUX": "infructeux", "SANS SUITE": "Sans suite",
+    "ANNULE": "Annulé", "LOT INFRUCTUEUX": "Lot infructueux",
+    "BP": "Bp", "CS": "cs", "CEDEX": "Cédex", "TSA": "Tsa",
+    "SUPPLIES": "Supplies", "FOURNITURES": "Fournitures", "GOODS": "goods",
+    "SERVICES": "Services", "WORKS": "Works", "TRAVAUX": "Travaux",
+}
 
 
 def rewrite_csv(path: Path, edit) -> None:
@@ -59,6 +70,20 @@ def remap_inputs(config: Path) -> None:
         data[map_name] = {f: rename(c) for f, c in getattr(defaults, map_name).items()}
     rewrite_csv(Path(inputs["postal"]), lambda n, row: row)
     data["delimiter"] = ";"
+    config.write_text(json.dumps(data, indent=2), encoding="utf-8")
+
+
+def recase_config(config: Path) -> None:
+    """Rewrite a case's config in place: its unsuccessful markers, postal
+    tokens and contract-type keys spelled as RECASED spells the defaults."""
+    from tedclean.config import PipelineConfig
+
+    data, defaults = json.loads(config.read_text(encoding="utf-8")), PipelineConfig()
+    for key in ("unsuccessful_markers", "postal_tokens"):
+        data[key] = [RECASED[word] for word in getattr(defaults, key)]
+    data["contract_type_values"] = {
+        RECASED[word]: kind.value for word, kind in defaults.contract_type_values.items()
+    }
     config.write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
@@ -109,14 +134,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         work = Path(tmp)
         sides = {"ref": export_src(argv[0], work / "ref"), "here": ROOT / "src"}
-        cases = [(f"{name}-{seed}", workload, seed, False)
+        cases = [(f"{name}-{seed}", workload, seed, None)
                  for name, workload in WORKLOADS.items() for seed in SEEDS]
-        cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, True))
-        for case_name, workload, seed, remapped in cases:
+        cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs))
+        cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config))
+        for case_name, workload, seed, rewrite in cases:
             case = work / case_name
             config, _, _ = make_inputs(case / "in", workload, seed)
-            if remapped:
-                remap_inputs(config)
+            if rewrite:
+                rewrite(config)
             found = [
                 f"{case.name}: {side} side {failure}"
                 for side, src in sides.items()
