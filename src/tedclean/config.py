@@ -169,6 +169,9 @@ class MatchConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 errors.append(f"match.{name} must be in [0, 1], got {v}")
+        for key in ("street", "zipcode", "city"):
+            if (v := getattr(self, f"{key}_weight")) < 0:
+                errors.append(f"match.address_weights.{key} must be >= 0, got {v}")
         total = self.street_weight + self.zipcode_weight + self.city_weight
         if not abs(total - 1.0) <= 1e-9:
             errors.append(f"match address weights must sum to 1.0, got {total}")

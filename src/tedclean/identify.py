@@ -292,7 +292,8 @@ def address_score(a, b, config: MatchConfig) -> tuple[float, tuple[str, ...]]:
     city: occurrences, payloads or registry facilities.
 
     Weights are redistributed over the fields present on both sides.
-    Returns (score, presence mask).
+    Returns (score, presence mask); (0.0, ()), no address evidence, when
+    those fields weigh nothing.
     """
     weights = (config.street_weight, config.zipcode_weight, config.city_weight)
     present: list[str] = []
@@ -304,7 +305,7 @@ def address_score(a, b, config: MatchConfig) -> tuple[float, tuple[str, ...]]:
             present.append(field_name)
             score += weight * sim
             total_weight += weight
-    if not present:
+    if not total_weight:
         return 0.0, ()
     return score / total_weight, tuple(present)
 

@@ -4,19 +4,23 @@ All matching downstream happens on the folded forms produced here, so the
 fold must be deterministic and idempotent: the output alphabet is exactly
 [A-Z0-9 ] with single spaces and no leading/trailing blanks.
 
-Both sides of a comparison fold alike: the registry's streets and cities
-by `normalize_address`, and the configured `postal_tokens`,
+Both sides of a comparison fold alike: the registry's streets, zipcodes
+and cities by `normalize_address`, and the configured `postal_tokens`,
 `unsuccessful_markers` and `contract_type_values` keys (with the cell) by
 `normalize_name`. A word folding to nothing is dropped, so an empty token
 list strips nothing; contract-type keys folding alike to different types
 are a ConfigError.
+
+One rule reads every zipcode, of a lot, a registry facility or a postal
+row: `normalize_address` folds the cell, strips postal tokens and keeps
+its first run of exactly five digits, so `F-69003`, `69003 CEDEX` and
+full-width `６９００３` read `69003`, while `2920` and a SIRET read nothing.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .config import DEFAULT_POSTAL_TOKENS
@@ -39,7 +43,7 @@ _FOLD_TABLE = str.maketrans(
 _PARENS_RE = re.compile(r"\([^()]*\)")
 _NON_ALNUM_RE = re.compile(r"[^A-Z0-9]+")
 _SPACES_RE = re.compile(r"\s+")
-_FIVE_DIGITS_RE = re.compile(r"\d{5}")
+_FIVE_DIGITS_RE = re.compile(r"(?<!\d)\d{5}(?!\d)")
 _DIGITS_RE = re.compile(r"\d+")
 
 
@@ -128,13 +132,14 @@ def normalize_address(
     street: str | None,
     zipcode: str | None,
     city: str | None,
-    postal_tokens: list[str],
+    postal_tokens: Sequence[str],
 ) -> tuple[str | None, str | None, str | None]:
     """Clean an address triple.
 
     Streets and cities get the name fold; postal-only tokens (BP, CS,
     CEDEX... plus trailing digits) are stripped from all three fields; the
-    zipcode is reduced to its 5-digit run or dropped; cities lose digits.
+    zipcode is reduced to its first run of exactly five digits or dropped;
+    cities lose digits.
     """
     token_re = _postal_token_re(tuple(postal_tokens))
     out_zip = None
@@ -145,45 +150,24 @@ def normalize_address(
     return _strip_postal(street, token_re), out_zip, normalize_city(city, postal_tokens)
 
 
-@dataclass
-class PostalTable:
-    """City -> set of zipcodes, loaded from a Hexaposte-style file.
-
-    Cities are folded by normalize_city with the table's postal tokens, as
-    the occurrences' cities are, so `Lyon 3e` and `LYON 3E` meet as `LYON E`.
-    """
-
-    city_to_zipcodes: dict[str, set[str]] = field(default_factory=dict)
-    postal_tokens: tuple[str, ...] = tuple(DEFAULT_POSTAL_TOKENS)
-
-    def add(self, city: str, zipcode: str) -> None:
-        folded = normalize_city(city, self.postal_tokens)
-        if not folded or not zipcode:
-            return
-        self.city_to_zipcodes.setdefault(folded, set()).add(zipcode)
-
-    def __len__(self) -> int:
-        return len(self.city_to_zipcodes)
-
-
 def load_postal_table(
     path: str, delimiter: str, postal_tokens: Sequence[str] = DEFAULT_POSTAL_TOKENS
-) -> PostalTable:
-    """Read (city, zipcode) lines; header optional (detected on the zipcode cell)."""
-    table = PostalTable(postal_tokens=tuple(postal_tokens))
+) -> dict[str, set[str]]:
+    """Folded city -> zipcodes, from (city, zipcode) lines read by
+    `normalize_address`; a header or a row without both is skipped."""
+    table: dict[str, set[str]] = {}
     for row in read_rows(path, "postal file", delimiter):
         if len(row) < 2:
             continue
-        city, zipcode = row[0].strip(), row[1].strip()
-        if not ascii_digits(zipcode):
-            continue
-        table.add(city, zipcode)
+        _, zipcode, city = normalize_address(None, row[1], row[0], postal_tokens)
+        if city and zipcode:
+            table.setdefault(city, set()).add(zipcode)
     return table
 
 
-def fill_zipcode(city: str, table: PostalTable) -> str | None:
+def fill_zipcode(city: str, table: dict[str, set[str]]) -> str | None:
     """Zipcode for a folded city name, only when the mapping is unambiguous."""
-    zips = table.city_to_zipcodes.get(city)
+    zips = table.get(city)
     if zips and len(zips) == 1:
         return next(iter(zips))
     return None
@@ -204,7 +188,7 @@ def department_of(zipcode: str | None) -> str | None:
 
 def normalize_occurrence(
     occ: AgentOccurrence,
-    postal: PostalTable | None,
+    postal: dict[str, set[str]] | None,
     postal_tokens: list[str],
 ) -> None:
     """Fill normalized_name, clean the address in place, derive department.

@@ -2,8 +2,8 @@
 
 Loaded once from delimiter-separated extracts, then read-only. Facilities
 carry back-references to their parent entity; two indexes (department,
-activity prefix) support candidate blocking. A facility's street and city
-are folded by `normalize_address`, as the occurrences they meet are.
+activity prefix) support candidate blocking. A facility's street, zipcode
+and city are read by `normalize_address`, as the occurrences they meet are.
 """
 from __future__ import annotations
 
@@ -123,8 +123,9 @@ def load_registry(
             for part in row["names"].split(NAME_LIST_SEPARATOR)
             if (folded := normalize_name(part))
         ]
-        zipcode = row["zipcode"] if ascii_digits(row["zipcode"], 5) else None
-        street, _, city = normalize_address(row["street"], None, row["city"], postal_tokens)
+        street, zipcode, city = normalize_address(
+            row["street"], row["zipcode"], row["city"], postal_tokens
+        )
         facility = RegistryFacility(
             siret=siret,
             names=names,

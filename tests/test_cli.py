@@ -15,10 +15,12 @@ from corpus import write_corpus_config
 from tedclean.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, build_parser, main
 from tedclean.config import (
     DEFAULT_COLUMN_MAP,
+    DEFAULT_POSTAL_TOKENS,
     DEFAULT_REGISTRY_ENTITY_MAP,
     DEFAULT_REGISTRY_FACILITY_MAP,
 )
 from tedclean.models import ContractType, CriterionClass
+from tedclean.normalize import normalize_city
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,43 @@ def _masked_run(tmp_path, key, edit, **overrides):
 
 def _unedited(inputs, directory):
     pass
+
+
+def _rewrite_column(path, column, cell):
+    """Rewrite `column` of every data row as long as the header as cell(old value)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = header.index(column)
+    for row in rows:
+        if len(row) == len(header):
+            row[at] = cell(row[at])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _buyer_zipcode_filled(tmp_path, town, postal_row):
+    """Lot 2's buyer placed in `town` without a zipcode, and `postal_row`
+    added to the postal file: (lot, role, city, zipcode, department) of
+    each normalized occurrence whose city folds as `town` does."""
+    def edit(inputs, _):
+        path = Path(inputs["lots"][0])
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        rows[2][header.index("CAE_POSTAL_CODE")] = ""
+        rows[2][header.index("CAE_TOWN")] = town
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with open(inputs["postal"], "a", encoding="utf-8") as fh:
+            fh.write(postal_row + "\n")
+
+    config_path, _ = _corpus_with(tmp_path, "lots", edit)
+    assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
+    path = tmp_path / "out" / "checkpoints" / "normalize" / "occurrences.csv"
+    city = normalize_city(town, DEFAULT_POSTAL_TOKENS)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [(r["lotId"], r["role"], r["city"], r["zipcode"], r["department"])
+                for r in csv.DictReader(fh) if r["city"] == city]
 
 
 def test_parser_identity_and_subcommands():
@@ -496,26 +535,52 @@ class TestExitCodes:
     def test_digit_bearing_city_gets_its_zipcode(self, tmp_path):
         """The postal table folds its cities as the occurrences' are folded,
         digits and all, so `Lyon 3e` finds `LYON 3E`'s zipcode."""
-        def lyon(inputs, _):
-            path = Path(inputs["lots"][0])
-            with open(path, encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh))
-            header = rows[0]
-            rows[2][header.index("CAE_POSTAL_CODE")] = ""
-            rows[2][header.index("CAE_TOWN")] = "Lyon 3e"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
-            with open(inputs["postal"], "a", encoding="utf-8") as fh:
-                fh.write("LYON 3E,69003\n")
-
-        config_path, _ = _corpus_with(tmp_path, "lots", lyon)
-        assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
-        path = tmp_path / "out" / "checkpoints" / "normalize" / "occurrences.csv"
-        with open(path, encoding="utf-8", newline="") as fh:
-            lyon_rows = [r for r in csv.DictReader(fh) if r["city"] == "LYON E"]
-        assert [(r["lotId"], r["role"], r["zipcode"], r["department"]) for r in lyon_rows] == [
-            ("2", "buyer", "69003", "69")
+        assert _buyer_zipcode_filled(tmp_path, "Lyon 3e", "LYON 3E,69003") == [
+            ("2", "buyer", "LYON E", "69003", "69")
         ]
+
+    def test_postal_row_without_five_digits_fills_nothing(self, tmp_path):
+        assert _buyer_zipcode_filled(tmp_path, "Brest", "Brest,2920") == [
+            ("2", "buyer", "BREST", "", "")
+        ]
+
+    def test_noisy_reference_zipcodes_identify_as_clean_ones(self, tmp_path):
+        """Registry cells `F-<zip> CEDEX` and postal cells `<zip> CEDEX` read
+        by the lot rows' zipcode rule: the run identifies as the clean one."""
+        def noisy(inputs, _):
+            _rewrite_column(inputs["registry_facilities"], "POSTAL_CODE", "F-{} CEDEX".format)
+            _rewrite_column(inputs["postal"], "zipcode", "{} CEDEX".format)
+
+        def run(directory, edit):
+            code, report = _masked_run(directory, "postal", edit)
+            match_log = directory / "out" / "checkpoints" / "identify" / "match_log.csv"
+            return code, report, match_log.read_bytes()
+
+        clean = run(tmp_path / "clean", _unedited)
+        assert clean[0] == EXIT_OK
+        assert b",matched," in clean[2]
+        assert run(tmp_path / "noisy", noisy) == clean
+
+    def test_negative_address_weight(self, tmp_path, capsys):
+        config_path = write_corpus_config(
+            tmp_path / "in", tmp_path / "out", rows=3, seed=14,
+            match={"address_weights": {"street": -1, "zipcode": 1, "city": 1}},
+        )
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        assert "match.address_weights.street must be >= 0" in capsys.readouterr().err
+
+    def test_present_fields_that_weigh_nothing(self, tmp_path):
+        """Street-only weights on lots without streets: the zipcode and city
+        present on both sides weigh nothing, so a name match stands alone."""
+        def no_streets(inputs, _):
+            for column in ("CAE_ADDRESS", "WIN_ADDRESS"):
+                _rewrite_column(inputs["lots"][0], column, lambda _: "")
+
+        weights = {"street": 1, "zipcode": 0, "city": 0}
+        code, report = _masked_run(tmp_path, "lots", no_streets,
+                                   match={"address_weights": weights})
+        assert code == EXIT_OK
+        assert report is not None
 
     def test_padded_registry_header_names_are_read(self, tmp_path):
         def pad(inputs, _):

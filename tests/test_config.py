@@ -83,6 +83,15 @@ def test_range_rules_still_checked():
         assert config_from_dict(data).validate(check_paths=False)
 
 
+@pytest.mark.parametrize("weights,key", [
+    ({"street": -1, "zipcode": 1, "city": 1}, "street"),
+    ({"street": 0.5, "zipcode": 0.75, "city": -0.25}, "city"),
+])
+def test_negative_address_weight_is_rejected(weights, key):
+    errors = config_from_dict({"match": {"address_weights": weights}}).validate(check_paths=False)
+    assert f"match.address_weights.{key} must be >= 0, got {float(weights[key])}" in errors
+
+
 # --------------------------------------------------------------- golden loads
 
 README_EXAMPLE = {

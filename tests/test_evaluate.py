@@ -43,7 +43,6 @@ from tedclean.models import (
     validate_siret,
 )
 from tedclean.normalize import (
-    PostalTable,
     load_postal_table,
     merge_by_declared_siret,
     normalize_occurrence,
@@ -350,7 +349,7 @@ def oracle_mask_and_rerun(
     occurrences: list[AgentOccurrence],
     lots: list[LotRecord],
     registry: Registry,
-    postal: PostalTable | None,
+    postal: dict[str, set[str]] | None,
     config: PipelineConfig,
     truth: dict[int, Identifier],
 ) -> MaskReport:

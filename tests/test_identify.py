@@ -357,6 +357,15 @@ class TestAddressScore:
         assert score == 0.0
         assert mask == ()
 
+    @pytest.mark.parametrize("street", [None, "5 RUE X"])
+    def test_fields_that_weigh_nothing_are_no_evidence(self, street):
+        # street-only weights, street missing on one side: zipcode and city
+        # are present but weigh nothing
+        config = MatchConfig(street_weight=1.0, zipcode_weight=0.0, city_weight=0.0)
+        occ = make_occurrence(street=street, zipcode="69001", city="LYON")
+        facility = fac("x" * 14, [], None, "69001", "LYON")
+        assert address_score(occ, facility, config) == (0.0, ())
+
     @given(*[st.sampled_from([None, "", "5 RUE X", "69001", "69003", "LYON"])] * 3)
     @settings(max_examples=60)
     def test_payload_scores_as_its_occurrence(self, street, zipcode, city):

@@ -8,7 +8,6 @@ from tedclean.config import PipelineConfig
 from tedclean.models import IdentifierKind
 from tedclean.normalize import (
     _FOLD_TABLE,
-    PostalTable,
     department_of,
     fill_zipcode,
     load_postal_table,
@@ -95,6 +94,12 @@ class TestNormalizeAddress:
         assert normalize_address(None, "F-69003", None, TOKENS)[1] == "69003"
         assert normalize_address(None, "69 003", None, TOKENS)[1] is None
         assert normalize_address(None, "xyz", None, TOKENS)[1] is None
+        assert normalize_address(None, "69003CEDEX", None, TOKENS)[1] == "69003"
+        assert normalize_address(None, "75001-75002", None, TOKENS)[1] == "75001"
+        assert normalize_address(None, "690031 69003", None, TOKENS)[1] == "69003"
+        # a zipcode is a five-digit run with no digit on either side
+        for cell in ("2920", "690031", "12345678900011"):
+            assert normalize_address(None, cell, None, TOKENS)[1] is None
 
     def test_city_loses_digits(self):
         assert normalize_address(None, None, "Paris 15", TOKENS)[2] == "PARIS"
@@ -128,10 +133,7 @@ class TestNormalizeAddress:
 
 class TestPostalTable:
     def test_fill_unique_only(self):
-        table = PostalTable()
-        table.add("Lyon", "69001")
-        table.add("Lyon", "69002")
-        table.add("Brest", "29200")
+        table = {"LYON": {"69001", "69002"}, "BREST": {"29200"}}
         assert fill_zipcode("LYON", table) is None
         assert fill_zipcode("BREST", table) == "29200"
         assert fill_zipcode("NULLEPART", table) is None
@@ -140,14 +142,29 @@ class TestPostalTable:
         path = tmp_path / "postal.csv"
         path.write_text("city,zip\nBrest,29200\nLyon,69001\nbad,\n,\n", encoding="utf-8")
         table = load_postal_table(str(path), PipelineConfig().delimiter)
-        assert len(table) == 2
+        assert table == {"BREST": {"29200"}, "LYON": {"69001"}}
         assert fill_zipcode("BREST", table) == "29200"
 
-    def test_load_skips_full_width_zipcode(self, tmp_path):
+    def test_load_keeps_ambiguous_cities(self, tmp_path):
         path = tmp_path / "postal.csv"
-        path.write_text("city,zip\nLyon,\uff16\uff19\uff10\uff10\uff11\n", encoding="utf-8")
+        path.write_text("Lyon,69001\nLYON,69002\n", encoding="utf-8")
         table = load_postal_table(str(path), PipelineConfig().delimiter)
-        assert table.city_to_zipcodes == {}
+        assert len(table) == 1
+        assert fill_zipcode("LYON", table) is None
+
+    def test_load_reads_zipcodes_as_a_lot_row_does(self, tmp_path):
+        path = tmp_path / "postal.csv"
+        path.write_text("Lyon,F-69003 CEDEX\nBrest,2920\nNantes,44000000000011\n",
+                        encoding="utf-8")
+        table = load_postal_table(str(path), PipelineConfig().delimiter)
+        assert table == {"LYON": {"69003"}}
+
+    def test_load_reads_full_width_zipcode_as_ascii(self, tmp_path):
+        path = tmp_path / "postal.csv"
+        path.write_text("city,zip\nLyon,\uff16\uff19\uff10\uff10\uff13\n", encoding="utf-8")
+        table = load_postal_table(str(path), PipelineConfig().delimiter)
+        assert table == {"LYON": {"69003"}}
+        assert department_of(fill_zipcode("LYON", table)) == "69"
 
 
 class TestDepartmentOf:
@@ -180,9 +197,7 @@ class TestNormalizeOccurrence:
             city="Brest",
             country="france",
         )
-        table = PostalTable()
-        table.add("Brest", "29200")
-        normalize_occurrence(occ, table, ["BP", "CS", "CEDEX", "TSA"])
+        normalize_occurrence(occ, {"BREST": {"29200"}}, ["BP", "CS", "CEDEX", "TSA"])
         assert occ.normalized_name == "MAIRIE DE BREST"
         assert occ.street == "2 RUE DE SIAM"
         assert occ.zipcode == "29200"
@@ -192,9 +207,7 @@ class TestNormalizeOccurrence:
 
     def test_present_zipcode_not_overwritten(self):
         occ = make_occurrence(zipcode="75001", city="Brest")
-        table = PostalTable()
-        table.add("Brest", "29200")
-        normalize_occurrence(occ, table, [])
+        normalize_occurrence(occ, {"BREST": {"29200"}}, [])
         assert occ.zipcode == "75001"
         assert occ.department == "75"
 

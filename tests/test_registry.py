@@ -15,7 +15,7 @@ from tedclean.models import (
     RegistryFacility,
     validate_siret,
 )
-from tedclean.normalize import normalize_address
+from tedclean.normalize import department_of, normalize_address
 from tedclean.registry import (
     Registry,
     load_registry,
@@ -206,13 +206,24 @@ class TestLoadRegistry:
         reg = self._load(tmp_path, [], [dict(SIRET=siret, NAMES="Acme")])
         assert reg.facilities == {}
 
-    def test_full_width_zipcode_dropped(self, tmp_path):
+    def test_full_width_zipcode_reads_as_ascii(self, tmp_path):
         zipcode = "69003".translate(FULL_WIDTH)
         reg = self._load(tmp_path, [], [dict(SIRET="12345678900011", POSTAL_CODE=zipcode)])
         facility = reg.facilities["12345678900011"]
-        assert facility.zipcode is None
-        assert facility.department is None
-        assert reg.by_department == {}
+        assert facility.zipcode == "69003"
+        assert facility.department == "69"
+        assert reg.by_department == {"69": {"12345678900011"}}
+
+    @pytest.mark.parametrize("cell,zipcode", [
+        ("F-69003 CEDEX", "69003"), ("69003 Cedex 3", "69003"),
+        ("2920", None), ("690031", None), ("12345678900011", None),
+    ])
+    def test_zipcode_reads_as_an_occurrence_zipcode(self, tmp_path, cell, zipcode):
+        reg = self._load(tmp_path, [], [dict(SIRET="12345678900011", POSTAL_CODE=cell)])
+        facility = reg.facilities["12345678900011"]
+        assert facility.zipcode == normalize_address(None, cell, None, CONFIG.postal_tokens)[1]
+        assert facility.zipcode == zipcode
+        assert facility.department == department_of(zipcode)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):

@@ -12,8 +12,10 @@ seed 0 (every lot and registry column renamed, the lot columns in reverse
 order, `;` as the delimiter, the config's header maps naming the new
 columns), and on a recased copy of them (the config's unsuccessful markers,
 postal tokens and contract-type keys spelled in mixed case with accents, as
-`Annulé` or `Cédex`, which fold to the defaults), and the two output trees
-are compared file by file. Exits 0 when every file matches, and 1, listing
+`Annulé` or `Cédex`, which fold to the defaults), and on a noisy-zipcode
+copy of them (every registry facility and postal zipcode cell written
+`F-<zip> CEDEX`, which reads as `<zip>`), and the two output trees are
+compared file by file. Exits 0 when every file matches, and 1, listing
 the paths that differ, when any does not; a run that fails on either side
 counts as a difference. Exits 2 on a usage error, a ref git cannot archive,
 or inputs that cannot be made.
@@ -87,6 +89,21 @@ def recase_config(config: Path) -> None:
     config.write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
+def noise_zipcodes(config: Path) -> None:
+    """Rewrite a case's registry facility and postal files in place, every
+    zipcode cell written `F-<zip> CEDEX`."""
+    inputs = json.loads(config.read_text(encoding="utf-8"))["inputs"]
+    for key, column in (("registry_facilities", "POSTAL_CODE"), ("postal", "zipcode")):
+        path = Path(inputs[key])
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index(column)
+        for row in rows[1:]:
+            row[at] = f"F-{row[at]} CEDEX"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -138,6 +155,7 @@ def main(argv: list[str]) -> int:
                  for name, workload in WORKLOADS.items() for seed in SEEDS]
         cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs))
         cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config))
+        cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes))
         for case_name, workload, seed, rewrite in cases:
             case = work / case_name
             config, _, _ = make_inputs(case / "in", workload, seed)
