@@ -7,15 +7,17 @@ emptied the pool, so the corpus-level failure attribution is measurable.
 No score reads the lot date, so each date-free payload's block is scored
 once, and each occurrence filters that scored block by its lot date.
 
-Names are scored in two levels. A cheap bound (token overlap, or the
-character-multiset difference in place of the edit distance) rules out a
-candidate name that cannot reach the name threshold; only the names that
-can pass get the exact similarity. Each string's tokens, characters and
-bit-parallel match masks are prepared once, in a bounded memo.
+A block's candidate names are packed once per call, side by side into the
+bits of one int, with a token index beside them. One bit-parallel column
+pass over a payload's name then gives its edit distance to every packed
+name, and the index gives the token overlaps, so every name similarity in
+the block comes from one pass. Each string's tokens and match masks are
+prepared once, in a bounded memo.
 """
 from __future__ import annotations
 
 import datetime as dt
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +37,8 @@ from .models import (
 from .normalize import department_of
 from .registry import Registry, temporally_valid
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True, slots=True)
 class CandidateScore:
@@ -52,16 +56,39 @@ REASON_NAME = "name"
 REASON_ADDRESS = "address"
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance, bit-parallel.
+def _columns(masks: dict[str, int], text: str, mask: int) -> tuple[int, int]:
+    """The last edit-distance column of text against every lane of mask.
 
     Myers (1999, JACM 46(3)) in Hyyrö's (2003) form: bit i of pv/mv says
-    whether row i of the edit-distance column over the shorter string
-    rises or falls by one from row i-1. One pass over the longer string
-    advances the column and tracks its bottom cell. Python ints have no
-    word size, so any length is exact. A shared prefix or suffix costs no
-    edit, so the column runs over the rest only, on the shorter string's
-    prepared masks shifted past the prefix.
+    whether row i of a lane's column rises or falls by one from row i-1,
+    and one pass over text advances every column. A lane is a run of set
+    bits of mask, with a clear guard bit above it that takes its carry, so
+    lanes never meet (Hyyrö, Fredriksson and Navarro, ACM JEA 10, 2005).
+    masks[char] has the lane bits set where the lane's string has char;
+    bits of it outside mask never carry down into a lane. Python ints have
+    no word size, so any number of lanes of any length is exact. A lane's
+    distance is len(text) plus its pv bits less its mv bits.
+    """
+    lows = mask & ~(mask << 1)  # each lane's first row, one edit from the empty prefix
+    pv, mv = mask, 0
+    for char in text:
+        eq = masks.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = (ph << 1) | lows
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return pv, mv & mask
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance, bit-parallel: one lane of the column pass.
+
+    A shared prefix or suffix costs no edit, so the column runs over the
+    rest of the longer string only, on the shorter string's prepared masks
+    shifted past the prefix.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -76,30 +103,13 @@ def levenshtein(a: str, b: str) -> int:
     peq = _profile(b).match_masks
     if start:
         peq = {char: bits >> start for char, bits in peq.items()}
-    # bits above top never carry down into it, so the suffix's bits may stay
-    top = 1 << (end_b - 1 - start)
-    mask = (top << 1) - 1
-    pv, mv, score = mask, 0, end_b - start
-    for char in a[start:end_a]:
-        eq = peq.get(char, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & mask
-        mv = ph & xv
-    return score
+    pv, mv = _columns(peq, a[start:end_a], (1 << (end_b - start)) - 1)
+    return end_a - start + pv.bit_count() - mv.bit_count()
 
 
-# name pairs repeat across payloads, candidates and merge's pair checks
-# (45,899 calls, 1,342 distinct pairs on a 1,000-lot masked run); the bound
-# caps the memory of the pair memo, and of the per-string one, on corpora
-# with many more distinct names
+# street and city pairs repeat across payloads and candidates, and name
+# pairs across merge's pair checks; the bound caps the memory of the pair
+# memo, and of the per-string one, on corpora with many more distinct names
 NAME_SIMILARITY_MEMO_SIZE = 1 << 16
 
 
@@ -180,17 +190,64 @@ def name_similarity(a: str, b: str) -> float:
     return max(overlap, 1.0 - levenshtein(a, b) / max(len(a), len(b)))
 
 
-def name_bound(a: str, b: str) -> float:
-    """An upper bound on name_similarity(a, b), with no edit distance.
+class _Lanes(NamedTuple):
+    """Strings packed side by side into the bits of one int, for _columns."""
 
-    The distance's term is replaced by its character-multiset ceiling;
-    IEEE division and subtraction are monotone, so the float bound is at
-    least the float similarity.
+    spans: list[tuple[int, int, int]]  # each lane's first bit, end bit and token count
+    masks: dict[str, int]
+    mask: int
+    postings: dict[str, list[tuple[int, int]]]  # token: (lane, its count there)
+
+
+def _pack(names: list[str]) -> _Lanes:
+    spans: list[tuple[int, int, int]] = []
+    masks: dict[str, int] = {}
+    postings: dict[str, list[tuple[int, int]]] = {}
+    mask = start = 0
+    for lane, name in enumerate(names):
+        profile = _profile(name)
+        for char, bits in profile.match_masks.items():
+            masks[char] = masks.get(char, 0) | bits << start
+        for token, count in profile.tokens.items():
+            postings.setdefault(token, []).append((lane, count))
+        end = start + len(name)
+        spans.append((start, end, profile.token_total))
+        mask |= (1 << end) - (1 << start)
+        start = end + 1  # past the guard bit
+    return _Lanes(spans, masks, mask, postings)
+
+
+def _distances(text: str, lanes: _Lanes) -> list[int]:
+    """levenshtein(text, name) for every packed name, from one column pass."""
+    pv, mv = _columns(lanes.masks, text, lanes.mask)
+    # one digit per bit, lowest first, so a lane's bits are a slice
+    rises, falls = f"{pv:b}"[::-1], f"{mv:b}"[::-1]
+    return [
+        len(text) + rises.count("1", start, end) - falls.count("1", start, end)
+        for start, end, _ in lanes.spans
+    ]
+
+
+def _similarities(text: str, lanes: _Lanes) -> list[float]:
+    """name_similarity(text, name) for every packed name.
+
+    Where both have tokens this is the larger of the overlap and the edit
+    term, as in name_similarity: an overlap of 1 or a distance of 0 gives
+    1.0, and where the character ceiling skips the distance the edit term,
+    below the ceiling, is below the overlap too.
     """
-    pa, pb = _profile(a), _profile(b)
-    if not pa.token_total or not pb.token_total:
-        return 0.0
-    return max(_overlap(pa, pb), _edit_ceiling(a, b, pa, pb))
+    profile = _profile(text)
+    if not profile.token_total:
+        return [0.0] * len(lanes.spans)
+    shared = [0] * len(lanes.spans)
+    for token, count in profile.tokens.items():
+        for lane, other in lanes.postings.get(token, ()):
+            shared[lane] += min(count, other)
+    return [
+        max(common / min(profile.token_total, total), 1.0 - distance / max(len(text), end - start))
+        if total else 0.0
+        for (start, end, total), common, distance in zip(lanes.spans, shared, _distances(text, lanes))
+    ]
 
 
 class Payload(NamedTuple):
@@ -223,7 +280,7 @@ def _activity_prefixes(
     activity: str | None,
     cpv_map: dict[str, list[str]] | None,
     prefix_length: int,
-) -> list[str] | None:
+) -> tuple[str, ...] | None:
     """Registry activity prefixes acceptable for a lot's CPV, None = skip."""
     if not activity or not cpv_map:
         return None
@@ -231,8 +288,20 @@ def _activity_prefixes(
     for length in range(len(code), 0, -1):
         allowed = cpv_map.get(code[:length])
         if allowed is not None:
-            return [p[:prefix_length] for p in allowed]
+            return tuple(p[:prefix_length] for p in allowed)
     return None
+
+
+# what decides a payload's block under one registry and config: its
+# department and the activity prefixes its lot allows
+_BlockKey = tuple[str | None, tuple[str, ...] | None]
+
+
+def _block_key(
+    payload: Payload, registry: Registry, cpv_map: dict[str, list[str]] | None
+) -> _BlockKey:
+    prefixes = _activity_prefixes(payload.activity, cpv_map, registry.activity_prefix_length)
+    return payload.department, prefixes
 
 
 def _block_payload(
@@ -242,10 +311,14 @@ def _block_payload(
     cpv_map: dict[str, list[str]] | None,
 ) -> set[str] | None:
     """SIRETs consistent with department and activity on any date; None = refused."""
+    return _block(_block_key(payload, registry, cpv_map), registry, config)
+
+
+def _block(key: _BlockKey, registry: Registry, config: MatchConfig) -> set[str] | None:
+    department, prefixes = key
     pool: set[str] | None = None
-    if payload.department:
-        pool = registry.by_department.get(payload.department, set())
-    prefixes = _activity_prefixes(payload.activity, cpv_map, registry.activity_prefix_length)
+    if department:
+        pool = registry.by_department.get(department, set())
     if prefixes is not None:
         allowed: set[str] = set()
         for prefix in prefixes:
@@ -325,33 +398,60 @@ class MatchResult:
 _ScoredBlock = list[tuple[RegistryFacility, CandidateScore | None]]
 
 
+class _PackedBlock(NamedTuple):
+    """A block's facilities in its order, each with the lanes of its
+    candidate names, and the block's distinct candidate names packed."""
+
+    facilities: list[RegistryFacility]
+    lanes_of: list[list[int]]
+    lanes: _Lanes
+
+
+def _pack_block(block: set[str], registry: Registry) -> _PackedBlock:
+    facilities = [registry.facilities[siret] for siret in block]
+    lane_of: dict[str, int] = {}
+    lanes_of = [
+        [lane_of.setdefault(name, len(lane_of)) for name in registry.candidate_names(facility)]
+        for facility in facilities
+    ]
+    return _PackedBlock(facilities, lanes_of, _pack(list(lane_of)))
+
+
+# the blocks packed in one identification call, by key
+_Packs = dict[_BlockKey, _PackedBlock]
+
+
 def _score_payload(
     payload: Payload,
     registry: Registry,
     config: MatchConfig,
     cpv_map: dict[str, list[str]] | None,
+    packs: _Packs | None = None,
 ) -> _ScoredBlock | None:
-    """The payload's block, scored; None when it has no name or no block."""
-    block = _block_payload(payload, registry, config, cpv_map) if payload.name else None
-    if block is None:
+    """The payload's block, scored; None when it has no name or no block.
+
+    packs holds the blocks the calling identification packed so far, for
+    this registry and config; the block is packed into it when absent.
+    """
+    if not payload.name:
         return None
+    packs = {} if packs is None else packs
+    key = _block_key(payload, registry, cpv_map)
+    packed = packs.get(key)
+    if packed is None:
+        block = _block(key, registry, config)
+        if block is None:
+            return None
+        packed = packs[key] = _pack_block(block, registry)
+    similarities = _similarities(payload.name, packed.lanes)
     scored: _ScoredBlock = []
-    for siret in block:
-        facility = registry.facilities[siret]
-        best_sim = 0.0
-        for candidate_name in registry.candidate_names(facility):
-            # a name that cannot pass cannot make the facility a survivor,
-            # and its similarity is written nowhere
-            if name_bound(payload.name, candidate_name) < config.name_threshold:
-                continue
-            sim = name_similarity(payload.name, candidate_name)
-            if sim > best_sim:
-                best_sim = sim
-                if best_sim >= 1.0:
-                    break
+    for facility, lanes in zip(packed.facilities, packed.lanes_of):
+        best_sim = max((similarities[lane] for lane in lanes), default=0.0)
         score = None
         if best_sim >= config.name_threshold:
-            score = CandidateScore(siret, best_sim, *address_score(payload, facility, config))
+            score = CandidateScore(
+                facility.siret, best_sim, *address_score(payload, facility, config)
+            )
         scored.append((facility, score))
     return scored
 
@@ -431,17 +531,25 @@ def identify_all(
 
     Works one payload group at a time: each date-free payload (same name,
     address, activity) has its block scored once, every occurrence in the
-    group filters that scored block by its own lot date, and the block is
-    dropped before the next group. The occurrences are not changed:
-    apply_match_results records the matches on them.
+    group filters that scored block by its own lot date, and the scored
+    block is dropped before the next group. Each distinct block is packed
+    once and dropped when the call returns. The occurrences are not
+    changed: apply_match_results records the matches on them.
     """
     results: list[MatchResult] = []
+    packs: _Packs = {}
+    groups = 0
     for payload, members in payload_groups(occurrences, lots).items():
         if payload is None:
             results += (MatchResult(o.occurrence_id, "declared", o.identifier) for o, _ in members)
             continue
-        scored = _score_payload(payload, registry, config.match, config.cpv_activity_map)
+        groups += 1
+        scored = _score_payload(payload, registry, config.match, config.cpv_activity_map, packs)
         results += (_resolve(o, _lot_date(lot), scored, config.match) for o, lot in members)
+    log.debug(
+        "identify: %d payload groups scored against %d packed blocks of %d lanes",
+        groups, len(packs), sum(len(p.lanes.spans) for p in packs.values()),
+    )
     return sorted(results, key=lambda r: r.occurrence_id)
 
 

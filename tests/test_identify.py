@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from tedclean.identify import (
     identify_all,
     identify_occurrence,
     levenshtein,
-    name_bound,
     name_similarity,
     payload_groups,
     payload_of,
@@ -244,21 +244,9 @@ def near_name(draw, base: str) -> str:
 
 
 BASE_NAMES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join)
-NEAR_PAIRS = BASE_NAMES.flatmap(lambda base: st.tuples(st.just(base), near_name(base)))
 
 
 class TestNameBound:
-    @given(NEAR_PAIRS)
-    @settings(max_examples=400)
-    def test_bounds_the_similarity_near_the_threshold(self, pair):
-        a, b = pair
-        assert name_bound(a, b) == name_bound(b, a) >= name_similarity(a, b)
-
-    @given(FOLDED, FOLDED)
-    @settings(max_examples=300)
-    def test_bounds_the_similarity_anywhere(self, a, b):
-        assert name_bound(a, b) == name_bound(b, a) >= oracle_name_similarity(a, b)
-
     def test_rules_out_a_cross_kind_name_without_a_distance(self, monkeypatch):
         calls = []
 
@@ -271,7 +259,6 @@ class TestNameBound:
         reg = Registry(activity_prefix_length=2)
         reg.add_facility(fac("44444444400011", ["ENTREPRISE DURAND003"], zipcode="69001"))
         payload = Payload("MAIRIE DE VILLE001", None, None, None, "69", None)
-        assert name_bound(payload.name, "ENTREPRISE DURAND003") < MATCH.name_threshold
         scored = identify._score_payload(payload, reg, MATCH, None)
         assert [score for _, score in scored] == [None]
         assert calls == []
@@ -324,6 +311,64 @@ class TestBoundedScoring:
         assert identify._score_payload(payload, reg, config, None) == plain_score_payload(
             payload, reg, config, None
         )
+
+
+# lanes of up to 90 characters cross 64-bit words; runs of one character
+# carry into the guard bits; spaces alone make names with no token
+LANE_CHARS = "AB É😀"
+LANE = st.one_of(
+    st.text(alphabet=LANE_CHARS, max_size=90),
+    st.builds(lambda char, n: char * n, st.sampled_from(LANE_CHARS), st.integers(0, 90)),
+    st.text(alphabet=LANE_CHARS, max_size=6),
+)
+
+
+class TestPackedNames:
+    @given(LANE, st.lists(LANE, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_every_lane_matches_the_oracle(self, text, names):
+        lanes = identify._pack(names)
+        assert identify._distances(text, lanes) == [oracle_levenshtein(text, n) for n in names]
+        assert identify._similarities(text, lanes) == [
+            oracle_name_similarity(text, n) for n in names
+        ]
+
+    def test_a_pack_is_scored_against_its_own_registry(self):
+        """Two registries with the same SIRETs and other names, scored in
+        turn in one process: each score reads its own registry's names."""
+        lyon, durand = Registry(activity_prefix_length=2), Registry(activity_prefix_length=2)
+        for i, name in enumerate(["MAIRIE DE LYON", "MAIRIE DE LYONS", "COMMUNE DE LYON"]):
+            lyon.add_facility(fac(f"77777777700{i:03d}", [name], "1 RUE X", "69001"))
+            durand.add_facility(fac(f"77777777700{i:03d}", ["ENTREPRISE DURAND"], "1 RUE X", "69001"))
+        payload = Payload("MAIRIE DE LYON", "1 RUE X", None, None, "69", None)
+        for reg in (lyon, durand, lyon):
+            assert identify._score_payload(payload, reg, MATCH, None) == plain_score_payload(
+                payload, reg, MATCH, None
+            )
+        lots = [make_lot(1)]
+        occs = [make_occurrence(1, 1, normalized_name=payload.name, street=payload.street,
+                                department="69")]
+        config = PipelineConfig()
+        for reg in (lyon, durand):
+            assert identify_all(occs, lots, reg, config) == dated_results(occs, lots, reg, config)
+
+    def test_a_pack_is_scored_under_its_own_config(self):
+        """One occurrence without a department, identified in turn under
+        configs that block it on the whole registry, on its activity, or
+        not at all."""
+        lots = [make_lot(1, activity_code="45210000")]
+        occs = [make_occurrence(1, 1, normalized_name="ENTREPRISE DURAND")]
+        configs = [
+            PipelineConfig(match=MatchConfig(allow_unblocked=True)),
+            PipelineConfig(match=MatchConfig(allow_unblocked=True), cpv_activity_map={"45": ["84"]}),
+            PipelineConfig(),
+            PipelineConfig(match=MatchConfig(allow_unblocked=True)),
+        ]
+        results = []
+        for config in configs:
+            results.append(identify_all(occs, lots, _REGISTRY, config))
+            assert results[-1] == dated_results(occs, lots, _REGISTRY, config)
+        assert [r.reason for r, in results] == [None, REASON_NAME, REASON_UNBLOCKABLE, None]
 
 
 class TestAddressScore:
@@ -578,6 +623,16 @@ class TestIdentifyAll:
         results = identify_all(occs, [make_lot(1)], registry, PipelineConfig())
         assert [r.occurrence_id for r in results] == [1, 2, 3]
 
+    def test_logs_the_blocks_it_packed(self, registry, caplog):
+        # two payloads share department 69's block: four distinct names
+        occs = [make_occurrence(1, 1, normalized_name="MAIRIE DE LYON", department="69"),
+                make_occurrence(2, 1, normalized_name="COMMUNE DE LYON", department="69")]
+        with caplog.at_level(logging.DEBUG, logger="tedclean.identify"):
+            identify_all(occs, [make_lot(1)], registry, PipelineConfig())
+        assert caplog.messages == [
+            "identify: 2 payload groups scored against 1 packed blocks of 4 lanes"
+        ]
+
 
 class TestPayloadGroups:
     LYON = dict(normalized_name="MAIRIE DE LYON", department="69")
@@ -662,6 +717,21 @@ def dated_identify(payload, date, registry, config, cpv_map):
         return None, REASON_ADDRESS, len(pool), len(by_name)
     best = min(candidates, key=lambda c: (-c.address_score, -c.name_similarity, c.siret))
     return best, None, len(pool), len(by_name)
+
+
+def dated_results(occurrences, lots, registry, config):
+    """identify_all's results, each occurrence identified on its own by the dated oracle."""
+    results = []
+    for occ, lot in zip(occurrences, lots):
+        best, reason, block_size, survivors = dated_identify(
+            payload_of(occ, lot), lot.award_date or lot.publication_date,
+            registry, config.match, config.cpv_activity_map,
+        )
+        results.append(MatchResult(
+            occ.occurrence_id, "matched" if best else "none",
+            full_siret(best.siret) if best else None, reason, best, block_size, survivors,
+        ))
+    return results
 
 
 # facility dates, and lot dates on both sides of each of them
