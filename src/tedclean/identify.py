@@ -5,21 +5,23 @@ and activity domain; keep candidates whose name is close enough; rank the
 rest by address score and take the best. Each failure records which phase
 emptied the pool, so the corpus-level failure attribution is measurable.
 No score reads the lot date, so each date-free payload's block is scored
-once, and each occurrence filters that scored block by its lot date.
+once, and filtered by date once per epoch in which no validity changes.
 
-A block's candidate names are packed once per call, side by side into the
-bits of one int, with a token index beside them. One bit-parallel column
-pass over a payload's name then gives its edit distance to every packed
-name, and the index gives the token overlaps, so every name similarity in
-the block comes from one pass. Each string's tokens and match masks are
-prepared once, in a bounded memo.
+A block's candidate names, and apart its streets, are packed once per
+call, side by side into the bits of one int, with a token index beside
+them. One bit-parallel column pass over a payload's name then gives its
+edit distance to every packed name, and the index gives the token
+overlaps, so every name similarity in the block comes from one pass, and
+every street similarity from one more. Each string's tokens and match
+masks are prepared once, in a bounded memo.
 """
 from __future__ import annotations
 
 import datetime as dt
 import logging
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -107,8 +109,8 @@ def levenshtein(a: str, b: str) -> int:
     return end_a - start + pv.bit_count() - mv.bit_count()
 
 
-# street and city pairs repeat across payloads and candidates, and name
-# pairs across merge's pair checks; the bound caps the memory of the pair
+# city pairs repeat across payloads and candidates, and name, street and
+# city pairs across merge's pair checks; the bound caps the memory of the pair
 # memo, and of the per-string one, on corpora with many more distinct names
 NAME_SIMILARITY_MEMO_SIZE = 1 << 16
 
@@ -360,6 +362,23 @@ def _zipcode_similarity(a: str, b: str) -> float:
     return 0.0
 
 
+def _weigh_address(
+    similarities: tuple[float | None, float | None, float | None], config: MatchConfig
+) -> tuple[float, tuple[str, ...]]:
+    """address_score of the street, zipcode and city similarities, None = absent."""
+    weights = (config.street_weight, config.zipcode_weight, config.city_weight)
+    present: list[str] = []
+    score = total_weight = 0.0
+    for field_name, weight, sim in zip(_ADDRESS_FIELDS, weights, similarities):
+        if sim is not None:
+            present.append(field_name)
+            score += weight * sim
+            total_weight += weight
+    if not total_weight:
+        return 0.0, ()
+    return score / total_weight, tuple(present)
+
+
 def address_score(a, b, config: MatchConfig) -> tuple[float, tuple[str, ...]]:
     """Weighted address agreement of two records with street, zipcode and
     city: occurrences, payloads or registry facilities.
@@ -368,19 +387,11 @@ def address_score(a, b, config: MatchConfig) -> tuple[float, tuple[str, ...]]:
     Returns (score, presence mask); (0.0, ()), no address evidence, when
     those fields weigh nothing.
     """
-    weights = (config.street_weight, config.zipcode_weight, config.city_weight)
-    present: list[str] = []
-    score = total_weight = 0.0
-    for field_name, weight in zip(_ADDRESS_FIELDS, weights):
-        x, y = getattr(a, field_name), getattr(b, field_name)
-        if x and y:
-            sim = _zipcode_similarity(x, y) if field_name == "zipcode" else name_similarity(x, y)
-            present.append(field_name)
-            score += weight * sim
-            total_weight += weight
-    if not total_weight:
-        return 0.0, ()
-    return score / total_weight, tuple(present)
+    return _weigh_address((
+        name_similarity(a.street, b.street) if a.street and b.street else None,
+        _zipcode_similarity(a.zipcode, b.zipcode) if a.zipcode and b.zipcode else None,
+        name_similarity(a.city, b.city) if a.city and b.city else None,
+    ), config)
 
 
 @dataclass
@@ -400,11 +411,14 @@ _ScoredBlock = list[tuple[RegistryFacility, CandidateScore | None]]
 
 class _PackedBlock(NamedTuple):
     """A block's facilities in its order, each with the lanes of its
-    candidate names, and the block's distinct candidate names packed."""
+    candidate names and of its street (None without one), and the block's
+    distinct candidate names and distinct streets packed."""
 
     facilities: list[RegistryFacility]
     lanes_of: list[list[int]]
     lanes: _Lanes
+    street_lanes: list[int | None]
+    streets: _Lanes
 
 
 def _pack_block(block: set[str], registry: Registry) -> _PackedBlock:
@@ -414,7 +428,13 @@ def _pack_block(block: set[str], registry: Registry) -> _PackedBlock:
         [lane_of.setdefault(name, len(lane_of)) for name in registry.candidate_names(facility)]
         for facility in facilities
     ]
-    return _PackedBlock(facilities, lanes_of, _pack(list(lane_of)))
+    street_of: dict[str, int] = {}
+    street_lanes = [
+        street_of.setdefault(f.street, len(street_of)) if f.street else None for f in facilities
+    ]
+    return _PackedBlock(
+        facilities, lanes_of, _pack(list(lane_of)), street_lanes, _pack(list(street_of))
+    )
 
 
 # the blocks packed in one identification call, by key
@@ -444,14 +464,20 @@ def _score_payload(
             return None
         packed = packs[key] = _pack_block(block, registry)
     similarities = _similarities(payload.name, packed.lanes)
+    streets = _similarities(payload.street, packed.streets) if payload.street else None
+    zipcode, city = payload.zipcode, payload.city
     scored: _ScoredBlock = []
-    for facility, lanes in zip(packed.facilities, packed.lanes_of):
+    for facility, lanes, street in zip(packed.facilities, packed.lanes_of, packed.street_lanes):
         best_sim = max((similarities[lane] for lane in lanes), default=0.0)
         score = None
         if best_sim >= config.name_threshold:
-            score = CandidateScore(
-                facility.siret, best_sim, *address_score(payload, facility, config)
-            )
+            # zipcodes and cities pair by pair: city pairs repeat, and hit the memo
+            score = CandidateScore(facility.siret, best_sim, *_weigh_address((
+                None if streets is None or street is None else streets[street],
+                _zipcode_similarity(zipcode, facility.zipcode)
+                if zipcode and facility.zipcode else None,
+                name_similarity(city, facility.city) if city and facility.city else None,
+            ), config))
         scored.append((facility, score))
     return scored
 
@@ -530,25 +556,41 @@ def identify_all(
     """Identify every occurrence without an identifier, in occurrence order.
 
     Works one payload group at a time: each date-free payload (same name,
-    address, activity) has its block scored once, every occurrence in the
-    group filters that scored block by its own lot date, and the scored
-    block is dropped before the next group. Each distinct block is packed
-    once and dropped when the call returns. The occurrences are not
-    changed: apply_match_results records the matches on them.
+    address, activity) has its block scored once, each occurrence in the
+    group takes the outcome of its lot date's validity epoch, resolved
+    once, and the scored block is dropped before the next group. Each
+    distinct block is packed once and dropped when the call returns. The
+    occurrences are not changed: apply_match_results records the matches.
     """
     results: list[MatchResult] = []
     packs: _Packs = {}
-    groups = 0
+    groups = resolutions = 0
     for payload, members in payload_groups(occurrences, lots).items():
         if payload is None:
             results += (MatchResult(o.occurrence_id, "declared", o.identifier) for o, _ in members)
             continue
         groups += 1
         scored = _score_payload(payload, registry, config.match, config.cpv_activity_map, packs)
-        results += (_resolve(o, _lot_date(lot), scored, config.match) for o, lot in members)
+        # a facility is valid from its open date to its close date, both
+        # included: no validity changes between two adjacent cuts
+        cuts = sorted(
+            {f.open_date.toordinal() for f, _ in scored or () if f.open_date}
+            | {f.close_date.toordinal() + 1 for f, _ in scored or () if f.close_date}
+        )
+        # the outcome reads the occurrence only through its payload's name
+        outcomes: dict[int, MatchResult] = {}
+        for occurrence, lot in members:
+            date = _lot_date(lot)
+            epoch = bisect_right(cuts, date.toordinal())
+            if epoch not in outcomes:
+                outcomes[epoch] = _resolve(occurrence, date, scored, config.match)
+            results.append(replace(outcomes[epoch], occurrence_id=occurrence.occurrence_id))
+        resolutions += len(outcomes)
     log.debug(
-        "identify: %d payload groups scored against %d packed blocks of %d lanes",
+        "identify: %d payload groups scored against %d packed blocks of %d name lanes"
+        " and %d street lanes, in %d resolutions",
         groups, len(packs), sum(len(p.lanes.spans) for p in packs.values()),
+        sum(len(p.streets.spans) for p in packs.values()), resolutions,
     )
     return sorted(results, key=lambda r: r.occurrence_id)
 

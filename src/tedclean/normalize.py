@@ -15,6 +15,8 @@ One rule reads every zipcode, of a lot, a registry facility or a postal
 row: `normalize_address` folds the cell, strips postal tokens and keeps
 its first run of exactly five digits, so `F-69003`, `69003 CEDEX` and
 full-width `６９００３` read `69003`, while `2920` and a SIRET read nothing.
+Where a token took the only run (`CEDEX 69003`), the cell's first run is
+read.
 """
 from __future__ import annotations
 
@@ -143,9 +145,11 @@ def normalize_address(
     """
     token_re = _postal_token_re(tuple(postal_tokens))
     out_zip = None
-    cleaned = _strip_postal(zipcode, token_re)
-    if cleaned:
-        run = _FIVE_DIGITS_RE.search(cleaned)
+    if zipcode:
+        folded = normalize_name(zipcode)
+        # a token's digits are not the zipcode, unless a token took the
+        # only run there is (CEDEX 69003)
+        run = _FIVE_DIGITS_RE.search(token_re.sub(" ", folded)) or _FIVE_DIGITS_RE.search(folded)
         out_zip = run.group(0) if run else None
     return _strip_postal(street, token_re), out_zip, normalize_city(city, postal_tokens)
 

@@ -1,5 +1,6 @@
 import datetime as dt
 import logging
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,43 @@ class TestPackedNames:
         assert [r.reason for r, in results] == [None, REASON_NAME, REASON_UNBLOCKABLE, None]
 
 
+# a facility's street: absent, empty, or arbitrary text, tokenless and
+# non-ASCII text among it
+STREET = st.one_of(st.none(), st.just(""), LANE, st.sampled_from(["1 RUE X", "1 RUE Y"]))
+
+
+@st.composite
+def street_block(draw):
+    """A payload and a one-department registry of facilities that all pass
+    the name threshold, with arbitrary streets; the payload's street is one
+    of theirs or arbitrary."""
+    reg = Registry(activity_prefix_length=2)
+    for i in range(draw(st.integers(1, 8))):
+        reg.add_facility(fac(f"888888888{i:05d}", ["MAIRIE DE LYON"], draw(STREET),
+                             draw(st.sampled_from(["69001", "69003"])),
+                             draw(st.sampled_from([None, "LYON", "LYONS"]))))
+    streets = [f.street for f in reg.facilities.values()]
+    payload = Payload("MAIRIE DE LYON", draw(st.one_of(STREET, st.sampled_from(streets))),
+                      draw(st.sampled_from([None, "69001", "75011"])),
+                      draw(st.sampled_from([None, "LYON"])), "69", None)
+    return payload, reg
+
+
+class TestPackedStreets:
+    @given(street_block(), st.sampled_from([
+        MATCH, MatchConfig(street_weight=1.0, zipcode_weight=0.0, city_weight=0.0),
+    ]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_score_is_the_address_score(self, block, config):
+        payload, reg = block
+        scored = identify._score_payload(payload, reg, config, None)
+        assert all(score is not None for _, score in scored)
+        for facility, score in scored:
+            assert score == CandidateScore(
+                facility.siret, score.name_similarity, *address_score(payload, facility, config)
+            )
+
+
 class TestAddressScore:
     def test_all_fields_match(self):
         occ = make_occurrence(street="1 PLACE DE LA COMEDIE", zipcode="69001", city="LYON")
@@ -624,13 +662,20 @@ class TestIdentifyAll:
         assert [r.occurrence_id for r in results] == [1, 2, 3]
 
     def test_logs_the_blocks_it_packed(self, registry, caplog):
-        # two payloads share department 69's block: four distinct names
+        # two payloads share department 69's block: four distinct names and
+        # three distinct streets; the first payload's lots fall in two
+        # epochs, as ENTREPRISE DURAND closes at the end of 2016
+        lots = [make_lot(1), make_lot(2, publication_date=dt.date(2015, 7, 1)),
+                make_lot(3, publication_date=dt.date(2018, 1, 1))]
         occs = [make_occurrence(1, 1, normalized_name="MAIRIE DE LYON", department="69"),
-                make_occurrence(2, 1, normalized_name="COMMUNE DE LYON", department="69")]
+                make_occurrence(2, 1, normalized_name="COMMUNE DE LYON", department="69"),
+                make_occurrence(3, 2, normalized_name="MAIRIE DE LYON", department="69"),
+                make_occurrence(4, 3, normalized_name="MAIRIE DE LYON", department="69")]
         with caplog.at_level(logging.DEBUG, logger="tedclean.identify"):
-            identify_all(occs, [make_lot(1)], registry, PipelineConfig())
+            identify_all(occs, lots, registry, PipelineConfig())
         assert caplog.messages == [
-            "identify: 2 payload groups scored against 1 packed blocks of 4 lanes"
+            "identify: 2 payload groups scored against 1 packed blocks of 4 name lanes"
+            " and 3 street lanes, in 3 resolutions"
         ]
 
 
@@ -795,6 +840,66 @@ class TestDateFreeScoring:
                 full_siret(best.siret) if best else None, reason, best, block_size, survivors,
             ))
         assert identify_all(occs, lots, registry, config) == expected
+
+
+def epoch_of(payload, date, registry, config):
+    """The side of the lot date that each of the block's open and close
+    dates is on: no validity in the block changes while it holds."""
+    block = identify._block_payload(payload, registry, config.match, config.cpv_activity_map)
+    facilities = [registry.facilities[s] for s in sorted(block or ()) if payload.name]
+    return payload, tuple(
+        (f.open_date is not None and f.open_date <= date,
+         f.close_date is not None and f.close_date < date)
+        for f in facilities
+    )
+
+
+class TestResolveOncePerEpoch:
+    def spied(self, occs, lots, registry, config):
+        """identify_all's results, and the (occurrence, lot date) of each resolution."""
+        resolve, calls = identify._resolve, []
+
+        def spy(occurrence, date, *args):
+            calls.append((occurrence, date))
+            return resolve(occurrence, date, *args)
+
+        with mock.patch.object(identify, "_resolve", spy):
+            return identify_all(occs, lots, registry, config), calls
+
+    @given(corpus=dated_corpus(), allow=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_once_per_payload_and_epoch(self, corpus, allow):
+        registry, lots, occs = corpus
+        config = PipelineConfig(match=MatchConfig(allow_unblocked=allow),
+                                cpv_activity_map={"45": ["43"]})
+        lots_by_id = {lot.lot_id: lot for lot in lots}
+        _, calls = self.spied(occs, lots, registry, config)
+        resolved = [
+            epoch_of(payload_of(occ, lots_by_id[occ.lot_id]), date, registry, config)
+            for occ, date in calls
+        ]
+        assert len(resolved) == len(set(resolved))
+        assert set(resolved) == {
+            epoch_of(payload_of(occ, lot), lot.award_date or lot.publication_date,
+                     registry, config)
+            for occ, lot in zip(occs, lots)
+        }
+
+    def test_open_and_close_dates_are_valid_days(self):
+        opened, closed = dt.date(2012, 1, 1), dt.date(2016, 12, 31)
+        reg = Registry(activity_prefix_length=2)
+        reg.add_facility(fac("99999999900011", ["MAIRIE DE LYON"], zipcode="69001",
+                             opened=opened, closed=closed))
+        dates = [opened - dt.timedelta(days=1), opened, closed, closed + dt.timedelta(days=1)]
+        lots = [make_lot(i, publication_date=d) for i, d in enumerate(dates, 1)]
+        occs = [make_occurrence(i, i, normalized_name="MAIRIE DE LYON", department="69")
+                for i in range(1, 5)]
+        results, calls = self.spied(occs, lots, reg, PipelineConfig())
+        assert [r.block_size for r in results] == [0, 1, 1, 0]
+        assert [r.occurrence_id for r in results] == [1, 2, 3, 4]
+        assert [r.source for r in results] == ["none", "matched", "matched", "none"]
+        # the open and the close date share an epoch
+        assert [date for _, date in calls] == [dates[0], dates[1], dates[3]]
 
 
 class TestWriteMatchLog:

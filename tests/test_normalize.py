@@ -101,6 +101,14 @@ class TestNormalizeAddress:
         for cell in ("2920", "690031", "12345678900011"):
             assert normalize_address(None, cell, None, TOKENS)[1] is None
 
+    def test_zipcode_after_a_postal_token(self):
+        # a token's digits are dropped, unless they are the only five-digit run
+        for cell in ("CEDEX 69003", "BP 69003", "Cedex 69003 "):
+            assert normalize_address(None, cell, None, TOKENS)[1] == "69003"
+        for cell in ("69003 CEDEX 03", "BP 45 69003", "CS 12345 69003"):
+            assert normalize_address(None, cell, None, TOKENS)[1] == "69003"
+        assert normalize_address(None, "CEDEX 03", None, TOKENS)[1] is None
+
     def test_city_loses_digits(self):
         assert normalize_address(None, None, "Paris 15", TOKENS)[2] == "PARIS"
 

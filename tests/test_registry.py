@@ -215,8 +215,8 @@ class TestLoadRegistry:
         assert reg.by_department == {"69": {"12345678900011"}}
 
     @pytest.mark.parametrize("cell,zipcode", [
-        ("F-69003 CEDEX", "69003"), ("69003 Cedex 3", "69003"),
-        ("2920", None), ("690031", None), ("12345678900011", None),
+        ("F-69003 CEDEX", "69003"), ("69003 Cedex 3", "69003"), ("CEDEX 69003", "69003"),
+        ("BP 69003", "69003"), ("2920", None), ("690031", None), ("12345678900011", None),
     ])
     def test_zipcode_reads_as_an_occurrence_zipcode(self, tmp_path, cell, zipcode):
         reg = self._load(tmp_path, [], [dict(SIRET="12345678900011", POSTAL_CODE=cell)])
@@ -224,6 +224,7 @@ class TestLoadRegistry:
         assert facility.zipcode == normalize_address(None, cell, None, CONFIG.postal_tokens)[1]
         assert facility.zipcode == zipcode
         assert facility.department == department_of(zipcode)
+        assert reg.by_department == ({"69": {"12345678900011"}} if zipcode else {})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
