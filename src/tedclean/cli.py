@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", help="override the configured output directory")
-        p.add_argument("--jobs", type=int, help="override the configured parallelism")
+        p.add_argument("--jobs", type=int, help="accepted for compatibility; selects nothing")
 
     for stage in STAGE_ORDER:
         p = sub.add_parser(stage, help=f"run the {stage} stage")

@@ -216,6 +216,8 @@ class PipelineConfig:
     # CPV prefix -> acceptable registry activity prefixes; None disables the
     # activity filter entirely.
     cpv_activity_map: dict[str, list[str]] | None = None
+    # Accepted and validated so existing configs keep loading; it selects
+    # nothing, since identification runs in one process.
     jobs: int = 1
 
     def validate(self, check_paths: bool = True) -> list[str]:

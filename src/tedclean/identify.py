@@ -21,7 +21,7 @@ import datetime as dt
 import logging
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -582,9 +582,13 @@ def identify_all(
         for occurrence, lot in members:
             date = _lot_date(lot)
             epoch = bisect_right(cuts, date.toordinal())
-            if epoch not in outcomes:
-                outcomes[epoch] = _resolve(occurrence, date, scored, config.match)
-            results.append(replace(outcomes[epoch], occurrence_id=occurrence.occurrence_id))
+            outcome = outcomes.get(epoch)
+            if outcome is None:
+                outcome = outcomes[epoch] = _resolve(occurrence, date, scored, config.match)
+            results.append(MatchResult(
+                occurrence.occurrence_id, outcome.source, outcome.identifier, outcome.reason,
+                outcome.best, outcome.block_size, outcome.name_survivors,
+            ))
         resolutions += len(outcomes)
     log.debug(
         "identify: %d payload groups scored against %d packed blocks of %d name lanes"

@@ -15,8 +15,9 @@ One rule reads every zipcode, of a lot, a registry facility or a postal
 row: `normalize_address` folds the cell, strips postal tokens and keeps
 its first run of exactly five digits, so `F-69003`, `69003 CEDEX` and
 full-width `６９００３` read `69003`, while `2920` and a SIRET read nothing.
-Where a token took the only run (`CEDEX 69003`), the cell's first run is
-read.
+Where `CEDEX` took the only run (`CEDEX 69003`), the cell's first run
+outside a box token is read; a box number (`BP 12345`, `CS 12345`,
+`TSA 30001 CEDEX`) is never a zipcode.
 """
 from __future__ import annotations
 
@@ -114,6 +115,13 @@ def _postal_token_re(tokens: tuple[str, ...]) -> re.Pattern:
     return re.compile(rf"\b(?:{alts})\b(?:\s+\d+)?" if alts else "(?!)")
 
 
+@lru_cache(maxsize=8)
+def _box_token_re(tokens: tuple[str, ...]) -> re.Pattern:
+    """The postal tokens but CEDEX: a box (BP, CS, TSA) always takes its
+    number with it, while CEDEX may stand before the zipcode (CEDEX 69003)."""
+    return _postal_token_re(tuple(t for t in fold_words(tokens) if t != "CEDEX"))
+
+
 def _strip_postal(value: str | None, token_re: re.Pattern) -> str | None:
     if not value:
         return None
@@ -147,9 +155,11 @@ def normalize_address(
     out_zip = None
     if zipcode:
         folded = normalize_name(zipcode)
-        # a token's digits are not the zipcode, unless a token took the
-        # only run there is (CEDEX 69003)
-        run = _FIVE_DIGITS_RE.search(token_re.sub(" ", folded)) or _FIVE_DIGITS_RE.search(folded)
+        # a token's digits are not the zipcode, unless CEDEX took the only
+        # run there is (CEDEX 69003)
+        run = _FIVE_DIGITS_RE.search(token_re.sub(" ", folded)) or _FIVE_DIGITS_RE.search(
+            _box_token_re(tuple(postal_tokens)).sub(" ", folded)
+        )
         out_zip = run.group(0) if run else None
     return _strip_postal(street, token_re), out_zip, normalize_city(city, postal_tokens)
 

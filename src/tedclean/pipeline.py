@@ -34,9 +34,7 @@ import datetime as dt
 import functools
 import json
 import logging
-import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from operator import attrgetter
@@ -48,7 +46,7 @@ from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
 from .files import input_lines, replacing, write_rows
-from .identify import MatchResult, apply_match_results, identify_all, payload_groups, write_match_log
+from .identify import apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
 from .models import (
@@ -362,42 +360,12 @@ def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     log.info("normalize: %d occurrences", len(occurrences))
 
 
-def _identify_chunk(args: tuple) -> list[MatchResult]:
-    occurrences, lots, registry, config = args
-    return identify_all(occurrences, lots, registry, config)
-
-
-def _identify_parallel(
-    occurrences: list[AgentOccurrence],
-    lots: list[LotRecord],
-    registry: Registry,
-    config: PipelineConfig,
-) -> list[MatchResult]:
-    # whole payload groups dealt round-robin, so no payload is scored in two
-    # workers; collection re-sorts, so the schedule cannot change the output
-    shards: list[tuple[list[AgentOccurrence], dict[int, LotRecord]]] = [
-        ([], {}) for _ in range(config.jobs)
-    ]
-    for i, members in enumerate(payload_groups(occurrences, lots).values()):
-        shard_occurrences, shard_lots = shards[i % config.jobs]
-        shard_occurrences += (occ for occ, _ in members)
-        # a declared occurrence's lot may be unknown; it is not needed
-        shard_lots.update((lot.lot_id, lot) for _, lot in members if lot is not None)
-    work = [(occs, list(by_id.values()), registry, config) for occs, by_id in shards if occs]
-    # a forked pool starts all its workers at once, busy or not
-    with ProcessPoolExecutor(max_workers=min(len(work), os.cpu_count() or 1)) as pool:
-        parts = pool.map(_identify_chunk, work)
-    return sorted((r for part in parts for r in part), key=lambda r: r.occurrence_id)
-
-
 def stage_identify(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     occurrences = checkpoints.read("normalize", "occurrences.csv", AgentOccurrence)
     lots = checkpoints.read("ingest", "lots.csv", LotRecord)
     registry = _load_registry_from_config(config)
 
-    serial = config.jobs <= 1 or len(occurrences) < 2 * config.jobs
-    identify = identify_all if serial else _identify_parallel
-    results = identify(occurrences, lots, registry, config)
+    results = identify_all(occurrences, lots, registry, config)
     apply_match_results(occurrences, results)
 
     checkpoints.write("identify", "occurrences.csv", AgentOccurrence, occurrences)

@@ -102,12 +102,19 @@ class TestNormalizeAddress:
             assert normalize_address(None, cell, None, TOKENS)[1] is None
 
     def test_zipcode_after_a_postal_token(self):
-        # a token's digits are dropped, unless they are the only five-digit run
-        for cell in ("CEDEX 69003", "BP 69003", "Cedex 69003 "):
+        # a token's digits are dropped, unless CEDEX took the only five-digit run
+        for cell in ("CEDEX 69003", "Cedex 69003 "):
             assert normalize_address(None, cell, None, TOKENS)[1] == "69003"
         for cell in ("69003 CEDEX 03", "BP 45 69003", "CS 12345 69003"):
             assert normalize_address(None, cell, None, TOKENS)[1] == "69003"
         assert normalize_address(None, "CEDEX 03", None, TOKENS)[1] is None
+
+    @pytest.mark.parametrize("tokens", [TOKENS, ["Bp", "cs", "Cédex", "Tsa"]])
+    def test_box_number_is_never_a_zipcode(self, tokens):
+        for cell in ("BP 69003", "BP 12345", "CS 12345", "TSA 30001 CEDEX", "Tsa 30001 Cédex"):
+            assert normalize_address(None, cell, None, tokens)[1] is None
+        # the number of a token left out of the list is read like any other
+        assert normalize_address(None, "CS 12345", None, ["CEDEX"])[1] == "12345"
 
     def test_city_loses_digits(self):
         assert normalize_address(None, None, "Paris 15", TOKENS)[2] == "PARIS"

@@ -6,9 +6,9 @@ the column layout of every checkpoint stays pinned. The store tests check
 that a written list reaches its first reader only, except ingest/lots.csv,
 which reaches every reader unchanged. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
-reruns are byte-identical, that parallel identification cannot change
-the output, and that the criterion-7 fixture's output keeps a pinned
-digest.
+reruns are byte-identical, that the jobs setting cannot change the
+output, that identify scores each payload once, and that the criterion-7
+fixture's output keeps a pinned digest.
 """
 from __future__ import annotations
 
@@ -17,11 +17,9 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
-import os
 import shutil
 import sqlite3
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -490,10 +488,15 @@ class TestOrchestration:
             assert 2 * cfg_b.jobs <= len(occs), "fixture must actually take the parallel path"
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_parallel_identify_scores_each_payload_once(self, tmp_path, monkeypatch, jobs):
+    def test_identify_scores_each_payload_once(self, tmp_path, monkeypatch, jobs):
+        """Whatever jobs says, every payload is scored once, in this process."""
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=60, seed=4,
                             registry_agents=4, jobs=jobs)
         run_pipeline(cfg, stage_to="normalize")
+        root = Path(cfg.output_dir) / "checkpoints"
+        occurrences = pl._load(root / "normalize" / "occurrences.csv", AgentOccurrence)
+        lots = pl._load(root / "ingest" / "lots.csv", LotRecord)
+        payloads = identify.payload_groups(occurrences, lots).keys() - {None}
         score, scored = identify._score_payload, []
 
         def spy(payload, *args):
@@ -501,33 +504,10 @@ class TestOrchestration:
             return score(payload, *args)
 
         monkeypatch.setattr(identify, "_score_payload", spy)
-        # threads stand in for the pool's processes, so the spy sees every worker
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", ThreadPoolExecutor)
         stage_identify(cfg, Checkpoints(cfg.output_dir))
-        assert len(scored) > jobs
+        assert payloads
         assert len(scored) == len(set(scored))
-
-    def test_parallel_identify_starts_no_idle_worker(self, tmp_path, monkeypatch):
-        """A forked pool starts every worker it may have, so it may have no
-        more than there are shards with work, or CPUs."""
-        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=80, seed=4,
-                            registry_agents=4, jobs=64)
-        run_pipeline(cfg, stage_to="normalize")
-        root = Path(cfg.output_dir) / "checkpoints"
-        occurrences = pl._load(root / "normalize" / "occurrences.csv", AgentOccurrence)
-        lots = pl._load(root / "ingest" / "lots.csv", LotRecord)
-        groups = len(identify.payload_groups(occurrences, lots))
-        assert groups < cfg.jobs <= len(occurrences) // 2, "fixture must take the parallel path"
-        started = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(pl, "ProcessPoolExecutor", RecordingPool)
-        stage_identify(cfg, Checkpoints(cfg.output_dir))
-        assert started == [min(groups, os.cpu_count() or 1)]
+        assert set(scored) == payloads
 
     def test_stage_to_stops_early(self, tmp_path):
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=5)

@@ -216,7 +216,8 @@ class TestLoadRegistry:
 
     @pytest.mark.parametrize("cell,zipcode", [
         ("F-69003 CEDEX", "69003"), ("69003 Cedex 3", "69003"), ("CEDEX 69003", "69003"),
-        ("BP 69003", "69003"), ("2920", None), ("690031", None), ("12345678900011", None),
+        ("BP 69003", None), ("CS 12345", None), ("TSA 30001 CEDEX", None),
+        ("2920", None), ("690031", None), ("12345678900011", None),
     ])
     def test_zipcode_reads_as_an_occurrence_zipcode(self, tmp_path, cell, zipcode):
         reg = self._load(tmp_path, [], [dict(SIRET="12345678900011", POSTAL_CODE=cell)])
