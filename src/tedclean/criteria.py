@@ -4,10 +4,13 @@ The raw tables hold criterion names and weights as free text, sometimes
 several per cell, sometimes mixed into one cell, with weights summing to
 anything. Repair makes each lot carry one row per criterion, classified
 into six classes, with weights that sum to exactly 100.00 when they can be
-normalized and kept raw (flagged) when they cannot.
+normalized and kept raw (flagged) when they cannot. Lots repeat the same
+cells, so `repair_criteria` repairs each distinct stripped (names, weights,
+price) triple once per call.
 """
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -18,6 +21,8 @@ from .config import PipelineConfig
 from .models import CriteriaRaw, Criterion, CriterionClass
 from .normalize import normalize_name
 from .ingest import parse_decimal, separators_in
+
+log = logging.getLogger(__name__)
 
 _NUMBER_RE = re.compile(r"\d+(?:[.,]\d+)?")
 _SEGMENT_SPLIT_RE = re.compile(r"[;,]")
@@ -208,49 +213,75 @@ class CriteriaResult:
     unnormalized_lots: set[int] = field(default_factory=set)
 
 
-def repair_criteria(raw_rows: list[CriteriaRaw], config: PipelineConfig) -> CriteriaResult:
-    """Run the full repair on every lot's raw criterion cells."""
-    result = CriteriaResult()
-    for raw in raw_rows:
-        names = raw.names_field.strip()
-        weights = raw.weights_field.strip()
-        price = raw.price_field.strip()
-        if not names and not weights and not price:
-            continue
+def _repair_cells(
+    names: str, weights: str, price: str, config: PipelineConfig
+) -> tuple[list[tuple[str, CriterionClass, Decimal | None, bool]], bool, bool, bool]:
+    """Repair one stripped (names, weights, price) triple.
 
-        weight_tokens = clean_weight_field(weights, config.separators)
-        if names and not weight_tokens and _NUMBER_RE.search(names):
-            pairs = unmix_names_weights(names, config.separators)
-            mismatched = False
+    Returns the criteria as (raw_name, class, weight, weight_is_normalized)
+    templates and the misaligned, conflict and unnormalized flags; nothing
+    here depends on which lot holds the triple.
+    """
+    weight_tokens = clean_weight_field(weights, config.separators)
+    if names and not weight_tokens and _NUMBER_RE.search(names):
+        pairs = unmix_names_weights(names, config.separators)
+        mismatched = False
+    else:
+        pairs, mismatched = split_criteria(names, weight_tokens, config.separators)
+
+    criteria = [
+        Criterion(
+            lot_id=0,
+            raw_name=name,
+            criterion_class=classify_criterion(name, config.criterion_lexicon),
+            weight=weight,
+        )
+        for name, weight in pairs
+    ]
+    criteria, conflicted = extract_price_weight(price, criteria)
+    unnormalized = False
+    if criteria and all(c.weight is not None for c in criteria):
+        normalized = normalize_weights([c.weight for c in criteria])
+        if normalized is None:
+            unnormalized = True
         else:
-            pairs, mismatched = split_criteria(names, weight_tokens, config.separators)
-        if mismatched:
-            result.misaligned_lots.add(raw.lot_id)
+            for criterion, value in zip(criteria, normalized):
+                criterion.weight = value
+                criterion.weight_is_normalized = True
+    elif any(c.weight is not None for c in criteria):
+        unnormalized = True
+    templates = [
+        (c.raw_name, c.criterion_class, c.weight, c.weight_is_normalized) for c in criteria
+    ]
+    return templates, mismatched, conflicted, unnormalized
 
-        criteria = [
-            Criterion(
-                lot_id=raw.lot_id,
-                raw_name=name,
-                criterion_class=classify_criterion(name, config.criterion_lexicon),
-                weight=weight,
-            )
-            for name, weight in pairs
-        ]
-        criteria, conflicted = extract_price_weight(price, criteria, lot_id=raw.lot_id)
+
+def repair_criteria(raw_rows: list[CriteriaRaw], config: PipelineConfig) -> CriteriaResult:
+    """Run the full repair on every lot's raw criterion cells.
+
+    Lots repeat the same cells, so each distinct stripped (names, weights,
+    price) triple is repaired once per call; every lot holding it gets
+    fresh Criterion records with its own lot_id, and joins the flag sets
+    the triple raised.
+    """
+    result = CriteriaResult()
+    repaired: dict[tuple[str, str, str], tuple] = {}
+    for raw in raw_rows:
+        key = (raw.names_field.strip(), raw.weights_field.strip(), raw.price_field.strip())
+        if not any(key):
+            continue
+        done = repaired.get(key)
+        if done is None:
+            done = repaired[key] = _repair_cells(*key, config)
+        templates, misaligned, conflicted, unnormalized = done
+        if misaligned:
+            result.misaligned_lots.add(raw.lot_id)
         if conflicted:
             result.conflict_lots.add(raw.lot_id)
-        if not criteria:
-            continue
-
-        if all(c.weight is not None for c in criteria):
-            normalized = normalize_weights([c.weight for c in criteria])
-            if normalized is None:
-                result.unnormalized_lots.add(raw.lot_id)
-            else:
-                for criterion, value in zip(criteria, normalized):
-                    criterion.weight = value
-                    criterion.weight_is_normalized = True
-        elif any(c.weight is not None for c in criteria):
+        if unnormalized:
             result.unnormalized_lots.add(raw.lot_id)
-        result.criteria.extend(criteria)
+        result.criteria.extend(Criterion(raw.lot_id, *t) for t in templates)
+    log.debug(
+        "criteria: %d lots from %d distinct criterion cells", len(raw_rows), len(repaired)
+    )
     return result

@@ -353,8 +353,21 @@ def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
         load_postal_table(config.postal_file, config.delimiter, config.postal_tokens)
         if config.postal_file else None
     )
+    # descriptions repeat across roles and lots: each distinct raw one is
+    # normalized once, and its repeats take the same six outputs
+    normalized: dict[tuple, tuple] = {}
     for occ in occurrences:
-        normalize_occurrence(occ, postal, config.postal_tokens)
+        key = (occ.raw_name, occ.street, occ.zipcode, occ.city, occ.country)
+        out = normalized.get(key)
+        if out is None:
+            normalize_occurrence(occ, postal, config.postal_tokens)
+            normalized[key] = (occ.normalized_name, occ.street, occ.zipcode,
+                               occ.city, occ.country, occ.department)
+        else:
+            (occ.normalized_name, occ.street, occ.zipcode,
+             occ.city, occ.country, occ.department) = out
+    log.debug("normalize: %d occurrences from %d distinct descriptions",
+              len(occurrences), len(normalized))
     merge_by_declared_siret(occurrences)
     checkpoints.write("normalize", "occurrences.csv", AgentOccurrence, occurrences)
     log.info("normalize: %d occurrences", len(occurrences))

@@ -1,8 +1,12 @@
-"""Reference weight rounding and majority rule: the bodies that criteria and
-merge once had, kept verbatim as oracles for the integer rounding and the
-single majority function that replaced them.
+"""Reference weight rounding, criterion repair and majority rule: the bodies
+that criteria and merge once had, kept verbatim as oracles for the integer
+rounding, the repair of each distinct criterion triple once, and the single
+majority function that replaced them.
 
-`normalize_weights` rounds through `fractions.Fraction`; identifiers and
+`normalize_weights` rounds through `fractions.Fraction`;
+`oracle_repair_criteria` repairs every lot on its own, through the
+production helpers (the integer `normalize_weights` is named by its module,
+as this one's `normalize_weights` is the Fraction reference); identifiers and
 address fields each have their own majority function.
 """
 from __future__ import annotations
@@ -11,8 +15,19 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
+from tedclean import criteria as criteria_module
+from tedclean.config import PipelineConfig
+from tedclean.criteria import (
+    _NUMBER_RE,
+    CriteriaResult,
+    classify_criterion,
+    clean_weight_field,
+    extract_price_weight,
+    split_criteria,
+    unmix_names_weights,
+)
 from tedclean.merge import field_completeness
-from tedclean.models import AgentOccurrence, CaseKind, Identifier
+from tedclean.models import AgentOccurrence, CaseKind, CriteriaRaw, Criterion, Identifier
 
 
 def _round_half_up_2(value: Fraction) -> Fraction:
@@ -40,6 +55,54 @@ def normalize_weights(weights: list[Decimal]) -> list[Decimal] | None:
         (Decimal(r.numerator) / Decimal(r.denominator)).quantize(two_places)
         for r in rounded
     ]
+
+
+def oracle_repair_criteria(raw_rows: list[CriteriaRaw], config: PipelineConfig) -> CriteriaResult:
+    """Run the full repair on every lot's raw criterion cells."""
+    result = CriteriaResult()
+    for raw in raw_rows:
+        names = raw.names_field.strip()
+        weights = raw.weights_field.strip()
+        price = raw.price_field.strip()
+        if not names and not weights and not price:
+            continue
+
+        weight_tokens = clean_weight_field(weights, config.separators)
+        if names and not weight_tokens and _NUMBER_RE.search(names):
+            pairs = unmix_names_weights(names, config.separators)
+            mismatched = False
+        else:
+            pairs, mismatched = split_criteria(names, weight_tokens, config.separators)
+        if mismatched:
+            result.misaligned_lots.add(raw.lot_id)
+
+        criteria = [
+            Criterion(
+                lot_id=raw.lot_id,
+                raw_name=name,
+                criterion_class=classify_criterion(name, config.criterion_lexicon),
+                weight=weight,
+            )
+            for name, weight in pairs
+        ]
+        criteria, conflicted = extract_price_weight(price, criteria, lot_id=raw.lot_id)
+        if conflicted:
+            result.conflict_lots.add(raw.lot_id)
+        if not criteria:
+            continue
+
+        if all(c.weight is not None for c in criteria):
+            normalized = criteria_module.normalize_weights([c.weight for c in criteria])
+            if normalized is None:
+                result.unnormalized_lots.add(raw.lot_id)
+            else:
+                for criterion, value in zip(criteria, normalized):
+                    criterion.weight = value
+                    criterion.weight_is_normalized = True
+        elif any(c.weight is not None for c in criteria):
+            result.unnormalized_lots.add(raw.lot_id)
+        result.criteria.extend(criteria)
+    return result
 
 
 def resolve_cluster(

@@ -672,9 +672,9 @@ def _csv_rows(path: Path) -> int:
 
 
 def test_criterion_7_schema_integrity_and_determinism(tmp_path):
-    """Full pipeline on the 100-row fixture: byte-identical across reruns
-    and parallelism 1/4/8; the SQL dump reloads with identical row counts;
-    referential integrity holds in the reloaded database."""
+    """Full pipeline on the 100-row fixture: byte-identical across reruns,
+    and jobs=1/4/8 changes no byte; the SQL dump reloads with identical row
+    counts; referential integrity holds in the reloaded database."""
     t0 = perf_counter()
     base = corpus_config(tmp_path / "in", tmp_path / "run_a", rows=100, seed=42)
     trees = {}
@@ -689,7 +689,7 @@ def test_criterion_7_schema_integrity_and_determinism(tmp_path):
     occurrence_rows = _csv_rows(
         tmp_path / "run_a" / "checkpoints" / "normalize" / "occurrences.csv"
     )
-    assert occurrence_rows >= 16, "fixture too small to exercise the parallel path"
+    assert occurrence_rows >= 16, "fixture too small to show that jobs changes no byte"
 
     out = tmp_path / "run_a"
     connection = sqlite3.connect(":memory:")

@@ -356,7 +356,7 @@ class TestExitCodes:
         assert "invariant violated" in capsys.readouterr().err
 
     def test_unknown_lot_fails_alike_serial_and_parallel(self, tmp_path, capsys):
-        # 30 rows: enough occurrences for jobs=4 to take the parallel path
+        # 30 rows: more occurrences than jobs=4, which must change no byte of the error
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=30, seed=4)
         assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
         capsys.readouterr()

@@ -1,9 +1,12 @@
+import logging
+from dataclasses import astuple
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tedclean import criteria as criteria_module
 from tedclean.config import DEFAULT_CRITERION_LEXICON, DEFAULT_SEPARATORS, PipelineConfig
 from tedclean.criteria import (
     classify_criterion,
@@ -377,3 +380,78 @@ class TestRepairCriteria:
             CriterionClass.OTHERS,
         ]
         assert [c.weight for c in result.criteria] == [Decimal("70.00"), Decimal("30.00")]
+
+
+# raw (names, weights, price) cells a corpus repeats: two spellings of one
+# triple, that triple with a price (only the price cell differs), all-empty
+# and price-only cells, the unmix path, count mismatches, zero-sum weights
+TRIPLE_POOL = [
+    ("Prix;Qualité", "60;40", ""),
+    ("  Prix;Qualité\t", " 60;40 ", "  "),
+    ("Prix;Qualité", "60;40", "70"),
+    ("", "", ""),
+    ("  ", "", " "),
+    ("", "", "35"),
+    ("", "", "35 %"),
+    ("Prix : 60 ; Qualité : 40", "", ""),
+    ("Prix : 60 ; Qualité", "", ""),
+    ("A;B;C", "60;40", ""),
+    ("A;B;C", "60;40", "20"),
+    ("Prix;Qualité", "0;0", ""),
+    ("", "70;30", ""),
+    ("Délai;Environnement", "3;1", "50"),
+]
+
+
+class TestRepairEachTripleOnce:
+    CONFIG = PipelineConfig()
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.sampled_from(TRIPLE_POOL), max_size=12).flatmap(
+            lambda cells: st.tuples(
+                st.just(cells), st.permutations(range(1, len(cells) + 1))
+            )
+        )
+    )
+    def test_matches_the_per_lot_oracle(self, drawn):
+        cells, lot_ids = drawn
+        rows = [raw_row(lot_id, *triple) for lot_id, triple in zip(lot_ids, cells)]
+        got = repair_criteria(rows, self.CONFIG)
+        want = rule_oracle.oracle_repair_criteria(rows, self.CONFIG)
+        assert list(map(astuple, got.criteria)) == list(map(astuple, want.criteria))
+        assert got.misaligned_lots == want.misaligned_lots
+        assert got.conflict_lots == want.conflict_lots
+        assert got.unnormalized_lots == want.unnormalized_lots
+
+    def test_cleans_each_distinct_stripped_triple_once(self, monkeypatch):
+        seen = []
+
+        def spy(raw, separators):
+            seen.append(raw)
+            return clean_weight_field(raw, separators)
+
+        monkeypatch.setattr(criteria_module, "clean_weight_field", spy)
+        rows = [raw_row(i, *triple) for i, triple in enumerate(TRIPLE_POOL * 3, start=1)]
+        repair_criteria(rows, self.CONFIG)
+        distinct = {tuple(cell.strip() for cell in triple) for triple in TRIPLE_POOL}
+        distinct.discard(("", "", ""))
+        assert len(seen) == len(distinct)
+
+    def test_lots_sharing_a_triple_get_their_own_records(self):
+        rows = [raw_row(1, "Prix;Qualité", "60;40"), raw_row(2, " Prix;Qualité", "60;40 ")]
+        result = repair_criteria(rows, self.CONFIG)
+        first, second = result.criteria[:2], result.criteria[2:]
+        assert [c.lot_id for c in first] == [1, 1] and [c.lot_id for c in second] == [2, 2]
+        assert not {id(c) for c in first} & {id(c) for c in second}
+        first[0].weight = Decimal("1")
+        assert second[0].weight == Decimal("60.00")
+        again = repair_criteria(rows, self.CONFIG)
+        assert again.criteria[0].weight == Decimal("60.00")
+
+    def test_logs_the_cells_it_repaired(self, caplog):
+        # the pool's 14 triples strip to 11 that are not all empty
+        rows = [raw_row(i, *triple) for i, triple in enumerate(TRIPLE_POOL, start=1)]
+        with caplog.at_level(logging.DEBUG, logger="tedclean.criteria"):
+            repair_criteria(rows, self.CONFIG)
+        assert caplog.messages == ["criteria: 14 lots from 11 distinct criterion cells"]

@@ -8,7 +8,9 @@ which reaches every reader unchanged. The orchestration
 tests check that `pipeline` equals running the stages one by one, that
 reruns are byte-identical, that the jobs setting cannot change the
 output, that identify scores each payload once, and that the criterion-7
-fixture's output keeps a pinned digest.
+fixture's output keeps a pinned digest. The normalize tests check that the
+stage normalizes each distinct raw description once, to what normalizing
+every occurrence on its own gives.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import logging
 import shutil
 import sqlite3
 import tempfile
@@ -50,6 +53,7 @@ from tedclean.models import (
     Role,
     RowRejection,
 )
+from tedclean.normalize import load_postal_table, merge_by_declared_siret, normalize_occurrence
 from tedclean.pipeline import (
     STAGE_ORDER,
     Checkpoints,
@@ -485,7 +489,7 @@ class TestOrchestration:
             dir_b = out_b / "checkpoints" / "identify"
             assert _tree(dir_a) == _tree(dir_b)
             occs = pl._load(dir_b / "occurrences.csv", AgentOccurrence)
-            assert 2 * cfg_b.jobs <= len(occs), "fixture must actually take the parallel path"
+            assert 2 * cfg_b.jobs <= len(occs), "fixture too small to show that jobs changes no byte"
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_identify_scores_each_payload_once(self, tmp_path, monkeypatch, jobs):
@@ -530,6 +534,90 @@ class TestOrchestration:
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=7)
         with pytest.raises(ConfigError, match="after"):
             run_pipeline(cfg, stage_from="merge", stage_to="ingest")
+
+
+# raw (raw_name, street, zipcode, city, country) descriptions: MAIRIE_BE
+# differs from MAIRIE in its country only, and ADJOINT in its name only
+MAIRIE = ("Mairie de Lyon (siège)", "1 Rue de la République", "69001", "Lyon", "France")
+MAIRIE_BE = MAIRIE[:4] + ("Belgique",)
+ADJOINT = ("Mairie de Lyon 2",) + MAIRIE[1:]
+DURAND = ("Sarl Durand & Fils", "BP 12 Zone Nord", None, "Villeurbanne Cedex", None)
+ECULLY = ("Commune d'Écully", None, "69130 CEDEX", "Écully", "FRANCE")
+LYON = ("Ville de Lyon", None, None, "Lyon", "France")  # Lyon has two zipcodes
+# (lot, role, description, declared SIRET): descriptions repeat across roles,
+# lots and declarations, valid, malformed or absent
+NORMALIZE_PLAN = [
+    (1, Role.BUYER, MAIRIE, "21690123100011"),
+    (1, Role.WINNER, DURAND, None),
+    (2, Role.BUYER, MAIRIE, None),
+    (2, Role.WINNER, MAIRIE_BE, "123"),
+    (3, Role.BUYER, ADJOINT, "216901231"),
+    (3, Role.WINNER, DURAND, "44306184100047"),
+    (4, Role.BUYER, ECULLY, None),
+    (4, Role.WINNER, MAIRIE, "21690123100011"),
+    (5, Role.BUYER, LYON, None),
+    (5, Role.WINNER, ECULLY, "44306184100047"),
+    (6, Role.BUYER, ADJOINT, None),
+    (6, Role.WINNER, LYON, "not a siret"),
+]
+
+
+def _raw_key(occ: AgentOccurrence) -> tuple:
+    return occ.raw_name, occ.street, occ.zipcode, occ.city, occ.country
+
+
+class TestNormalizeStage:
+    """The stage normalizes each distinct raw description once and copies
+    the outputs to its repeats; declared SIRETs stay per occurrence."""
+
+    @staticmethod
+    def _occurrences() -> list[AgentOccurrence]:
+        return [
+            AgentOccurrence(i, lot, role, *description, declared_siret=siret)
+            for i, (lot, role, description, siret) in enumerate(NORMALIZE_PLAN, start=1)
+        ]
+
+    def _run(self, tmp_path) -> tuple[PipelineConfig, list[AgentOccurrence]]:
+        postal = tmp_path / "postal.csv"
+        postal.write_text(
+            "city,zipcode\nVilleurbanne,69100\nLyon,69001\nLyon,69002\n", encoding="utf-8"
+        )
+        cfg = PipelineConfig(postal_file=str(postal), output_dir=str(tmp_path / "out"))
+        Checkpoints(cfg.output_dir).write(
+            "ingest", "occurrences.csv", AgentOccurrence, self._occurrences()
+        )
+        run_stage("normalize", cfg)
+        return cfg, Checkpoints(cfg.output_dir).read("normalize", "occurrences.csv",
+                                                     AgentOccurrence)
+
+    def test_equals_normalizing_each_occurrence(self, tmp_path):
+        cfg, got = self._run(tmp_path)
+        want = self._occurrences()
+        postal = load_postal_table(cfg.postal_file, cfg.delimiter, cfg.postal_tokens)
+        for occ in want:
+            normalize_occurrence(occ, postal, cfg.postal_tokens)
+        merge_by_declared_siret(want)
+        assert got == want
+        assert [occ.zipcode for occ in got if occ.raw_name == DURAND[0]] == ["69100"] * 2
+
+    def test_normalizes_each_distinct_description_once(self, tmp_path, monkeypatch):
+        keys = []
+        real = pl.normalize_occurrence
+
+        def spy(occ, postal, postal_tokens):
+            keys.append(_raw_key(occ))
+            real(occ, postal, postal_tokens)
+
+        monkeypatch.setattr(pl, "normalize_occurrence", spy)
+        self._run(tmp_path)
+        distinct = {_raw_key(occ) for occ in self._occurrences()}
+        assert len(keys) == len(distinct) and set(keys) == distinct
+
+    def test_logs_the_descriptions_it_normalized(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tedclean.pipeline"):
+            self._run(tmp_path)
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == ["normalize: 12 occurrences from 6 distinct descriptions"]
 
 
 class TestEvaluateStage:
