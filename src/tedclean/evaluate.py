@@ -1,11 +1,12 @@
 """Quantitative validation: masked re-identification, clustering quality,
 stage accounting, and corpus statistics.
 
-The headline protocol hides known identifiers, reruns the pipeline, and
-classifies what it recovers into four outcomes (FULL, PARTIAL, INCORRECT,
-NONE). Clustering quality is measured per agent by how concentrated its
-occurrences are in clusters; stage accounting snapshots correctness after
-each pipeline step.
+The headline protocol hides known identifiers, identifies the hidden
+occurrences again, resolves merge's clusters again with what that found,
+and classifies what it recovers into four outcomes (FULL, PARTIAL,
+INCORRECT, NONE). Clustering quality is measured per agent by how
+concentrated its occurrences are in clusters; stage accounting snapshots
+correctness after each pipeline step.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from pathlib import Path
 from .config import PipelineConfig
 from .files import read_fields, write_rows
 from .identify import apply_match_results, identify_all
-from .merge import merge_all
+from .merge import merge_all  # not called here: perfbench/tracer.py patches this binding
+from .merge import resolve_clusters
 from .models import (
     AgentCluster,
     AgentOccurrence,
@@ -251,8 +253,20 @@ def _outcome_distribution(
     return out
 
 
+def check_partition(clusters: list[AgentCluster], occurrence_ids: set[int], path: Path) -> None:
+    """The clusters read from path must hold each of occurrence_ids exactly
+    once: a stale or edited clusters file would give a plausible wrong report."""
+    seen = Counter(i for cluster in clusters for i in cluster.member_occurrence_ids)
+    for what, ids in (("misses", occurrence_ids - seen.keys()),
+                      ("repeats", {i for i, n in seen.items() if n > 1}),
+                      ("names unknown", seen.keys() - occurrence_ids)):
+        if ids:
+            raise InvariantError(f"{path} {what} occurrence id(s) {sorted(ids)[:5]}")
+
+
 def mask_and_rerun(
     occurrences: list[AgentOccurrence],
+    clusters: list[AgentCluster],
     lots: list[LotRecord],
     registry: Registry,
     config: PipelineConfig,
@@ -261,11 +275,14 @@ def mask_and_rerun(
     """Hide the known identifiers, rerun what that changes, classify recovery.
 
     `occurrences` are as identification left them, and are changed in
-    place. Masking clears only the declared and resolved identifiers of
-    the truth occurrences. Normalization reads neither, and every other
-    occurrence's identifier depends on its own payload alone, so only the
-    truth occurrences are identified again before everything is
-    reclustered.
+    place; `clusters` are merge's partition of them. Masking clears only
+    the declared and resolved identifiers of the truth occurrences.
+    Normalization reads neither, and every other occurrence's identifier
+    depends on its own payload alone, so only the truth occurrences are
+    identified again. Clustering reads no identifier either, only names,
+    streets, zipcodes, cities and departments, so merge's clusters stand
+    and are only resolved again. Should clustering ever read identifiers
+    (a cannot-link rule, say), the rerun must cluster again.
     """
     if not truth:
         raise InvariantError("mask_and_rerun requires a non-empty ground-truth set")
@@ -296,7 +313,7 @@ def mask_and_rerun(
         )
     snapshots["identification"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
-    merged = merge_all(occurrences, config)
+    resolve_clusters([c.member_occurrence_ids for c in clusters], by_id)
     snapshots["clustering"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
     outcomes = {
@@ -323,7 +340,7 @@ def mask_and_rerun(
         agent_outcome[representative] = best
         by_role_agent[role_value].append(representative)
 
-    clustering = Clustering.from_clusters(merged.clusters)
+    clustering = Clustering.from_clusters(clusters)
     truth_groups: dict[str, list[int]] = defaultdict(list)
     for occ_id, expected in truth.items():
         truth_groups[expected.value].append(occ_id)

@@ -206,6 +206,29 @@ class MergeResult:
     agents: list[CanonicalAgent] = field(default_factory=list)
 
 
+def resolve_clusters(
+    member_lists: list[list[int]], by_id: dict[int, AgentOccurrence]
+) -> list[AgentCluster]:
+    """Resolve the member lists into clusters 1, 2, ..., internal codes
+    allocated in that order. Side effect: members adopt their cluster's
+    identifier."""
+    serial = count(1)
+
+    def allocate_internal() -> Identifier:
+        return internal_code(next(serial))
+
+    clusters = []
+    for cluster_id, ids in enumerate(member_lists, 1):
+        members = [by_id[i] for i in ids]
+        case, resolved = resolve_cluster(members, allocate_internal)
+        clusters.append(AgentCluster(cluster_id, ids, case, resolved))
+        for occ in members:
+            if occ.identifier != resolved:
+                occ.identifier = resolved
+                occ.identifier_source = "merged"
+    return clusters
+
+
 def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> MergeResult:
     """Cluster, resolve, and merge every occurrence into canonical agents.
 
@@ -215,30 +238,11 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
     """
     member_lists = cluster_occurrences(occurrences, config.merge_threshold, config.match)
     by_id = {occ.occurrence_id: occ for occ in occurrences}
+    result = MergeResult(clusters=resolve_clusters(member_lists, by_id))
 
-    serial = count(1)
-
-    def allocate_internal() -> Identifier:
-        return internal_code(next(serial))
-
-    result = MergeResult()
     groups: dict[Identifier, list[AgentCluster]] = {}
-    for cluster_id, ids in enumerate(member_lists, 1):
-        members = [by_id[i] for i in ids]
-        case, resolved = resolve_cluster(members, allocate_internal)
-        cluster = AgentCluster(
-            cluster_id=cluster_id,
-            member_occurrence_ids=ids,
-            case_kind=case,
-            resolved_identifier=resolved,
-        )
-        result.clusters.append(cluster)
-        groups.setdefault(resolved, []).append(cluster)
-        for occ in members:
-            if occ.identifier != resolved:
-                occ.identifier = resolved
-                occ.identifier_source = "merged"
-
+    for cluster in result.clusters:
+        groups.setdefault(cluster.resolved_identifier, []).append(cluster)
     for ident in sorted(groups, key=lambda i: (i.kind.value, i.value)):
         clusters = groups[ident]
         members = [by_id[i] for c in clusters for i in c.member_occurrence_ids]

@@ -160,6 +160,13 @@ def _parse_bool(cell: str) -> bool:
     return cell == "1"
 
 
+@functools.cache
+def _enum_parser(tp: type[Enum]) -> Callable[[str], Enum]:
+    """tp(cell) through a dict lookup; tp itself raises on an unknown value."""
+    members = {member.value: member for member in tp}
+    return lambda cell: members.get(cell) or tp(cell)
+
+
 def _cell_plan(tp: type) -> tuple[Callable[[str], object], Callable | None]:
     """(parse, encode) of one column; encode None leaves the value to the
     csv writer, which writes str() and None as an empty cell."""
@@ -169,16 +176,19 @@ def _cell_plan(tp: type) -> tuple[Callable[[str], object], Callable | None]:
             return (lambda cell: [int(i) for i in cell.split()]), (
                 lambda ids: " ".join(map(str, ids))
             )
-        return (lambda cell: [item(k) for k in cell.split("+") if k]), (
+        parse = _enum_parser(item)
+        return (lambda cell: [parse(k) for k in cell.split("+") if k]), (
             lambda kinds: "+".join(k.value for k in kinds)
         )
     if tp is bool:
         return _parse_bool, int
     if tp is dt.date:
         return dt.date.fromisoformat, None
-    # the csv writer writes a str Enum member as its value
-    if tp in (int, str, Decimal) or (issubclass(tp, Enum) and issubclass(tp, str)):
+    if tp in (int, str, Decimal):
         return tp, None
+    # the csv writer writes a str Enum member as its value
+    if issubclass(tp, Enum) and issubclass(tp, str):
+        return _enum_parser(tp), None
     raise TypeError(f"no checkpoint codec for {tp!r}")
 
 
@@ -218,7 +228,8 @@ def _codec(cls: type) -> _Codec:
         if tp is Identifier:
             identifiers.insert(0, (len(names), len(columns)))
             columns += ["identifierKind", "identifierValue"]
-            parsers += [_optional(IdentifierKind) if optional else IdentifierKind, str]
+            kind = _enum_parser(IdentifierKind)
+            parsers += [_optional(kind) if optional else kind, str]
         else:
             parse, encode = _cell_plan(tp)
             columns.append(_RENAMES.get(f.name, _camel(f.name)))
@@ -433,6 +444,9 @@ def stage_evaluate(
     clusters = checkpoints.read("merge", "clusters.csv", AgentCluster)
     identified = checkpoints.read("identify", "occurrences.csv", AgentOccurrence)
     pre_merge = {occ.occurrence_id: occ.identifier for occ in identified}
+    evaluate_mod.check_partition(
+        clusters, set(pre_merge), checkpoints.root / "merge" / "clusters.csv"
+    )
     sizes, idents = evaluate_mod.distribution_tables(clusters, pre_merge)
     coverage = evaluate_mod.notice_coverage(_load_contract_ids(config), lots)
 
@@ -451,7 +465,9 @@ def stage_evaluate(
         if not truth:
             raise InputError("masked evaluation needs known identifiers and found none")
         registry = _load_registry_from_config(config)
-        mask_report = evaluate_mod.mask_and_rerun(identified, lots, registry, config, truth)
+        mask_report = evaluate_mod.mask_and_rerun(
+            identified, clusters, lots, registry, config, truth
+        )
 
     report = evaluate_mod.EvaluationReport(
         cluster_sizes=sizes,

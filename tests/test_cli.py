@@ -44,6 +44,16 @@ def normalized(tmp_path_factory):
     return config_path, base / "out" / "checkpoints"
 
 
+@pytest.fixture(scope="module")
+def merged(tmp_path_factory):
+    """Checkpoints up to merge, copied by the stale-partition tests."""
+    base = tmp_path_factory.mktemp("merged")
+    config_path = write_corpus_config(base / "in", base / "out", rows=12, seed=21)
+    code = main(["pipeline", "--config", config_path, "--stage-to", "merge"])
+    assert code == EXIT_OK
+    return config_path, base / "out" / "checkpoints"
+
+
 def _corrupt(normalized, tmp_path, stage, name, edit):
     """Copy the checkpoints, rewrite one file's rows through edit(rows),
     and return the CLI arguments that point a stage at the copy."""
@@ -381,6 +391,32 @@ class TestExitCodes:
         assert main(["normalize"] + args) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "occurrences.csv, line 2: column lotId" in err
+
+    def test_corrupted_enum_cell(self, normalized, tmp_path, capsys):
+        def edit(rows):
+            rows[1][rows[0].index("role")] = "seller"
+            return rows
+
+        args = _corrupt(normalized, tmp_path, "ingest", "occurrences.csv", edit)
+        assert main(["normalize"] + args) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "occurrences.csv, line 2: column role" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--mask"]], ids=["plain", "masked"])
+    @pytest.mark.parametrize("edit", ["dropped-cluster", "repeated-member"])
+    def test_stale_clusters_are_invariant_error(self, merged, tmp_path, capsys, edit, flags):
+        def drop(rows):
+            return rows[:1] + rows[2:]
+
+        def repeat(rows):
+            at = rows[0].index("memberIds")
+            rows[2][at] += " " + rows[1][at].split()[0]
+            return rows
+
+        editor = drop if edit == "dropped-cluster" else repeat
+        args = _corrupt(merged, tmp_path, "merge", "clusters.csv", editor)
+        assert main(["evaluate"] + flags + args) == EXIT_INVARIANT
+        assert "clusters.csv" in capsys.readouterr().err
 
     def test_dropped_column(self, normalized, tmp_path, capsys):
         def edit(rows):

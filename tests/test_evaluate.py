@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus_config
-from tedclean import evaluate
+from tedclean import evaluate, merge
 from tedclean import pipeline as pl
 from tedclean.config import PipelineConfig
 from tedclean.evaluate import (
@@ -254,10 +254,16 @@ def mask_world():
     return registry, lots, occurrences, truth
 
 
+def merged_clusters(occurrences):
+    """Merge's partition of the occurrences, which mask_and_rerun takes."""
+    return merge_all(copy.deepcopy(occurrences), PipelineConfig()).clusters
+
+
 class TestMaskAndRerun:
     def test_outcomes(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         assert report.truth_size == 3
         assert report.outcomes == {
             1: MatchOutcome.FULL,
@@ -275,27 +281,31 @@ class TestMaskAndRerun:
 
         monkeypatch.setattr(evaluate, "identify_all", spy)
         del truth[2]
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         assert calls == [[1, 3]]
         assert report.outcomes == {1: MatchOutcome.FULL, 3: MatchOutcome.NONE}
         assert occurrences[1].identifier == full_siret("99999999900099")
 
     def test_separation_stage_all_missing(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         sep = report.stage_rows[0]
         assert sep.stage == "separation"
         assert (sep.correct_strict, sep.incorrect_strict, sep.missing) == (0, 0, 3)
 
     def test_missing_monotone_non_increasing(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         missing = [row.missing for row in report.stage_rows]
         assert missing == sorted(missing, reverse=True)
 
     def test_role_splits(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         buyer = report.outcome_by_role_occurrences["buyer"]
         winner = report.outcome_by_role_occurrences["winner"]
         assert buyer["FULL"] == pytest.approx(100.0)
@@ -305,14 +315,16 @@ class TestMaskAndRerun:
 
     def test_ratios_present(self):
         registry, lots, occurrences, truth = mask_world()
-        report = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        report = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                                PipelineConfig(), truth)
         assert report.concentration == [1.0, 1.0, 1.0]
         assert all(0.0 <= s <= 1.0 for s in report.singleton)
 
     def test_empty_truth_rejected(self):
         registry, lots, occurrences, _ = mask_world()
         with pytest.raises(InvariantError):
-            mask_and_rerun(occurrences, lots, registry, PipelineConfig(), {})
+            mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                           PipelineConfig(), {})
 
 
 class TestReportFiles:
@@ -320,7 +332,8 @@ class TestReportFiles:
         from tedclean.evaluate import EvaluationReport
 
         registry, lots, occurrences, truth = mask_world()
-        mask = mask_and_rerun(occurrences, lots, registry, PipelineConfig(), truth)
+        mask = mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                              PipelineConfig(), truth)
         sizes, idents = distribution_tables([], {})
         report = EvaluationReport(
             cluster_sizes=sizes,
@@ -449,12 +462,23 @@ def _ground_truth_file(path, identified):
     return str(path)
 
 
-@pytest.mark.parametrize("truth_source", ["declared", "file"])
-def test_rerun_equals_oracle(tmp_path, truth_source):
-    """The rerun over identification's records reports what rerunning
-    normalize, identify and merge over copies of the ingest records did,
-    on the criterion-7 fixture."""
-    config = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+# the criterion-7 fixture, and a dense one whose merge joins distinct
+# agents into CONFLICTING_IDS clusters, so the rerun's majority rule decides
+CRITERION_7 = dict(rows=100, seed=42)
+DENSE = dict(rows=200, seed=42, registry_agents=200, departments=["10", "11"])
+
+
+@pytest.mark.parametrize("truth_source, shape", [
+    pytest.param("declared", CRITERION_7, id="declared"),
+    pytest.param("file", CRITERION_7, id="file"),
+    pytest.param("declared", DENSE, id="dense-declared"),
+    pytest.param("file", DENSE, id="dense-file"),
+])
+def test_rerun_equals_oracle(tmp_path, truth_source, shape):
+    """The rerun over identification's records and merge's clusters reports
+    what rerunning normalize, identify and merge over copies of the ingest
+    records did."""
+    config = corpus_config(tmp_path / "in", tmp_path / "out", **shape)
     run_pipeline(config, stage_to="merge")
     store = Checkpoints(config.output_dir)
     raw = store.read("ingest", "occurrences.csv", AgentOccurrence)
@@ -472,4 +496,23 @@ def test_rerun_equals_oracle(tmp_path, truth_source):
     postal = load_postal_table(config.postal_file, config.delimiter)
 
     expected = oracle_mask_and_rerun(raw, lots, registry, postal, config, truth)
-    assert mask_and_rerun(identified, lots, registry, config, truth) == expected
+    clusters = store.read("merge", "clusters.csv", AgentCluster)
+    assert mask_and_rerun(identified, clusters, lots, registry, config, truth) == expected
+
+
+def test_masked_evaluate_clusters_nothing(tmp_path, monkeypatch):
+    """evaluate --mask resolves merge's clusters again and scores no pair:
+    with merge's clustering made to raise, it writes the same report."""
+    config = corpus_config(tmp_path / "in", tmp_path / "out", **DENSE)
+    run_pipeline(config, mask=True)
+    report = tmp_path / "out" / "checkpoints" / "evaluate" / "report.txt"
+    expected = report.read_bytes()
+    report.unlink()
+
+    def refuse(*args):
+        raise AssertionError("evaluate clustered again")
+
+    monkeypatch.setattr(merge, "pair_similarity", refuse)
+    monkeypatch.setattr(merge, "cluster_occurrences", refuse)
+    pl.run_stage("evaluate", config, mask=True)
+    assert report.read_bytes() == expected

@@ -425,3 +425,36 @@ class TestMergeAll:
         ]
         assert as_tuple(first) == as_tuple(second)
         assert [a.agent_id for a in first.agents] == [a.agent_id for a in second.agents]
+
+
+DEPARTMENTS = st.sampled_from([None, "69", "75"])
+DECLARED = st.sampled_from([None, "11111111100011", "222222222", "JUNK"])
+RESOLVED = st.sampled_from([
+    (None, None), (SIRET_A, "declared"), (SIRET_B, "matched"),
+    (SIREN_HIGH, "declared"), (internal_code(1), "merged"),
+])
+
+
+class TestIdentifiersDoNotMoveThePartition:
+    """The masked evaluation resolves merge's clusters again instead of
+    clustering again, which holds only while clustering reads no identifier."""
+
+    @given(st.lists(
+        st.tuples(NAMES, STREETS, ZIPS, CITIES, DEPARTMENTS, DECLARED, RESOLVED, st.booleans()),
+        min_size=1, max_size=14,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_wiping_identifiers_keeps_the_clusters(self, rows):
+        occs = []
+        for i, (name, street, zipcode, city, department, declared, (ident, source), _) in (
+            enumerate(rows, 1)
+        ):
+            o = occ(i, name, street, zipcode, city, identifier=ident, declared_siret=declared)
+            o.department = department
+            o.identifier_source = source
+            occs.append(o)
+        before = cluster_occurrences(occs, THRESHOLD, MATCH)
+        for o, (*_, wipe) in zip(occs, rows):
+            if wipe:
+                o.declared_siret = o.identifier = o.identifier_source = None
+        assert cluster_occurrences(occs, THRESHOLD, MATCH) == before

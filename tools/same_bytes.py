@@ -14,10 +14,13 @@ columns), and on a recased copy of them (the config's unsuccessful markers,
 postal tokens and contract-type keys spelled in mixed case with accents, as
 `Annulé` or `Cédex`, which fold to the defaults), and on a noisy-zipcode
 copy of them (every registry facility and postal zipcode cell written
-`F-<zip> CEDEX`, which reads as `<zip>`), and the two output trees are
-compared file by file. Exits 0 when every file matches, and 1, listing
-the paths that differ, when any does not; a run that fails on either side
-counts as a difference. Exits 2 on a usage error, a ref git cannot archive,
+`F-<zip> CEDEX`, which reads as `<zip>`), and on a dense case at seed 0
+(DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
+merge joins distinct agents into large clusters of conflicting
+identifiers, so the masked rerun resolves those clusters), and the two
+output trees are compared file by file. Exits 0 when every file matches,
+and 1, listing the paths that differ, when any does not; a run that fails
+on either side counts as a difference. Exits 2 on a usage error, a ref git cannot archive,
 or inputs that cannot be made.
 """
 from __future__ import annotations
@@ -32,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
+# the dense shape, not a benchmark workload: merge chains distinct agents
+DENSE = {"rows": 1000, "registry_agents": 1000,
+         "departments": [str(d) for d in range(10, 16)], "jobs": 1}
 # the input files of a remapped case whose header names change, by config key
 RENAMED = {"lots": "column_map", "registry_entities": "registry_entity_map",
            "registry_facilities": "registry_facility_map"}
@@ -156,6 +162,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs))
         cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config))
         cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes))
+        cases.append(("dense-0", DENSE, 0, None))
         for case_name, workload, seed, rewrite in cases:
             case = work / case_name
             config, _, _ = make_inputs(case / "in", workload, seed)
