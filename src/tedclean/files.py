@@ -3,7 +3,9 @@
 Every output, checkpoint, log, table, dump and report alike, is written
 under a temp name next to its target and renamed into place only once
 complete, so a killed run leaves either the previous file or none, never
-a truncated one. Every CSV output is one dialect: `,` with `\\n`.
+a truncated one. An output whose temp file cannot be made, or cannot be
+renamed into place (a directory in the way), is a ConfigError naming it,
+never a traceback. Every CSV output is one dialect: `,` with `\\n`.
 
 Every input file is UTF-8, a leading byte-order mark dropped, and read
 through `input_lines`; one that cannot be opened or decoded is an
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import csv
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -44,14 +46,23 @@ from .models import ConfigError, InputError
 
 @contextmanager
 def replacing(path: Path) -> Iterator[TextIO]:
-    """A text file that replaces `path` only once it is completely written."""
+    """A text file that replaces `path` only once it is completely written;
+    a ConfigError naming `path` when it cannot be made or put in place."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # never raise over the error that got here
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -20,11 +20,18 @@ its dataclass fields:
   identifierKind and identifierValue. A `str` field keeps "", while a
   `str | None` field reads "" back as None; no optional pipeline value is
   an empty string, so the round trip is lossless.
+- Each record type's plan is compiled once into two generated row
+  functions, as `dataclasses` compiles `__init__` (source made of field
+  names and fixed templates, never of a cell): `encode` gives a record's
+  cells as strings, and `decode` is one constructor call on a row's cells.
+- A row none of whose cells needs quoting is written as its cells joined
+  by commas; any other row goes through `csv.writer`, so every byte is
+  what csv writes, and csv reads the file back.
 
 A checkpoint is written through `files`, to a temp file renamed into place,
 so a killed run cannot leave a truncated file for the next stage. A header,
 row or cell that does not parse is an InvariantError naming the file and
-line.
+line, and the column when one cell does not parse.
 """
 from __future__ import annotations
 
@@ -37,7 +44,6 @@ import logging
 import typing
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -45,7 +51,7 @@ from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .files import input_lines, replacing, write_rows
+from .files import input_lines, replacing
 from .identify import apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
@@ -103,7 +109,10 @@ class Checkpoints:
 
     def stage_dir(self, stage: str) -> Path:
         path = self.root / stage
-        path.mkdir(parents=True, exist_ok=True)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in its place
+            raise ConfigError(f"checkpoint directory {path} cannot be made: {exc}") from None
         return path
 
     def require(self, stage: str, *names: str) -> None:
@@ -167,34 +176,32 @@ def _enum_parser(tp: type[Enum]) -> Callable[[str], Enum]:
     return lambda cell: members.get(cell) or tp(cell)
 
 
-def _cell_plan(tp: type) -> tuple[Callable[[str], object], Callable | None]:
-    """(parse, encode) of one column; encode None leaves the value to the
-    csv writer, which writes str() and None as an empty cell."""
+def _cell_plan(tp: type) -> tuple[Callable[[str], object], str]:
+    """(parse, encode) of one column: the cell's parser, and the template
+    of the expression that writes a value `{}` as the string csv writes."""
     if typing.get_origin(tp) is list:
         (item,) = typing.get_args(tp)
         if item is int:
-            return (lambda cell: [int(i) for i in cell.split()]), (
-                lambda ids: " ".join(map(str, ids))
-            )
+            return (lambda cell: [int(i) for i in cell.split()]), '" ".join(map(str, {}))'
         parse = _enum_parser(item)
         return (lambda cell: [parse(k) for k in cell.split("+") if k]), (
-            lambda kinds: "+".join(k.value for k in kinds)
+            '"+".join([k.value for k in {}])'
         )
     if tp is bool:
-        return _parse_bool, int
+        return _parse_bool, '("1" if {} else "0")'
+    if tp is str:
+        return str, "{}"
+    if tp in (int, Decimal):
+        return tp, "str({})"
     if tp is dt.date:
-        return dt.date.fromisoformat, None
-    if tp in (int, str, Decimal):
-        return tp, None
-    # the csv writer writes a str Enum member as its value
+        return dt.date.fromisoformat, "str({})"
+    # the value, not str(): str(Role.BUYER) is 'Role.BUYER'
     if issubclass(tp, Enum) and issubclass(tp, str):
-        return _enum_parser(tp), None
+        return _enum_parser(tp), "{}.value"
     raise TypeError(f"no checkpoint codec for {tp!r}")
 
 
 def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
-    if parse is str:
-        return lambda cell: cell or None
     return lambda cell: parse(cell) if cell else None
 
 
@@ -202,69 +209,80 @@ def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
 class _Codec:
     columns: list[str]
     parsers: list[Callable[[str], object]]
-    encode: Callable[[object], list]
+    encode: Callable[[object], list[str]]
     decode: Callable[[list[str]], object]
 
 
 @functools.cache
 def _codec(cls: type) -> _Codec:
-    """Plan a record dataclass's columns once, so that the per-row work is
-    a few list operations plus the conversions its field types need."""
+    """Plan a record dataclass's columns once and compile its two row
+    functions, `encode(r)` (the cells) and `decode(c)` (one `cls(...)`
+    call), as `dataclasses` compiles `__init__`: their source is built from
+    field names and fixed templates only, never from a cell."""
     hints = typing.get_type_hints(cls)
-    names: list[str] = []
     columns: list[str] = []
-    parsers: list[Callable[[str], object]] = []
-    encoders: list[tuple[int, Callable]] = []  # (field index, value -> cell)
-    identifiers: list[tuple[int, int]] = []  # (field index, column), right to left
-    omitted: list[tuple[int, Callable]] = []  # (init argument index, default factory)
-    for position, f in enumerate(dataclasses.fields(cls)):
+    parsers: list[Callable[[str], object]] = []  # of each column, for _bad_column
+    binds: list[str] = []  # encode: field n of record r is v<n>
+    cells: list[str] = []  # encode: one expression per column
+    args: list[str] = []  # decode: one expression of cells c per init argument
+    namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier}
+    for n, f in enumerate(dataclasses.fields(cls)):
         if (cls, f.name) in _OMITTED:
-            omitted.append((position, f.default_factory))
+            namespace[f"d{n}"] = f.default_factory
+            args.append(f"d{n}()")
             continue
         tp = hints[f.name]
         optional = type(None) in typing.get_args(tp)
         if optional:
             (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        i = len(columns)
         if tp is Identifier:
-            identifiers.insert(0, (len(names), len(columns)))
+            templates = ["{}.kind.value", "{}.value"]
             columns += ["identifierKind", "identifierValue"]
-            kind = _enum_parser(IdentifierKind)
+            namespace[f"p{i}"] = kind = _enum_parser(IdentifierKind)
             parsers += [_optional(kind) if optional else kind, str]
+            arg = f"Identifier(p{i}(c[{i}]), c[{i + 1}])"
         else:
-            parse, encode = _cell_plan(tp)
+            parse, template = _cell_plan(tp)
+            templates = [template]
             columns.append(_RENAMES.get(f.name, _camel(f.name)))
             parsers.append(_optional(parse) if optional else parse)
-            if encode is not None:
-                encoders.append((len(names), encode))
-        names.append(f.name)
-
-    get = attrgetter(*names)
-
-    # identifiers are spliced right to left, so the indexes still to do stay valid
-    def encode_row(record: object) -> list:
-        row = list(get(record))
-        for i, encode in encoders:
-            row[i] = encode(row[i])
-        for i, _ in identifiers:
-            ident = row[i]
-            row[i : i + 1] = ("", "") if ident is None else (ident.kind.value, ident.value)
-        return row
-
-    def decode_row(row: list[str]) -> object:
-        values = [parse(cell) for parse, cell in zip(parsers, row)]
-        for _, c in identifiers:
-            kind, value = values[c], values[c + 1]
-            values[c : c + 2] = [None if kind is None else Identifier(kind, value)]
-        for position, default in omitted:
-            values.insert(position, default())
-        return cls(*values)
-
-    return _Codec(columns, parsers, encode_row, decode_row)
+            namespace[f"p{i}"] = parse
+            arg = f"c[{i}]" if parse is str else f"p{i}(c[{i}])"
+        binds.append(f"v{n} = r.{f.name}")
+        cells += [
+            f'("" if v{n} is None else {template.format(f"v{n}")})' if optional
+            else template.format(f"v{n}")
+            for template in templates
+        ]
+        args.append(f"({arg} if c[{i}] else None)" if optional else arg)
+    # csv writes a row of one empty cell as '""', which a join would not
+    assert len(columns) >= 2, f"{cls.__name__} needs at least 2 checkpoint columns"
+    exec(
+        f"def encode(r):\n    {'; '.join(binds)}\n    return [{', '.join(cells)}]\n"
+        f"def decode(c):\n    return cls({', '.join(args)})\n",
+        namespace,
+    )
+    return _Codec(columns, parsers, namespace["encode"], namespace["decode"])
 
 
 def _dump(path: Path, cls: type, records: Iterable) -> None:
+    """The header, then one line per record: a row none of whose cells
+    needs quoting is joined directly, any other goes through csv.writer."""
     codec = _codec(cls)
-    write_rows(path, codec.columns, map(codec.encode, records))
+    commas = len(codec.columns) - 1
+    with replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(codec.columns)
+        for cells in map(codec.encode, records):
+            line = ",".join(cells)
+            # no cell holds a comma, nor what some csv version quotes or
+            # refuses: '"', "\n", "\r" (quoted from 3.13 on), NUL (before 3.11)
+            if (line.count(",") == commas and '"' not in line and "\r" not in line
+                    and "\n" not in line and "\0" not in line):
+                fh.write(line + "\n")
+            else:
+                writer.writerow(cells)
 
 
 def _dump_json(path: Path, data: dict) -> None:

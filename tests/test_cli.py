@@ -304,6 +304,24 @@ class TestExitCodes:
         assert f"{blocker} is not a directory" in capsys.readouterr().err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
+    def test_checkpoint_directory_is_a_file(self, tmp_path, capsys):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
+        blocker = tmp_path / "out" / "checkpoints" / "criteria"
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        assert main(["pipeline", "--config", config_path]) == EXIT_CONFIG
+        assert f"checkpoint directory {blocker} cannot be made" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_checkpoint_temp_file_is_a_directory(self, tmp_path, capsys):
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
+        tmp = tmp_path / "out" / "checkpoints" / "ingest" / ".lots.csv.tmp"
+        tmp.mkdir(parents=True)
+        assert main(["ingest", "--config", config_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp.parent / 'lots.csv'}: [Errno 21] Is a directory" in err
+        assert tmp.is_dir()
+
     @pytest.mark.parametrize("name", ["out\0x", "x" * 300 + "/out"], ids=["nul", "too-long"])
     def test_out_cannot_be_made(self, tmp_path, capsys, name):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
@@ -401,6 +419,26 @@ class TestExitCodes:
         assert main(["normalize"] + args) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "occurrences.csv, line 2: column role" in err
+
+    @pytest.mark.parametrize(
+        "name, column, cell, stage",
+        [
+            ("lots.csv", "publicationDate", "2012-13-01", "identify"),
+            ("lots.csv", "cancelled", "2", "identify"),
+            ("occurrences.csv", "identifierKind", "siren9", "normalize"),
+        ],
+        ids=["date", "bool", "identifier-kind"],
+    )
+    def test_corrupted_cell_names_its_column(self, normalized, tmp_path, capsys,
+                                             name, column, cell, stage):
+        def edit(rows):
+            rows[1][rows[0].index(column)] = cell
+            return rows
+
+        args = _corrupt(normalized, tmp_path, "ingest", name, edit)
+        assert main([stage] + args) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'out' / 'checkpoints' / 'ingest' / name}, line 2: column {column}: " in err
 
     @pytest.mark.parametrize("flags", [[], ["--mask"]], ids=["plain", "masked"])
     @pytest.mark.parametrize("edit", ["dropped-cluster", "repeated-member"])

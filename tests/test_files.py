@@ -1,5 +1,6 @@
 """The input rules: how every input CSV is split and parsed, and how a
-header maps to the configured fields."""
+header maps to the configured fields; and that an output which cannot be
+put in place is a ConfigError that leaves no temp file."""
 from __future__ import annotations
 
 import csv
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tedclean.files import field_plan, parse_line, read_rows
+from tedclean.files import field_plan, parse_line, read_rows, replacing
 from tedclean.models import ConfigError, InputError
 
 _DELIMITERS = st.sampled_from([",", ";", "\t", "|"])
@@ -115,3 +116,12 @@ def test_missing_mandatory_column_is_config_error(column):
 def test_missing_fixed_column_is_the_error_asked_for():
     with pytest.raises(InputError, match=r"^table t.csv: header is missing column\(s\) B, C$"):
         field_plan("t.csv", "table", ["A"], {"b": "B", "c": "C"}, ["b", "c"], InputError)
+
+
+def test_output_that_cannot_replace_its_target_is_config_error(tmp_path):
+    target = tmp_path / "table.csv"
+    (target / "inside").mkdir(parents=True)  # a directory in the way
+    with pytest.raises(ConfigError, match=f"cannot write {target}: "):
+        with replacing(target) as fh:
+            fh.write("lotId\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]

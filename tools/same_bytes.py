@@ -17,10 +17,15 @@ copy of them (every registry facility and postal zipcode cell written
 `F-<zip> CEDEX`, which reads as `<zip>`), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
-identifiers, so the masked rerun resolves those clusters), and the two
-output trees are compared file by file. Exits 0 when every file matches,
-and 1, listing the paths that differ, when any does not; a run that fails
-on either side counts as a difference. Exits 2 on a usage error, a ref git cannot archive,
+identifiers, so the masked rerun resolves those clusters). A
+stage-by-stage case runs the mask inputs at seed 0 as one CLI call per
+stage, `ingest` ... `emit` and then `evaluate --mask`, so every stage reads
+its input checkpoints from disk and the decoder of each checkpoint a stage
+reads runs (under `pipeline`, only `evaluate` parses a checkpoint:
+identify/occurrences.csv). The two output trees of each case are compared
+file by file. Exits 0 when every file matches, and 1, listing the paths
+that differ, when any does not; a run that fails on either side counts as
+a difference. Exits 2 on a usage error, a ref git cannot archive,
 or inputs that cannot be made.
 """
 from __future__ import annotations
@@ -38,6 +43,9 @@ SEEDS = (0, 7)
 # the dense shape, not a benchmark workload: merge chains distinct agents
 DENSE = {"rows": 1000, "registry_agents": 1000,
          "departments": [str(d) for d in range(10, 16)], "jobs": 1}
+# one CLI call per stage, each reading the checkpoints the one before wrote
+STAGE_BY_STAGE = [[stage] for stage in ("ingest", "criteria", "normalize", "identify",
+                                        "merge", "emit")] + [["evaluate", "--mask"]]
 # the input files of a remapped case whose header names change, by config key
 RENAMED = {"lots": "column_map", "registry_entities": "registry_entity_map",
            "registry_facilities": "registry_facility_map"}
@@ -121,16 +129,18 @@ def export_src(ref: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_pipeline(src: Path, config: Path, out: Path) -> str | None:
-    """Run `tedclean pipeline --mask` from a source tree; None, or why it failed."""
+def run_cli(src: Path, config: Path, out: Path, commands: list[list[str]]) -> str | None:
+    """Run each tedclean command in turn from a source tree; None, or why
+    the first that failed failed."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "tedclean.cli", "pipeline", "--mask",
-            "--config", str(config), "--out", str(out)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if proc.returncode == 0:
-        return None
-    last = (proc.stderr.strip().splitlines() or [""])[-1]
-    return f"exit {proc.returncode}: {last}"
+    for command in commands:
+        argv = [sys.executable, "-m", "tedclean.cli", *command,
+                "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            return f"{command[0]} exit {proc.returncode}: {last}"
+    return None
 
 
 def files_under(top: Path) -> dict[str, Path]:
@@ -157,13 +167,15 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         work = Path(tmp)
         sides = {"ref": export_src(argv[0], work / "ref"), "here": ROOT / "src"}
-        cases = [(f"{name}-{seed}", workload, seed, None)
+        pipeline = [["pipeline", "--mask"]]
+        cases = [(f"{name}-{seed}", workload, seed, None, pipeline)
                  for name, workload in WORKLOADS.items() for seed in SEEDS]
-        cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs))
-        cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config))
-        cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes))
-        cases.append(("dense-0", DENSE, 0, None))
-        for case_name, workload, seed, rewrite in cases:
+        cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs, pipeline))
+        cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config, pipeline))
+        cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes, pipeline))
+        cases.append(("dense-0", DENSE, 0, None, pipeline))
+        cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
+        for case_name, workload, seed, rewrite, commands in cases:
             case = work / case_name
             config, _, _ = make_inputs(case / "in", workload, seed)
             if rewrite:
@@ -171,7 +183,7 @@ def main(argv: list[str]) -> int:
             found = [
                 f"{case.name}: {side} side {failure}"
                 for side, src in sides.items()
-                if (failure := run_pipeline(src, config, case / side))
+                if (failure := run_cli(src, config, case / side, commands))
             ]
             found += [f"{case.name}/{rel}" for rel in differing(case / "ref", case / "here")]
             print(f"{case.name}: {'differs' if found else 'same bytes'}", file=sys.stderr)
