@@ -8,12 +8,14 @@ No score reads the lot date, so each date-free payload's block is scored
 once, and filtered by date once per epoch in which no validity changes.
 
 A block's candidate names, and apart its streets, are packed once per
-call, side by side into the bits of one int, with a token index beside
-them. One bit-parallel column pass over a payload's name then gives its
-edit distance to every packed name, and the index gives the token
-overlaps, so every name similarity in the block comes from one pass, and
-every street similarity from one more. Each string's tokens and match
-masks are prepared once, in a bounded memo.
+call and facility set, side by side into the bits of one int, with a
+token index beside them. One bit-parallel column pass over a payload's
+name then gives its edit distance to every packed name, and the index
+gives the token overlaps, so every name similarity in the block comes
+from one pass, and every street similarity from one more. Each string's
+tokens and match masks are prepared once, in a bounded memo. Within one
+payload, each distinct facility zipcode and city is compared once, and
+each distinct triple of address similarities weighed once.
 """
 from __future__ import annotations
 
@@ -239,17 +241,25 @@ def _similarities(text: str, lanes: _Lanes) -> list[float]:
     below the ceiling, is below the overlap too.
     """
     profile = _profile(text)
-    if not profile.token_total:
+    tokens, n = profile.token_total, len(text)
+    if not tokens:
         return [0.0] * len(lanes.spans)
     shared = [0] * len(lanes.spans)
     for token, count in profile.tokens.items():
         for lane, other in lanes.postings.get(token, ()):
-            shared[lane] += min(count, other)
-    return [
-        max(common / min(profile.token_total, total), 1.0 - distance / max(len(text), end - start))
-        if total else 0.0
-        for (start, end, total), common, distance in zip(lanes.spans, shared, _distances(text, lanes))
-    ]
+            shared[lane] += count if count < other else other
+    # min and max written out: the same integers and divisions, and neither
+    # term can be a signed zero or NaN, so every float is name_similarity's
+    similarities: list[float] = []
+    for (start, end, total), common, distance in zip(lanes.spans, shared, _distances(text, lanes)):
+        if not total:
+            similarities.append(0.0)
+            continue
+        width = end - start
+        overlap = common / (tokens if tokens < total else total)
+        edit = 1.0 - distance / (n if n > width else width)
+        similarities.append(overlap if overlap > edit else edit)
+    return similarities
 
 
 class Payload(NamedTuple):
@@ -303,7 +313,9 @@ def _block_key(
     payload: Payload, registry: Registry, cpv_map: dict[str, list[str]] | None
 ) -> _BlockKey:
     prefixes = _activity_prefixes(payload.activity, cpv_map, registry.activity_prefix_length)
-    return payload.department, prefixes
+    # _block unions over the prefixes, so keys that list the same prefixes
+    # in another order or repeated name one block, packed once
+    return payload.department, None if prefixes is None else tuple(sorted(set(prefixes)))
 
 
 def _block_payload(
@@ -465,20 +477,41 @@ def _score_payload(
         packed = packs[key] = _pack_block(block, registry)
     similarities = _similarities(payload.name, packed.lanes)
     streets = _similarities(payload.street, packed.streets) if payload.street else None
-    zipcode, city = payload.zipcode, payload.city
+    zipcode, city, threshold = payload.zipcode, payload.city, config.name_threshold
+    # a block's facilities share zipcodes, cities and whole addresses, and
+    # each score is a pure function of its inputs: each distinct one is
+    # scored once per payload
+    zipcodes: dict[str, float] = {}
+    cities: dict[str, float] = {}
+    addresses: dict[tuple[float | None, float | None, float | None],
+                    tuple[float, tuple[str, ...]]] = {}
     scored: _ScoredBlock = []
     for facility, lanes, street in zip(packed.facilities, packed.lanes_of, packed.street_lanes):
-        best_sim = max((similarities[lane] for lane in lanes), default=0.0)
-        score = None
-        if best_sim >= config.name_threshold:
-            # zipcodes and cities pair by pair: city pairs repeat, and hit the memo
-            score = CandidateScore(facility.siret, best_sim, *_weigh_address((
-                None if streets is None or street is None else streets[street],
-                _zipcode_similarity(zipcode, facility.zipcode)
-                if zipcode and facility.zipcode else None,
-                name_similarity(city, facility.city) if city and facility.city else None,
-            ), config))
-        scored.append((facility, score))
+        if len(lanes) == 1:
+            best_sim = similarities[lanes[0]]
+        else:
+            best_sim = max((similarities[lane] for lane in lanes), default=0.0)
+        if best_sim < threshold:
+            scored.append((facility, None))
+            continue
+        street_sim = zipcode_sim = city_sim = None
+        if streets is not None and street is not None:
+            street_sim = streets[street]
+        if zipcode and facility.zipcode:
+            zipcode_sim = zipcodes.get(facility.zipcode)
+            if zipcode_sim is None:
+                zipcode_sim = zipcodes[facility.zipcode] = _zipcode_similarity(
+                    zipcode, facility.zipcode
+                )
+        if city and facility.city:
+            city_sim = cities.get(facility.city)
+            if city_sim is None:
+                city_sim = cities[facility.city] = name_similarity(city, facility.city)
+        sims = (street_sim, zipcode_sim, city_sim)
+        address = addresses.get(sims)
+        if address is None:
+            address = addresses[sims] = _weigh_address(sims, config)
+        scored.append((facility, CandidateScore(facility.siret, best_sim, *address)))
     return scored
 
 

@@ -55,6 +55,11 @@ def separators_in(value: str, separators: list[str]) -> list[re.Pattern]:
     return [p for p in separator_patterns(tuple(separators)) if p.search(value)]
 
 
+# skipped lines and duplicate identities a lot file logs one by one; the
+# counts in checkpoints/ingest/stats.json hold them all
+LINE_WARNINGS = 20
+
+
 @dataclass
 class ParsedTable:
     rows: list[RawLotRow]
@@ -72,7 +77,9 @@ def parse_table(
     Lines are split and parsed, and the header mapped to fields, by the
     rules of `files`. The header must parse and have every mandatory mapped
     column; a data line that does not parse, or whose cell count does not
-    match the header, is skipped and counted.
+    match the header, is skipped and counted. The first LINE_WARNINGS
+    skipped lines and duplicate identities are logged one by one, and the
+    number of the rest in one warning.
     """
     lines = input_lines(path, "lot file")
     if not lines:
@@ -87,6 +94,11 @@ def parse_table(
     skipped = 0
     seen_identity: set[tuple[str, str]] = set()
     duplicates = 0
+
+    def warn(message: str, *args: object) -> None:
+        if skipped + duplicates <= LINE_WARNINGS:
+            log.warning(message, *args)
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -94,11 +106,11 @@ def parse_table(
             cells = parse_line(line, delimiter)
         except csv.Error:
             skipped += 1
-            log.warning("%s:%d: unparseable line skipped", path, lineno)
+            warn("%s:%d: unparseable line skipped", path, lineno)
             continue
         if len(cells) != len(header):
             skipped += 1
-            log.warning(
+            warn(
                 "%s:%d: %d cells for %d columns, line skipped",
                 path, lineno, len(cells), len(header),
             )
@@ -107,9 +119,14 @@ def parse_table(
         identity = (row.fields["notice_id"], row.fields["lot_number"])
         if identity in seen_identity:
             duplicates += 1
-            log.warning("%s:%d: duplicate row identity %s", path, lineno, identity)
+            warn("%s:%d: duplicate row identity %s", path, lineno, identity)
         seen_identity.add(identity)
         rows.append(row)
+    if (unshown := skipped + duplicates - LINE_WARNINGS) > 0:
+        log.warning(
+            "%s: %d more skipped lines and duplicate identities not shown;"
+            " checkpoints/ingest/stats.json counts them all", path, unshown,
+        )
     return ParsedTable(rows=rows, skipped=skipped, duplicate_identities=duplicates)
 
 

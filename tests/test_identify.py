@@ -409,6 +409,48 @@ class TestPackedStreets:
             )
 
 
+@st.composite
+def address_block(draw):
+    """A payload and a one-department registry whose facilities list 0-3
+    names of their own, or none so their entity's legal names are read, and
+    share or lack streets, zipcodes and cities."""
+    base = draw(BASE_NAMES)
+    names = st.one_of(near_name(base), BASE_NAMES.flatmap(near_name))
+    reg = Registry(activity_prefix_length=2)
+    reg.add_entity(RegistryEntity(siren="777777777",
+                                  legal_names=draw(st.lists(names, min_size=1, max_size=2))))
+    for i in range(draw(st.integers(1, 10))):
+        # the second SIREN has no entity, so a facility there without names has none
+        siren = draw(st.sampled_from(["777777777", "787878787"]))
+        reg.add_facility(RegistryFacility(
+            siret=f"{siren}{i:05d}", names=draw(st.lists(names, max_size=3)),
+            street=draw(st.sampled_from([None, "", "1 RUE X", "1 RUE Y"])),
+            zipcode=draw(st.sampled_from([None, "69001", "69003", "75011"])),
+            city=draw(st.sampled_from([None, "", "LYON", "LYONS", "VILLEURBANNE"])),
+            department="69", activity_code=None, open_date=None, close_date=None,
+        ))
+    payload = Payload(draw(st.sampled_from([base, draw(near_name(base))])),
+                      draw(st.sampled_from([None, "", "1 RUE X"])),
+                      draw(st.sampled_from([None, "69001", "69100"])),
+                      draw(st.sampled_from([None, "LYON"])), "69", None)
+    return payload, reg
+
+
+class TestWholeBlockReadOut:
+    @given(address_block(), st.sampled_from([0.5, 0.8, 1.0]), st.sampled_from([
+        (0.4, 0.35, 0.25), (0.6, 0.0, 0.4), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0),
+    ]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_facility_oracle(self, block, threshold, weights):
+        payload, reg = block
+        street, zipcode, city = weights
+        config = MatchConfig(name_threshold=threshold, street_weight=street,
+                             zipcode_weight=zipcode, city_weight=city)
+        assert identify._score_payload(payload, reg, config, None) == plain_score_payload(
+            payload, reg, config, None
+        )
+
+
 class TestAddressScore:
     def test_all_fields_match(self):
         occ = make_occurrence(street="1 PLACE DE LA COMEDIE", zipcode="69001", city="LYON")
@@ -677,6 +719,18 @@ class TestIdentifyAll:
             "identify: 2 payload groups scored against 1 packed blocks of 4 name lanes"
             " and 3 street lanes, in 3 resolutions"
         ]
+
+    def test_block_keys_ignore_prefix_order(self, registry):
+        # both CPVs allow the same activity prefixes, listed in another order
+        # and repeated: one department's two lots share one packed block
+        config = PipelineConfig(cpv_activity_map={"45": ["43", "84"], "79": ["84", "43", "84"]})
+        lots = [make_lot(1, activity_code="45210000"), make_lot(2, activity_code="79000000")]
+        occs = [make_occurrence(1, 1, normalized_name="MAIRIE DE LYON", department="69"),
+                make_occurrence(2, 2, normalized_name="MAIRIE DE LYON", department="69")]
+        with mock.patch.object(identify, "_pack_block", wraps=identify._pack_block) as spy:
+            results = identify_all(occs, lots, registry, config)
+        assert spy.call_count == 1
+        assert results == dated_results(occs, lots, registry, config)
 
 
 class TestPayloadGroups:

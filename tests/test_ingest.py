@@ -1,5 +1,6 @@
 import datetime as dt
 import itertools
+import logging
 from decimal import Decimal
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tedclean.config import MANDATORY_FIELDS, PipelineConfig
 from tedclean.ingest import (
+    LINE_WARNINGS,
     AgentFields,
     build_lot,
     parse_date,
@@ -132,6 +134,23 @@ class TestParseTable:
         parsed = parse_table(path, PipelineConfig().column_map, DELIMITER)
         assert parsed.duplicate_identities == 1
         assert len(parsed.rows) == 3
+
+    def test_line_warnings_are_capped(self, tmp_path, caplog):
+        # 30 lines of three cells, and the first line's identity 5 times more
+        problems = ["d,1" if i % 7 == 6 else "x,y,z" for i in range(35)]
+        path = tmp_path / "lots.csv"
+        path.write_text("\n".join(["A,B", "d,1", *problems]) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="tedclean.ingest"):
+            parsed = parse_table(str(path), AB_MAP, DELIMITER)
+        assert (parsed.skipped, parsed.duplicate_identities, len(parsed.rows)) == (30, 5, 6)
+        assert LINE_WARNINGS == 20
+        shown = caplog.messages[:LINE_WARNINGS]
+        assert [int(m.split(":")[1]) for m in shown] == list(range(3, 23))
+        assert sum("duplicate row identity" in m for m in shown) == 2
+        assert caplog.messages[LINE_WARNINGS:] == [
+            f"{path}: 15 more skipped lines and duplicate identities not shown;"
+            " checkpoints/ingest/stats.json counts them all"
+        ]
 
     def test_missing_mandatory_column_is_config_error(self, tmp_path):
         path = tmp_path / "lots.csv"

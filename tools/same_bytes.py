@@ -14,7 +14,12 @@ columns), and on a recased copy of them (the config's unsuccessful markers,
 postal tokens and contract-type keys spelled in mixed case with accents, as
 `Annulé` or `Cédex`, which fold to the defaults), and on a noisy-zipcode
 copy of them (every registry facility and postal zipcode cell written
-`F-<zip> CEDEX`, which reads as `<zip>`), and on a dense case at seed 0
+`F-<zip> CEDEX`, which reads as `<zip>`), and on a registry-variety copy
+of them (the bench's registries give every facility one name, a street, a
+postal code, a city and no close date; here some facilities list two
+names, or none so that their entity's legal and former names are read,
+some lack a street, a city or a postal code, and some close within the
+lots' period), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). A
@@ -103,19 +108,57 @@ def recase_config(config: Path) -> None:
     config.write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
+def edit_csv(path: Path, edit) -> None:
+    """Rewrite a comma-separated file in place, its data rows through
+    edit(column index by name, rows)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit({column: at for at, column in enumerate(rows[0])}, rows[1:])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def noise_zipcodes(config: Path) -> None:
     """Rewrite a case's registry facility and postal files in place, every
     zipcode cell written `F-<zip> CEDEX`."""
     inputs = json.loads(config.read_text(encoding="utf-8"))["inputs"]
     for key, column in (("registry_facilities", "POSTAL_CODE"), ("postal", "zipcode")):
-        path = Path(inputs[key])
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        at = rows[0].index(column)
-        for row in rows[1:]:
-            row[at] = f"F-{row[at]} CEDEX"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        def noise(at, rows):
+            for row in rows:
+                row[at[column]] = f"F-{row[at[column]]} CEDEX"
+
+        edit_csv(Path(inputs[key]), noise)
+
+
+def vary_registry(config: Path) -> None:
+    """Rewrite a case's registry files in place, the nth facility row
+    edited for each n that divides it: every 5th lists a second name, every
+    8th none (its entity gains a former name), every 4th has no street,
+    every 6th no city, every 9th no postal code, and every 7th closes
+    within the lots' period."""
+    inputs = json.loads(config.read_text(encoding="utf-8"))["inputs"]
+    nameless: set[str] = set()
+
+    def facilities(at, rows):
+        for n, row in enumerate(rows, start=1):
+            if n % 5 == 0:
+                row[at["NAMES"]] += f"|{row[at['NAMES']]} Annexe"
+            if n % 8 == 0:
+                row[at["NAMES"]] = ""
+                nameless.add(row[at["SIRET"]][:9])
+            for column, every in (("STREET", 4), ("CITY", 6), ("POSTAL_CODE", 9)):
+                if n % every == 0:
+                    row[at[column]] = ""
+            if n % 7 == 0:
+                row[at["CLOSED"]] = f"{2012 + n % 8}-06-30"
+
+    def entities(at, rows):
+        for row in rows:
+            if row[at["SIREN"]] in nameless:
+                row[at["FORMER_NAMES"]] = f"Ancienne {row[at['LEGAL_NAME']]}"
+
+    edit_csv(Path(inputs["registry_facilities"]), facilities)
+    edit_csv(Path(inputs["registry_entities"]), entities)
 
 
 def export_src(ref: str, dest: Path) -> Path:
@@ -173,6 +216,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-remapped", WORKLOADS["mask"], 0, remap_inputs, pipeline))
         cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config, pipeline))
         cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes, pipeline))
+        cases.append(("mask-0-registry-variety", WORKLOADS["mask"], 0, vary_registry, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
