@@ -242,14 +242,14 @@ class MaskReport:
 def _outcome_distribution(
     outcome_of: dict[int, MatchOutcome], groups: dict[str, list[int]]
 ) -> dict[str, dict[str, float]]:
+    """Each group's share of each outcome; no shares for an empty group."""
     out: dict[str, dict[str, float]] = {}
     for label, ids in groups.items():
         counts = Counter(outcome_of[i] for i in ids)
         total = len(ids)
         out[label] = {
-            outcome.value: 100.0 * counts[outcome] / total if total else 0.0
-            for outcome in MatchOutcome
-        }
+            outcome.value: 100.0 * counts[outcome] / total for outcome in MatchOutcome
+        } if total else {}
     return out
 
 
@@ -398,7 +398,7 @@ class EvaluationReport:
                     cells = "  ".join(
                         f"{outcome}={dist[outcome]:.2f}%" for outcome in
                         ("FULL", "PARTIAL", "INCORRECT", "NONE")
-                    )
+                    ) if dist else "no truth occurrence"
                     lines.append(f"    {role:<8} {cells}")
             lines.append("  stage accounting (strict | entity-level):")
             lines.append(

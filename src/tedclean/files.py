@@ -5,7 +5,10 @@ under a temp name next to its target and renamed into place only once
 complete, so a killed run leaves either the previous file or none, never
 a truncated one. An output whose temp file cannot be made, or cannot be
 renamed into place (a directory in the way), is a ConfigError naming it,
-never a traceback. Every CSV output is one dialect: `,` with `\\n`.
+never a traceback. Every CSV output is one dialect, written through
+`csv_writer`: `,` with `\\n`, and a cell holding `\\r` quoted on every
+Python version, as csv quotes it from Python 3.13 on, since csv reads an
+unquoted `\\r` back as a line end.
 
 Every input file is UTF-8, a leading byte-order mark dropped, and read
 through `input_lines`; one that cannot be opened or decoded is an
@@ -17,7 +20,9 @@ rule:
   row at U+0085, U+2028, form feeds and the like, which turn up inside
   cells);
 - each line is parsed on its own by csv in strict mode, so a quote can
-  neither swallow the lines after it nor join two lines into one row;
+  neither swallow the lines after it nor join two lines into one row; a
+  line with no quote and no line-end character is split on the delimiter,
+  which is csv's own reading of it;
 - a NUL is a parse failure on every Python version (csv takes it from
   Python 3.11 on; SQL engines do not).
 
@@ -66,11 +71,27 @@ def replacing(path: Path) -> Iterator[TextIO]:
         raise
 
 
+class _RowEnds:
+    """What a `csv_writer` writes to: each row csv made with "\\r\\n", so
+    that it quoted every cell holding "\\r", written to `fh` ending in "\\n"."""
+
+    def __init__(self, fh: TextIO) -> None:
+        self.fh = fh
+
+    def write(self, row: str) -> int:
+        return self.fh.write(row[:-2] + "\n")
+
+
+def csv_writer(fh: TextIO):
+    """A csv.writer of the one output dialect on fh."""
+    return csv.writer(_RowEnds(fh), lineterminator="\r\n")
+
+
 def write_rows(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
     """A CSV file: the header, then the rows; None is an empty cell and any
     other value its str()."""
     with replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -90,6 +111,10 @@ def parse_line(line: str, delimiter: str) -> list[str]:
     """The cells of one input line; csv.Error when it does not parse on its own."""
     if "\0" in line:
         raise csv.Error("line contains NUL")
+    # what csv's strict reader returns for a line it has nothing to unquote
+    if (line and '"' not in line and "\r" not in line and "\n" not in line
+            and len(line) <= csv.field_size_limit()):
+        return line.split(delimiter)
     return next(csv.reader([line], delimiter=delimiter, strict=True))
 
 

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
+from operator import itemgetter
 
 from .config import MANDATORY_FIELDS, PipelineConfig
 from .files import field_plan, input_lines, parse_line
@@ -329,23 +330,24 @@ class IngestResult:
     descriptions_before_split: int = 0
 
 
-def _agent_fields(row: RawLotRow, role: Role) -> AgentFields:
-    prefix = "buyer" if role is Role.BUYER else "winner"
-    return AgentFields(
-        name=row.fields[f"{prefix}_name"],
-        street=row.fields[f"{prefix}_street"],
-        zipcode=row.fields[f"{prefix}_zipcode"],
-        city=row.fields[f"{prefix}_city"],
-        country=row.fields[f"{prefix}_country"],
-        siret=row.fields[f"{prefix}_siret"],
-    )
+# the six raw cells of each role's description, in AgentFields' order
+_AGENT_CELLS = {
+    role: itemgetter(*(f"{prefix}_{cell}" for cell in
+                       ("name", "street", "zipcode", "city", "country", "siret")))
+    for role, prefix in ((Role.BUYER, "buyer"), (Role.WINNER, "winner"))
+}
 
 
 def run_ingest(config: PipelineConfig) -> IngestResult:
-    """Parse every configured lot file, in order, into one result set."""
+    """Parse every configured lot file, in order, into one result set.
+
+    Lots repeat their agents' descriptions, so each distinct description
+    (its six raw cells) is split once and its parts reused."""
     result = IngestResult()
     next_lot_id = 1
     next_occurrence_id = 1
+    # raw cells -> each part's occurrence cells, None for "", and its conflict flag
+    parts_of: dict[tuple[str, ...], list[tuple[tuple[str | None, ...], bool]]] = {}
     for path in config.lot_files:
         parsed = parse_table(path, config.column_map, config.delimiter)
         result.skipped_lines += parsed.skipped
@@ -366,28 +368,29 @@ def run_ingest(config: PipelineConfig) -> IngestResult:
                     price_field=row.fields["price_weight"],
                 )
             )
-            for role in (Role.BUYER, Role.WINNER):
-                fields = _agent_fields(row, role)
-                if not fields.name:
+            for role, cells_of in _AGENT_CELLS.items():
+                cells = cells_of(row.fields)
+                if not cells[0]:
                     continue
                 if role is Role.WINNER and lot.cancelled:
                     # an unsuccessful-marker "winner" is not an agent
                     continue
                 result.descriptions_before_split += 1
-                for part, conflict in split_joint_agents(fields, config.separators):
+                parts = parts_of.get(cells)
+                if parts is None:
+                    parts = parts_of[cells] = [
+                        ((part.name, part.street or None, part.zipcode or None,
+                          part.city or None, part.country or None, part.siret or None),
+                         conflict)
+                        for part, conflict in split_joint_agents(
+                            AgentFields(*cells), config.separators)
+                    ]
+                for part, conflict in parts:
                     result.occurrences.append(
-                        AgentOccurrence(
-                            occurrence_id=next_occurrence_id,
-                            lot_id=lot.lot_id,
-                            role=role,
-                            raw_name=part.name,
-                            street=part.street or None,
-                            zipcode=part.zipcode or None,
-                            city=part.city or None,
-                            country=part.country or None,
-                            declared_siret=part.siret or None,
-                            split_conflict=conflict,
-                        )
+                        AgentOccurrence(next_occurrence_id, lot.lot_id, role, *part,
+                                        split_conflict=conflict)
                     )
                     next_occurrence_id += 1
+    log.debug("ingest: %d agent descriptions from %d distinct",
+              result.descriptions_before_split, len(parts_of))
     return result

@@ -128,7 +128,7 @@ def validate_siret(raw: str | None) -> Identifier | None:
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class RawLotRow:
     """One data line of a source table: its fields, stripped, by semantic name."""
 
@@ -137,7 +137,7 @@ class RawLotRow:
     source_line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class LotRecord:
     lot_id: int
     notice_id: str
@@ -155,7 +155,7 @@ class LotRecord:
     source_line: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class RowRejection:
     """A source row build_lot refused, with the reason code."""
 
@@ -164,7 +164,7 @@ class RowRejection:
     reason: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentOccurrence:
     occurrence_id: int
     lot_id: int
@@ -182,7 +182,7 @@ class AgentOccurrence:
     split_conflict: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class CriteriaRaw:
     """Unrepaired criterion fields of one lot, as ingested."""
 
@@ -192,7 +192,7 @@ class CriteriaRaw:
     price_field: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Criterion:
     lot_id: int
     raw_name: str
@@ -201,14 +201,14 @@ class Criterion:
     weight_is_normalized: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class RegistryEntity:
     siren: str
     legal_names: list[str]
     activity_code: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RegistryFacility:
     siret: str
     names: list[str] = field(default_factory=list)
@@ -226,7 +226,7 @@ class RegistryFacility:
         return self.siret[:9]
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentCluster:
     cluster_id: int
     member_occurrence_ids: list[int]
@@ -234,7 +234,7 @@ class AgentCluster:
     resolved_identifier: Identifier
 
 
-@dataclass
+@dataclass(slots=True)
 class CanonicalAgent:
     agent_id: Identifier
     names: list[str] = field(default_factory=list)

@@ -25,8 +25,9 @@ its dataclass fields:
   names and fixed templates, never of a cell): `encode` gives a record's
   cells as strings, and `decode` is one constructor call on a row's cells.
 - A row none of whose cells needs quoting is written as its cells joined
-  by commas; any other row goes through `csv.writer`, so every byte is
-  what csv writes, and csv reads the file back.
+  by commas; any other row goes through `files.csv_writer`, so every byte
+  is what csv writes, a cell holding "\\r" quoted, and csv reads the file
+  back.
 
 A checkpoint is written through `files`, to a temp file renamed into place,
 so a killed run cannot leave a truncated file for the next stage. A header,
@@ -51,7 +52,7 @@ from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .files import input_lines, replacing
+from .files import csv_writer, input_lines, replacing
 from .identify import apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
@@ -268,16 +269,16 @@ def _codec(cls: type) -> _Codec:
 
 def _dump(path: Path, cls: type, records: Iterable) -> None:
     """The header, then one line per record: a row none of whose cells
-    needs quoting is joined directly, any other goes through csv.writer."""
+    needs quoting is joined directly, any other goes through csv_writer."""
     codec = _codec(cls)
     commas = len(codec.columns) - 1
     with replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(codec.columns)
         for cells in map(codec.encode, records):
             line = ",".join(cells)
-            # no cell holds a comma, nor what some csv version quotes or
-            # refuses: '"', "\n", "\r" (quoted from 3.13 on), NUL (before 3.11)
+            # no cell holds a comma, nor what csv_writer quotes or some csv
+            # version refuses: '"', "\n", "\r", NUL (before 3.11)
             if (line.count(",") == commas and '"' not in line and "\r" not in line
                     and "\n" not in line and "\0" not in line):
                 fh.write(line + "\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import LOT_COLUMNS
 from corpus import write_corpus_config
+from tedclean import cli, pipeline
 from tedclean.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, build_parser, main
 from tedclean.config import (
     DEFAULT_COLUMN_MAP,
@@ -19,8 +21,9 @@ from tedclean.config import (
     DEFAULT_REGISTRY_ENTITY_MAP,
     DEFAULT_REGISTRY_FACILITY_MAP,
 )
-from tedclean.models import ContractType, CriterionClass
+from tedclean.models import AgentOccurrence, ContractType, CriterionClass, Role
 from tedclean.normalize import normalize_city
+from tedclean.pipeline import _load
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +130,7 @@ def _unedited(inputs, directory):
     pass
 
 
-def _rewrite_column(path, column, cell):
+def _rewrite_column(path, column, cell, quoting=csv.QUOTE_MINIMAL):
     """Rewrite `column` of every data row as long as the header as cell(old value)."""
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = list(csv.reader(fh))
@@ -136,7 +139,7 @@ def _rewrite_column(path, column, cell):
         if len(row) == len(header):
             row[at] = cell(row[at])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        csv.writer(fh, lineterminator="\n", quoting=quoting).writerows([header, *rows])
 
 
 def _buyer_zipcode_filled(tmp_path, town, postal_row):
@@ -204,6 +207,19 @@ def test_single_stage_dispatch(tmp_path):
     assert not (root / "normalize").exists()
     assert main(["criteria", "--config", config_path]) == EXIT_OK
     assert (root / "criteria" / "criteria.csv").exists()
+
+
+def test_collector_is_paused_for_the_command_only(tmp_path, monkeypatch):
+    config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=12)
+    collecting = []
+
+    def run_stage(*args, **kwargs):
+        collecting.append(gc.isenabled())
+        return pipeline.run_stage(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_stage", run_stage)
+    assert main(["ingest", "--config", config_path]) == EXIT_OK
+    assert collecting == [False] and gc.isenabled()
 
 
 def test_out_override_redirects_output(tmp_path, cli_run):
@@ -583,6 +599,21 @@ class TestExitCodes:
         plain = _masked_run(tmp_path / "plain", key, _unedited)
         assert plain[0] == EXIT_OK
         assert _masked_run(tmp_path / "marked", key, add_mark) == plain
+
+    def test_quoted_carriage_return_in_a_cell_is_kept(self, tmp_path):
+        """Every checkpoint quotes a cell holding a bare CR, so each stage
+        reads back the rows ingest kept, the cell as it was."""
+        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=3)
+        lots = json.loads(Path(config_path).read_text(encoding="utf-8"))["inputs"]["lots"][0]
+        _rewrite_column(lots, "CAE_NATIONALID", lambda _: "ACME\rSARL", csv.QUOTE_ALL)
+        assert main(["pipeline", "--config", config_path]) == EXIT_OK
+        assert main(["normalize", "--config", config_path]) == EXIT_OK
+        identified = tmp_path / "out" / "checkpoints" / "identify" / "occurrences.csv"
+        declared = [occ.declared_siret for occ in _load(identified, AgentOccurrence)
+                    if occ.role is Role.BUYER]
+        # the first row's two joint buyers do not split one identifier; then
+        # five rows and the duplicate identity
+        assert declared == [None, None] + ["ACME\rSARL"] * 6
 
     @pytest.mark.parametrize(
         "key,what,kind",

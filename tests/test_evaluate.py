@@ -516,3 +516,16 @@ def test_masked_evaluate_clusters_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(merge, "cluster_occurrences", refuse)
     pl.run_stage("evaluate", config, mask=True)
     assert report.read_bytes() == expected
+
+
+def test_role_without_truth_occurrence_says_so(tmp_path):
+    """Every declared identifier of this corpus is a winner's: the buyer rows
+    have no truth occurrence to take shares of, and say so."""
+    config = corpus_config(tmp_path / "in", tmp_path / "out", rows=200, seed=42)
+    run_pipeline(config, mask=True)
+    report = tmp_path / "out" / "checkpoints" / "evaluate" / "report.txt"
+    rows = [line.split(maxsplit=1) for line in report.read_text(encoding="utf-8").splitlines()
+            if line.startswith(("    buyer ", "    winner "))]
+    assert [cells for role, cells in rows if role == "buyer"] == ["no truth occurrence"] * 2
+    winner = [cells for role, cells in rows if role == "winner"]
+    assert len(winner) == 2 and all(cells.startswith("FULL=") for cells in winner)

@@ -37,6 +37,31 @@ def test_parse_line_is_strict_csv_of_the_line_alone(line, delimiter):
         assert parse_line(line, delimiter) == expected
 
 
+@given(line=st.text(alphabet=',;\t"\r\n\x00\x85 Aé', max_size=12), delimiter=_DELIMITERS)
+@settings(max_examples=1000)
+def test_parse_line_equals_csv_or_both_refuse(line, delimiter):
+    """A quote-free line is split on the delimiter; what csv's strict reader
+    makes of any line, a bare or quoted CR or LF too, is what parse_line
+    gives, or both raise csv.Error."""
+    try:
+        expected = next(csv.reader([line], delimiter=delimiter, strict=True))
+    except csv.Error:
+        expected = None
+    if "\0" in line:  # refused first, whatever csv does with it
+        expected = None
+    if expected is None:
+        with pytest.raises(csv.Error):
+            parse_line(line, delimiter)
+    else:
+        assert parse_line(line, delimiter) == expected
+
+
+def test_unquoted_cell_over_csvs_field_limit_is_refused_as_csv_refuses_it():
+    line = "a," + "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        parse_line(line, ",")
+
+
 _CELLS = st.text(
     alphabet=st.characters(blacklist_characters="\n\r\0", blacklist_categories=("Cs",)),
     max_size=12,

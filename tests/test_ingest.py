@@ -380,6 +380,44 @@ class TestRunIngest:
         assert [o.occurrence_id for o in result.occurrences] == [1, 2, 3, 4]
 
 
+    def test_repeated_descriptions_are_split_as_each_alone(self, tmp_path, caplog):
+        """Each distinct description is split once and its parts reused: every
+        occurrence is what splitting its own row's cells gives."""
+        mairie = dict(CAE_NAME="Mairie", CAE_NATIONALID="12345678900011", CAE_TOWN="Lyon")
+        # the joint one, the conflicting one, and Mairie with each cell changed
+        buyers = [
+            dict(CAE_NAME="Ville A --- Ville B", CAE_ADDRESS="r1 --- r2", CAE_COUNTRY="FR"),
+            dict(CAE_NAME="Ville A --- Ville B", CAE_ADDRESS="r1 --- r2 --- r3"),
+            mairie, {**mairie, "CAE_NAME": "Mairie 2"}, {**mairie, "CAE_ADDRESS": "1 rue"},
+            {**mairie, "CAE_POSTAL_CODE": "69001"}, {**mairie, "CAE_TOWN": "Brest"},
+            {**mairie, "CAE_COUNTRY": "FR"}, {**mairie, "CAE_NATIONALID": ""},
+        ]
+        winners = ["Durand", "Durand --- Martin", "INFRUCTUEUX", ""]
+        rows = [lot_row(f"n{i}", "1", **buyers[i % 9], WIN_NAME=winners[i % 4])
+                for i in range(18)]
+        path = write_lot_file(tmp_path / "lots.csv", rows)
+        with caplog.at_level(logging.DEBUG, logger="tedclean.ingest"):
+            result = run_ingest(PipelineConfig(lot_files=[path]))
+
+        expected = []
+        for lot, row in zip(result.lots, rows):
+            for role, prefix in ((Role.BUYER, "CAE"), (Role.WINNER, "WIN")):
+                cells = AgentFields(*(row.get(f"{prefix}_{column}", "") for column in (
+                    "NAME", "ADDRESS", "POSTAL_CODE", "TOWN", "COUNTRY", "NATIONALID")))
+                if not cells.name or (role is Role.WINNER and lot.cancelled):
+                    continue
+                for part, conflict in split_joint_agents(cells, PipelineConfig().separators):
+                    expected.append((lot.lot_id, role, part.name, part.street or None,
+                                     part.zipcode or None, part.city or None,
+                                     part.country or None, part.siret or None, conflict))
+        assert [(o.lot_id, o.role, o.raw_name, o.street, o.zipcode, o.city, o.country,
+                 o.declared_siret, o.split_conflict) for o in result.occurrences] == expected
+        assert [o.occurrence_id for o in result.occurrences] == list(
+            range(1, len(expected) + 1))
+        assert result.descriptions_before_split == 28
+        assert "ingest: 28 agent descriptions from 11 distinct" in caplog.messages
+
+
 class TestParseDate:
     def test_formats(self):
         formats = ["%Y-%m-%d", "%d/%m/%Y"]

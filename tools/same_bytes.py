@@ -5,7 +5,7 @@
 REF's src/ is written to a temporary directory (`git archive REF src | tar
 -x`). The benchmark's inputs (perfbench/run.py's WORKLOADS and make_inputs)
 are made once per workload and seed, so both sides read the same input
-paths: output tables hold the absolute path of their source file. Then
+paths: the ingest checkpoints hold the absolute path of each source file. Then
 `tedclean pipeline --mask` runs from each source tree on the match, bulk and
 mask workloads at seeds 0 and 7, on a remapped copy of the mask inputs at
 seed 0 (every lot and registry column renamed, the lot columns in reverse
@@ -19,7 +19,11 @@ of them (the bench's registries give every facility one name, a street, a
 postal code, a city and no close date; here some facilities list two
 names, or none so that their entity's legal and former names are read,
 some lack a street, a city or a postal code, and some close within the
-lots' period), and on a dense case at seed 0
+lots' period), and on a quoted-CRLF copy of them (the lot file split in
+two, in order, each part with the header, every cell quoted, CRLF line
+ends and a byte-order mark, the config listing both parts: every lot line
+takes csv's path, where the other cases' quote-free lines are split on the
+delimiter), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). A
@@ -161,6 +165,25 @@ def vary_registry(config: Path) -> None:
     edit_csv(Path(inputs["registry_entities"]), entities)
 
 
+def quote_split_lots(config: Path) -> None:
+    """Rewrite a case's lot file in place as two files, in order, each with
+    the header, every cell quoted, CRLF line ends and a byte-order mark; the
+    config lists both."""
+    data = json.loads(config.read_text(encoding="utf-8"))
+    path = Path(data["inputs"]["lots"][0])
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    path.unlink()
+    half = len(rows) // 2
+    data["inputs"]["lots"] = []
+    for n, part in enumerate((rows[:half], rows[half:]), start=1):
+        target = path.with_name(f"{path.stem}-{n}.csv")
+        with open(target, "w", encoding="utf-8-sig", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows([header, *part])
+        data["inputs"]["lots"].append(str(target))
+    config.write_text(json.dumps(data, indent=2), encoding="utf-8")
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -217,6 +240,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-recased", WORKLOADS["mask"], 0, recase_config, pipeline))
         cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes, pipeline))
         cases.append(("mask-0-registry-variety", WORKLOADS["mask"], 0, vary_registry, pipeline))
+        cases.append(("mask-0-quoted-crlf", WORKLOADS["mask"], 0, quote_split_lots, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
