@@ -4,14 +4,31 @@ Tables: Lots, Agents, Names, LotBuyers, LotSuppliers, Criteria. Rows are
 sorted by primary key before writing so two runs on the same input produce
 byte-identical files. The SQL dump re-creates the same schema with primary
 and foreign keys and reloads into any stock SQL engine.
+
+Every cell becomes text once, through one pair of row functions per table
+layout, compiled once as `pipeline`'s checkpoint codec is: `cells` gives a
+row's CSV cells (None is "", an int its str()), which `files.write_rows`
+writes and `verify_roundtrip` compares with what csv reads back; `insert`
+gives its whole INSERT line, each cell an SQL literal: None is NULL, an
+INTEGER column's int is bare, and any other cell is quoted, a `'` in it
+doubled. A cell's form follows its column's declared type, so build_tables
+puts only ints or None in an INTEGER column and only strs or None in any
+other.
+
+Before anything is written, `verify_integrity` checks that primary keys
+are unique and that every foreign value names a row, reading each key and
+foreign column into a set; only when a set shows a fault does it search
+the rows for the messages.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 from .files import replacing, write_rows
 from .models import (
@@ -119,7 +136,8 @@ def build_tables(
     )
 
     # one (lotId, agentId, source, conflict) tuple per occurrence and role;
-    # sorted, each (lotId, agentId) group is one row with its sources in order
+    # sorted, each (lotId, agentId) run is one row with its distinct sources
+    # in order, split if any link of it is
     links: dict[Role, list[tuple]] = {Role.BUYER: [], Role.WINNER: []}
     for occ in occurrences:
         ident = occ.identifier
@@ -132,11 +150,17 @@ def build_tables(
         )
 
     for role, table_name in ((Role.BUYER, "LotBuyers"), (Role.WINNER, "LotSuppliers")):
-        rows = []
-        for key, group in groupby(sorted(links.pop(role)), key=itemgetter(0, 1)):
-            group = list(group)
-            sources = "+".join(dict.fromkeys(link[2] for link in group))
-            rows.append((*key, sources, 1 if any(link[3] for link in group) else 0))
+        rows: list[tuple] = []
+        last_source = None
+        for lot_id, agent_id, source, conflict in sorted(links.pop(role)):
+            if rows and rows[-1][1] == agent_id and rows[-1][0] == lot_id:
+                _, _, sources, split = rows[-1]
+                if source != last_source:
+                    sources = f"{sources}+{source}"
+                rows[-1] = (lot_id, agent_id, sources, 1 if split or conflict else 0)
+            else:
+                rows.append((lot_id, agent_id, source, 1 if conflict else 0))
+            last_source = source
         schema[table_name] = Table(
             name=table_name,
             columns=["lotId", "agentId", "identifierSources", "splitConflict"],
@@ -164,7 +188,7 @@ def build_tables(
                 1 if criterion.weight_is_normalized else 0,
             )
         )
-    criteria_rows.sort(key=lambda r: (r[0], r[1]))
+    criteria_rows.sort(key=itemgetter(0, 1))
     schema["Criteria"] = Table(
         name="Criteria",
         columns=["lotId", "ordinal", "rawName", "class", "weight", "weightIsNormalized"],
@@ -181,10 +205,18 @@ def build_tables(
 
 
 def verify_integrity(schema: OutputSchema) -> list[str]:
-    """Primary-key uniqueness and referential containment across tables."""
+    """Primary-key uniqueness and referential containment across tables.
+
+    Each table's keys and each foreign column are read into a set at C
+    speed; the row-by-row search for what is wrong runs only when a set
+    shows that something is."""
     problems: list[str] = []
+    keys: dict[str, set] = {}  # a table's distinct keys, scalars for a one-column key
     for table in schema.values():
         indices = [table.columns.index(k) for k in table.key]
+        keys[table.name] = set(map(itemgetter(*indices), table.rows))
+        if len(keys[table.name]) == len(table.rows):
+            continue
         seen = set()
         for row in table.rows:
             k = tuple(row[i] for i in indices)
@@ -198,18 +230,48 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
             if ref is None:
                 problems.append(f"{table.name}: reference to unknown table {ref_table}")
                 continue
-            ref_index = ref.columns.index(ref_column)
-            known = {row[ref_index] for row in ref.rows}
-            col_index = table.columns.index(column)
-            dangling = sorted(
-                {row[col_index] for row in table.rows} - known, key=str
+            if ref.key == [ref_column]:
+                known = keys[ref_table]
+            else:
+                known = set(map(itemgetter(ref.columns.index(ref_column)), ref.rows))
+            values = set(map(itemgetter(table.columns.index(column)), table.rows))
+            if values <= known:
+                continue
+            dangling = sorted(values - known, key=str)
+            shown = ", ".join(str(d) for d in dangling[:5])
+            problems.append(
+                f"{table.name}.{column}: {len(dangling)} dangling value(s): {shown}"
             )
-            if dangling:
-                shown = ", ".join(str(d) for d in dangling[:5])
-                problems.append(
-                    f"{table.name}.{column}: {len(dangling)} dangling value(s): {shown}"
-                )
     return problems
+
+
+def _row_functions(table: Table) -> tuple[Callable[[tuple], list[str]], Callable[[tuple], str]]:
+    return _compile_rows(table.name, tuple(table.types))
+
+
+@functools.cache
+def _compile_rows(name: str, types: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """The two row functions of table `name` of `types`, compiled once:
+    `cells(r)`, the row's CSV cells as strings, and `insert(r)`, its whole
+    INSERT line. Their source is built from column indices and fixed
+    templates only, never from a cell or a name."""
+    binds = ", ".join(f"v{i}" for i in range(len(types))) + ","
+    cells, literals = [], []
+    for i, sql_type in enumerate(types):
+        if sql_type == "INTEGER":
+            cells.append(f'"" if v{i} is None else str(v{i})')
+            literals.append(f"{{'NULL' if v{i} is None else v{i}}}")
+        else:
+            cells.append(f'"" if v{i} is None else v{i}')
+            escaped = f"(v{i}.replace(Q, QQ) if Q in v{i} else v{i})"
+            literals.append(f"{{'NULL' if v{i} is None else Q + {escaped} + Q}}")
+    namespace = {"P": f"INSERT INTO {name} VALUES (", "Q": "'", "QQ": "''"}
+    exec(
+        f"def cells(r):\n    {binds} = r\n    return [{', '.join(cells)}]\n"
+        f"def insert(r):\n    {binds} = r\n    return f\"{{P}}{', '.join(literals)});\\n\"\n",
+        namespace,
+    )
+    return namespace["cells"], namespace["insert"]
 
 
 def write_csv(schema: OutputSchema, directory: str) -> None:
@@ -217,16 +279,9 @@ def write_csv(schema: OutputSchema, directory: str) -> None:
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in TABLE_ORDER:
-        write_rows(out_dir / f"{name}.csv", schema[name].columns, schema[name].rows)
-
-
-def _sql_literal(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, int):
-        return str(value)
-    text = str(value)
-    return "'" + text.replace("'", "''") + "'"
+        table = schema[name]
+        cells, _ = _row_functions(table)
+        write_rows(out_dir / f"{name}.csv", table.columns, map(cells, table.rows))
 
 
 def write_sql_dump(schema: OutputSchema, path: str) -> None:
@@ -245,16 +300,15 @@ def write_sql_dump(schema: OutputSchema, path: str) -> None:
                 )
             fh.write(f"CREATE TABLE {name} (\n" + ",\n".join(column_defs) + "\n);\n")
         for name in TABLE_ORDER:
-            fh.writelines(
-                f"INSERT INTO {name} VALUES ({', '.join(map(_sql_literal, row))});\n"
-                for row in schema[name].rows
-            )
+            _, insert = _row_functions(schema[name])
+            fh.writelines(map(insert, schema[name].rows))
         fh.write("COMMIT;\n")
 
 
 def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
     """Re-read the emitted CSVs and compare cell-for-cell with memory, row by
-    row as they are read; a missing or extra row differs too."""
+    row as they are read; a missing or extra row differs too. The expected
+    cells are made by the function that wrote them, one row at a time."""
     problems = []
     for name in TABLE_ORDER:
         table = schema[name]
@@ -262,7 +316,8 @@ def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
             reader = csv.reader(fh)
             if next(reader, None) != table.columns:
                 problems.append(f"{name}: header mismatch after round-trip")
-            expected = (["" if v is None else str(v) for v in row] for row in table.rows)
+            cells, _ = _row_functions(table)
+            expected = map(cells, table.rows)
             if any(read != want for read, want in zip_longest(reader, expected)):
                 problems.append(f"{name}: rows differ after round-trip")
     return problems

@@ -447,5 +447,5 @@ def write_report_files(report: EvaluationReport, directory: Path) -> None:
         write_rows(
             directory / "mask_outcomes.csv",
             ["occurrenceId", "outcome"],
-            ((occ_id, outcomes[occ_id].value) for occ_id in sorted(outcomes)),
+            ((str(occ_id), outcomes[occ_id].value) for occ_id in sorted(outcomes)),
         )

@@ -5,10 +5,11 @@ under a temp name next to its target and renamed into place only once
 complete, so a killed run leaves either the previous file or none, never
 a truncated one. An output whose temp file cannot be made, or cannot be
 renamed into place (a directory in the way), is a ConfigError naming it,
-never a traceback. Every CSV output is one dialect, written through
-`csv_writer`: `,` with `\\n`, and a cell holding `\\r` quoted on every
-Python version, as csv quotes it from Python 3.13 on, since csv reads an
-unquoted `\\r` back as a line end.
+never a traceback. Every CSV output, checkpoint, table, match log and
+report alike, is written by one writer, `write_rows`, in one dialect, the
+bytes of `csv_writer`: `,` with `\\n`, and a cell holding `\\r` quoted on
+every Python version, as csv quotes it from Python 3.13 on, since csv reads
+an unquoted `\\r` back as a line end.
 
 Every input file is UTF-8, a leading byte-order mark dropped, and read
 through `input_lines`; one that cannot be opened or decoded is an
@@ -43,8 +44,9 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager, suppress
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .models import ConfigError, InputError
 
@@ -87,13 +89,53 @@ def csv_writer(fh: TextIO):
     return csv.writer(_RowEnds(fh), lineterminator="\r\n")
 
 
-def write_rows(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+# rows write_rows joins and checks at once: enough that the checks run at C
+# speed, few enough that a chunk's text stays small
+_ROWS_AT_ONCE = 512
+
+
+def _joined(rows: list[Sequence[str]], lines: list[str]) -> str | None:
+    """The rows' lines (their cells joined by commas), each ending in "\\n",
+    when that is what csv writes for them: no row is one "" cell, which csv
+    writes as '""', and no cell holds a comma, nor what csv_writer quotes or
+    some csv version refuses: '"', "\\n", "\\r", NUL (before 3.11)."""
+    text = "\n".join(lines)
+    if (text.count(",") == sum(map(len, rows)) - len(rows)
+            and text.count("\n") == len(lines) - 1 and '"' not in text
+            and "\r" not in text and "\0" not in text and "" not in lines):
+        return text + "\n"
+    return None
+
+
+def write_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """A CSV file: the header, then the rows; None is an empty cell and any
-    other value its str()."""
+    other value its str().
+
+    The one CSV writer. Rows are taken some hundreds at a time: rows of str
+    cells none of which needs quoting are written as their cells joined by
+    commas, and any other row (a None or int cell, a row of one "" cell, a
+    cell holding what csv quotes) goes through `csv_writer`, so every byte
+    is what csv writes. A caller with many rows passes str cells."""
+    rows = iter(rows)
     with replacing(path) as fh:
         writer = csv_writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(islice(rows, _ROWS_AT_ONCE)):
+            try:
+                lines = list(map(",".join, chunk))
+            except TypeError:  # a cell that is not a str
+                writer.writerows(chunk)
+                continue
+            text = _joined(chunk, lines)
+            if text is not None:
+                fh.write(text)
+                continue
+            for row, line in zip(chunk, lines):
+                text = _joined([row], [line])
+                if text is None:
+                    writer.writerow(row)
+                else:
+                    fh.write(text)
 
 
 def input_lines(path: str, what: str) -> list[str]:

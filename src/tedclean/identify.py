@@ -656,15 +656,15 @@ def write_match_log(results: list[MatchResult], path: Path) -> None:
         header,
         (
             [
-                r.occurrence_id,
+                str(r.occurrence_id),
                 r.source,
                 r.reason or "",
                 r.identifier.value if r.identifier else "",
                 f"{r.best.name_similarity:.4f}" if r.best else "",
                 f"{r.best.address_score:.4f}" if r.best else "",
                 "+".join(r.best.presence_mask) if r.best else "",
-                r.block_size,
-                r.name_survivors,
+                str(r.block_size),
+                str(r.name_survivors),
             ]
             for r in sorted(results, key=lambda r: r.occurrence_id)
         ),

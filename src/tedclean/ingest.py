@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from operator import itemgetter
+from typing import Callable
 
 from .config import MANDATORY_FIELDS, PipelineConfig
 from .files import field_plan, input_lines, parse_line
@@ -187,59 +188,70 @@ def _parse_stripped_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
     return None
 
 
+def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord | RowRejection]:
+    """`build_lot` on `config`, its contract types and unsuccessful markers
+    folded once."""
+    contract_types = fold_contract_types(tuple(config.contract_type_values.items()))
+    markers = fold_words(tuple(config.unsuccessful_markers))
+    date_formats = config.date_formats
+    start, end = config.period
+
+    def build(row: RawLotRow, lot_id: int) -> LotRecord | RowRejection:
+        def reject(reason: str) -> RowRejection:
+            return RowRejection(row.source_file, row.source_line, reason)
+
+        fields = row.fields
+        notice_id = fields["notice_id"]
+        if not notice_id:
+            return reject("missing-notice-id")
+
+        publication = parse_date(fields["publication_date"], date_formats)
+        if publication is None:
+            return reject("missing-publication-date")
+        if not start <= publication <= end:
+            return reject("out-of-period")
+
+        contract_type = contract_types.get(normalize_name(fields["contract_type"]))
+
+        offers_raw = fields["number_of_offers"]
+        offers = int(offers_raw) if ascii_digits(offers_raw) else None
+
+        value = parse_decimal(fields["awarded_value"])
+        if value is not None and value < 0:
+            value = None
+
+        winner_name = fields["winner_name"]
+        marker_set = fields["cancelled"].lower() in _TRUTHY
+        folded_winner = normalize_name(winner_name)
+        cancelled = (not winner_name and marker_set) or (
+            bool(folded_winner) and folded_winner in markers
+        )
+
+        return LotRecord(
+            lot_id=lot_id,
+            notice_id=notice_id,
+            lot_number=fields["lot_number"],
+            publication_date=publication,
+            award_date=parse_date(fields["award_date"], date_formats),
+            contract_type=contract_type,
+            activity_code=fields["activity_code"] or None,
+            number_of_offers=offers,
+            awarded_value=value,
+            currency=fields["currency"] or None,
+            cancelled=cancelled,
+            contract_notice_ref=fields["contract_notice_ref"] or None,
+            source_file=row.source_file,
+            source_line=row.source_line,
+        )
+
+    return build
+
+
 def build_lot(
     row: RawLotRow, config: PipelineConfig, lot_id: int
 ) -> LotRecord | RowRejection:
     """Type one raw row; unparseable dates and numbers become absent."""
-
-    def reject(reason: str) -> RowRejection:
-        return RowRejection(row.source_file, row.source_line, reason)
-
-    fields = row.fields
-    notice_id = fields["notice_id"]
-    if not notice_id:
-        return reject("missing-notice-id")
-
-    publication = parse_date(fields["publication_date"], config.date_formats)
-    if publication is None:
-        return reject("missing-publication-date")
-    start, end = config.period
-    if not start <= publication <= end:
-        return reject("out-of-period")
-
-    contract_types = fold_contract_types(tuple(config.contract_type_values.items()))
-    contract_type = contract_types.get(normalize_name(fields["contract_type"]))
-
-    offers_raw = fields["number_of_offers"]
-    offers = int(offers_raw) if ascii_digits(offers_raw) else None
-
-    value = parse_decimal(fields["awarded_value"])
-    if value is not None and value < 0:
-        value = None
-
-    winner_name = fields["winner_name"]
-    marker_set = fields["cancelled"].lower() in _TRUTHY
-    folded_winner = normalize_name(winner_name)
-    cancelled = (not winner_name and marker_set) or (
-        bool(folded_winner) and folded_winner in fold_words(tuple(config.unsuccessful_markers))
-    )
-
-    return LotRecord(
-        lot_id=lot_id,
-        notice_id=notice_id,
-        lot_number=fields["lot_number"],
-        publication_date=publication,
-        award_date=parse_date(fields["award_date"], config.date_formats),
-        contract_type=contract_type,
-        activity_code=fields["activity_code"] or None,
-        number_of_offers=offers,
-        awarded_value=value,
-        currency=fields["currency"] or None,
-        cancelled=cancelled,
-        contract_notice_ref=fields["contract_notice_ref"] or None,
-        source_file=row.source_file,
-        source_line=row.source_line,
-    )
+    return lot_builder(config)(row, lot_id)
 
 
 @dataclass
@@ -348,12 +360,13 @@ def run_ingest(config: PipelineConfig) -> IngestResult:
     next_occurrence_id = 1
     # raw cells -> each part's occurrence cells, None for "", and its conflict flag
     parts_of: dict[tuple[str, ...], list[tuple[tuple[str | None, ...], bool]]] = {}
+    build = lot_builder(config)
     for path in config.lot_files:
         parsed = parse_table(path, config.column_map, config.delimiter)
         result.skipped_lines += parsed.skipped
         result.duplicate_identities += parsed.duplicate_identities
         for row in parsed.rows:
-            built = build_lot(row, config, next_lot_id)
+            built = build(row, next_lot_id)
             if isinstance(built, RowRejection):
                 result.rejections.append(built)
                 continue

@@ -15,19 +15,20 @@ its dataclass fields:
   member_occurrence_ids -> memberIds). CanonicalAgent.names is left out;
   agent_names.csv holds it, one row per name.
 - Cells follow the field type: None is an empty cell, bool is 1/0, date is
-  ISO, Decimal is str(), Enum is its value, list[int] is space-joined and
-  list[Enum] is "+"-joined. An Identifier takes two columns,
-  identifierKind and identifierValue. A `str` field keeps "", while a
-  `str | None` field reads "" back as None; no optional pipeline value is
-  an empty string, so the round trip is lossless.
+  ISO, Decimal is str(), Enum is its value (read from a dict of member to
+  value, not through `.value`), list[int] is space-joined and list[Enum]
+  is "+"-joined. An Identifier takes two columns, identifierKind and
+  identifierValue. A `str` field keeps "", while a `str | None` field
+  reads "" back as None; no optional pipeline value is an empty string,
+  so the round trip is lossless.
 - Each record type's plan is compiled once into two generated row
   functions, as `dataclasses` compiles `__init__` (source made of field
   names and fixed templates, never of a cell): `encode` gives a record's
   cells as strings, and `decode` is one constructor call on a row's cells.
-- A row none of whose cells needs quoting is written as its cells joined
-  by commas; any other row goes through `files.csv_writer`, so every byte
-  is what csv writes, a cell holding "\\r" quoted, and csv reads the file
-  back.
+- The rows are written by `files.write_rows`, which joins a row none of
+  whose cells needs quoting by commas and gives any other to csv, so every
+  byte is what csv writes, a cell holding "\\r" quoted, and csv reads the
+  file back.
 
 A checkpoint is written through `files`, to a temp file renamed into place,
 so a killed run cannot leave a truncated file for the next stage. A header,
@@ -52,7 +53,7 @@ from . import emit as emit_mod
 from . import evaluate as evaluate_mod
 from .config import PipelineConfig
 from .criteria import repair_criteria
-from .files import csv_writer, input_lines, replacing
+from .files import input_lines, replacing, write_rows
 from .identify import apply_match_results, identify_all, write_match_log
 from .ingest import run_ingest
 from .merge import MergeResult, merge_all
@@ -170,6 +171,19 @@ def _parse_bool(cell: str) -> bool:
     return cell == "1"
 
 
+# each str Enum member a codec writes, to its value: an encoder reads this
+# dict, since on Python 3.11 `.value` is a Python-level descriptor. One dict
+# serves every type, as two str members that compare equal share a value.
+_VALUES: dict[Enum, str] = {}
+
+
+def _value_template(tp: type[Enum]) -> str:
+    """The template of the expression that gives a `tp` member `{}`'s value
+    from _VALUES, to which it adds tp's members."""
+    _VALUES.update((member, member.value) for member in tp)
+    return "V[{}]"
+
+
 @functools.cache
 def _enum_parser(tp: type[Enum]) -> Callable[[str], Enum]:
     """tp(cell) through a dict lookup; tp itself raises on an unknown value."""
@@ -185,8 +199,9 @@ def _cell_plan(tp: type) -> tuple[Callable[[str], object], str]:
         if item is int:
             return (lambda cell: [int(i) for i in cell.split()]), '" ".join(map(str, {}))'
         parse = _enum_parser(item)
+        value = _value_template(item).format("k")
         return (lambda cell: [parse(k) for k in cell.split("+") if k]), (
-            '"+".join([k.value for k in {}])'
+            f'"+".join([{value} for k in {{}}])'
         )
     if tp is bool:
         return _parse_bool, '("1" if {} else "0")'
@@ -198,7 +213,7 @@ def _cell_plan(tp: type) -> tuple[Callable[[str], object], str]:
         return dt.date.fromisoformat, "str({})"
     # the value, not str(): str(Role.BUYER) is 'Role.BUYER'
     if issubclass(tp, Enum) and issubclass(tp, str):
-        return _enum_parser(tp), "{}.value"
+        return _enum_parser(tp), _value_template(tp)
     raise TypeError(f"no checkpoint codec for {tp!r}")
 
 
@@ -226,7 +241,7 @@ def _codec(cls: type) -> _Codec:
     binds: list[str] = []  # encode: field n of record r is v<n>
     cells: list[str] = []  # encode: one expression per column
     args: list[str] = []  # decode: one expression of cells c per init argument
-    namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier}
+    namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier, "V": _VALUES}
     for n, f in enumerate(dataclasses.fields(cls)):
         if (cls, f.name) in _OMITTED:
             namespace[f"d{n}"] = f.default_factory
@@ -238,7 +253,7 @@ def _codec(cls: type) -> _Codec:
             (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
         i = len(columns)
         if tp is Identifier:
-            templates = ["{}.kind.value", "{}.value"]
+            templates = [_value_template(IdentifierKind).format("{}.kind"), "{}.value"]
             columns += ["identifierKind", "identifierValue"]
             namespace[f"p{i}"] = kind = _enum_parser(IdentifierKind)
             parsers += [_optional(kind) if optional else kind, str]
@@ -257,8 +272,6 @@ def _codec(cls: type) -> _Codec:
             for template in templates
         ]
         args.append(f"({arg} if c[{i}] else None)" if optional else arg)
-    # csv writes a row of one empty cell as '""', which a join would not
-    assert len(columns) >= 2, f"{cls.__name__} needs at least 2 checkpoint columns"
     exec(
         f"def encode(r):\n    {'; '.join(binds)}\n    return [{', '.join(cells)}]\n"
         f"def decode(c):\n    return cls({', '.join(args)})\n",
@@ -268,22 +281,8 @@ def _codec(cls: type) -> _Codec:
 
 
 def _dump(path: Path, cls: type, records: Iterable) -> None:
-    """The header, then one line per record: a row none of whose cells
-    needs quoting is joined directly, any other goes through csv_writer."""
     codec = _codec(cls)
-    commas = len(codec.columns) - 1
-    with replacing(path) as fh:
-        writer = csv_writer(fh)
-        writer.writerow(codec.columns)
-        for cells in map(codec.encode, records):
-            line = ",".join(cells)
-            # no cell holds a comma, nor what csv_writer quotes or some csv
-            # version refuses: '"', "\n", "\r", NUL (before 3.11)
-            if (line.count(",") == commas and '"' not in line and "\r" not in line
-                    and "\n" not in line and "\0" not in line):
-                fh.write(line + "\n")
-            else:
-                writer.writerow(cells)
+    write_rows(path, codec.columns, map(codec.encode, records))
 
 
 def _dump_json(path: Path, data: dict) -> None:

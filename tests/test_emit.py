@@ -1,9 +1,16 @@
+import csv
+import dataclasses
 import datetime as dt
+import io
 import sqlite3
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import corpus_config
+from tedclean import emit as emit_mod
 from tedclean.emit import (
     TABLE_ORDER,
     build_tables,
@@ -23,6 +30,7 @@ from tedclean.models import (
     full_siret,
     internal_code,
 )
+from tedclean.pipeline import run_pipeline
 
 from conftest import make_lot, make_occurrence
 
@@ -120,6 +128,19 @@ class TestBuildTables:
         row = schema["LotBuyers"].rows[0]
         assert row == (1, "11111111100011", "matched+merged", 1)
 
+    def test_links_collapse_to_distinct_sources_in_order(self):
+        """Sorted, a (lotId, agentId) pair's sources are distinct and in
+        order, and the row is split when any link is, not just the last."""
+        lots, agents, occs, crit = small_world()
+        occs += [
+            make_occurrence(4, 1, role=Role.BUYER, identifier=SIRET_A,
+                            identifier_source="declared", split_conflict=True),
+            make_occurrence(5, 1, role=Role.BUYER, identifier=SIRET_A,
+                            identifier_source="matched"),
+        ]
+        schema = build_tables(lots, agents, occs, crit)
+        assert schema["LotBuyers"].rows[0] == (1, "11111111100011", "declared+matched", 1)
+
     def test_criteria_ordinals(self):
         schema = build_tables(*small_world())
         assert schema["Criteria"].rows == [
@@ -156,6 +177,54 @@ class TestVerifyIntegrity:
         schema["Names"].rows.append(("99999999999999", "GHOST"))
         problems = verify_integrity(schema)
         assert any("Names.agentId" in p and "dangling" in p for p in problems)
+
+    def test_duplicate_key_messages(self):
+        schema = build_tables(*small_world())
+        schema["Lots"].rows.append(schema["Lots"].rows[0])
+        schema["LotBuyers"].rows.append(schema["LotBuyers"].rows[1])
+        assert verify_integrity(schema) == [
+            "Lots: duplicate primary key (1,)",
+            "LotBuyers: duplicate primary key (2, 'U000001')",
+        ]
+
+    def test_more_than_five_dangling_values(self):
+        schema = build_tables(*small_world())
+        schema["Names"].rows += [(f"G{n}", "GHOST") for n in range(7, 0, -1)]
+        schema["Criteria"].rows += [
+            (lot_id, 1, "X", "OTHERS", None, 0) for lot_id in (9, 100, 10, 12, 11, 13)
+        ]
+        assert verify_integrity(schema) == [
+            "Names.agentId: 7 dangling value(s): G1, G2, G3, G4, G5",
+            "Criteria.lotId: 6 dangling value(s): 10, 100, 11, 12, 13",
+        ]
+
+
+def _assert_cells_fit_declared_types(schema):
+    """An INTEGER cell is an int or None, never a bool; any other cell is a
+    str or None: emit's row functions pick a cell's form by declared type."""
+    for table in schema.values():
+        for i, (column, sql_type) in enumerate(zip(table.columns, table.types)):
+            kinds = {type(row[i]) for row in table.rows} - {type(None)}
+            assert kinds <= ({int} if sql_type == "INTEGER" else {str}), (table.name, column)
+
+
+class TestDeclaredTypes:
+    def test_small_world(self):
+        _assert_cells_fit_declared_types(build_tables(*small_world()))
+
+    def test_bench_shaped_corpus(self, tmp_path, monkeypatch):
+        built = []
+
+        def keep(*args):
+            built.append(build_tables(*args))
+            return built[-1]
+
+        monkeypatch.setattr(emit_mod, "build_tables", keep)
+        run_pipeline(corpus_config(tmp_path / "in", tmp_path / "out", rows=600, seed=0,
+                                   registry_agents=8))
+        (schema,) = built
+        assert all(schema[name].rows for name in TABLE_ORDER)
+        _assert_cells_fit_declared_types(schema)
 
 
 class TestWriteOutputs:
@@ -231,3 +300,95 @@ class TestWriteOutputs:
         ).fetchall()
         assert ("L'AGENT",) in names
         connection.close()
+
+
+def _sql_literal(value) -> str:
+    """A cell's SQL literal by its value's type: the oracle for emit's row
+    functions, which go by the column's declared type."""
+    if value is None:
+        return "NULL"
+    if isinstance(value, int):
+        return str(value)
+    text = str(value)
+    return "'" + text.replace("'", "''") + "'"
+
+
+def _csv_bytes(table) -> bytes:
+    """The table as csv.writer writes it, a cell holding "\\r" quoted on every
+    Python version, each row ending in "\\n"."""
+    lines = []
+    for row in [table.columns, *table.rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+# text with what csv quotes, what SQL escapes, U+0085 and non-ASCII; no NUL,
+# which no lot line that holds one reaches emit with
+_CELL_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("'\",\r\n\x85 Aé"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+    ),
+    max_size=5,
+)
+_CELL_INT = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def _awkward_schema(draw):
+    """small_world()'s six tables, their rows replaced by rows of awkward
+    cells that keep each column's declared type and each key unique."""
+    schema = build_tables(*small_world())
+    for table in schema.values():
+        keys = [table.columns.index(k) for k in table.key]
+        cells = []
+        for i, sql_type in enumerate(table.types):
+            value = _CELL_INT if sql_type == "INTEGER" else _CELL_TEXT
+            cells.append(value if i in keys else st.one_of(st.none(), value))
+        table.rows = draw(st.lists(st.tuples(*cells), max_size=6,
+                                   unique_by=lambda row, keys=keys: tuple(row[i] for i in keys)))
+    return schema
+
+
+def _tables(connection) -> dict[str, list[tuple]]:
+    """Each table's rows in insertion order, each value with its type."""
+    return {
+        name: [tuple((type(v), v) for v in row)
+               for row in connection.execute(f"SELECT * FROM {name} ORDER BY rowid")]
+        for name in TABLE_ORDER
+    }
+
+
+@given(schema=_awkward_schema())
+@settings(max_examples=100, deadline=None)
+def test_awkward_cells_are_csv_writer_bytes_and_the_old_sql(tmp_path_factory, schema):
+    out = tmp_path_factory.mktemp("emit")
+    write_csv(schema, str(out))
+    for name in TABLE_ORDER:
+        assert (out / f"{name}.csv").read_bytes() == _csv_bytes(schema[name]), name
+    assert verify_roundtrip(schema, str(out)) == []
+
+    write_sql_dump(schema, str(out / "foppa.sql"))
+    empty = {name: dataclasses.replace(t, rows=[]) for name, t in schema.items()}
+    write_sql_dump(empty, str(out / "schema.sql"))
+    creates = (out / "schema.sql").read_bytes().decode("utf-8").removesuffix("COMMIT;\n")
+    inserts = "".join(
+        f"INSERT INTO {name} VALUES ({', '.join(map(_sql_literal, row))});\n"
+        for name in TABLE_ORDER for row in schema[name].rows
+    )
+    dump = (out / "foppa.sql").read_bytes().decode("utf-8")
+    assert dump == creates + inserts + "COMMIT;\n"
+
+    # reloaded, each table holds what inserting its values as parameters gives
+    reloaded = sqlite3.connect(":memory:")
+    reloaded.executescript(dump)
+    expected = sqlite3.connect(":memory:")
+    expected.executescript(creates + "COMMIT;\n")
+    for name in TABLE_ORDER:
+        marks = ", ".join("?" * len(schema[name].columns))
+        expected.executemany(f"INSERT INTO {name} VALUES ({marks})", schema[name].rows)
+    assert _tables(reloaded) == _tables(expected)
+    reloaded.close()
+    expected.close()

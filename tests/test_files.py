@@ -1,16 +1,19 @@
 """The input rules: how every input CSV is split and parsed, and how a
-header maps to the configured fields; and that an output which cannot be
-put in place is a ConfigError that leaves no temp file."""
+header maps to the configured fields; that write_rows writes what csv
+writes; and that an output which cannot be put in place is a ConfigError
+that leaves no temp file."""
 from __future__ import annotations
 
 import csv
 import io
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tedclean.files import field_plan, parse_line, read_rows, replacing
+from tedclean import files
+from tedclean.files import field_plan, parse_line, read_rows, replacing, write_rows
 from tedclean.models import ConfigError, InputError
 
 _DELIMITERS = st.sampled_from([",", ";", "\t", "|"])
@@ -150,3 +153,43 @@ def test_output_that_cannot_replace_its_target_is_config_error(tmp_path):
         with replacing(target) as fh:
             fh.write("lotId\n")
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def _csv_bytes(header: list, rows: list) -> bytes:
+    """What csv.writer writes for the header and rows, a cell holding "\\r"
+    quoted on every Python version, each row ending in "\\n"."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_write_rows_keeps_every_row_in_its_place(tmp_path):
+    """Plain rows joined at once, and between them rows csv must write: a None
+    or an int cell, a row of one "" cell, a cell csv quotes, an empty row."""
+    header = ["lotId", "name"]
+    odd = {3: [None, "x"], 700: [1, "Prix"], 701: (Decimal("1.50"), None), 900: [""],
+           901: ["a,b", "c"], 1030: ['Valeur "technique"', ""], 1031: ["x\ny", "z"],
+           1032: ["r\rs", "t"], 1500: []}
+    rows = [odd.get(n, [str(n), f"nom {n} é"]) for n in range(1600)]
+    path = tmp_path / "rows.csv"
+    write_rows(path, header, rows)
+    assert path.read_bytes() == _csv_bytes(header, rows)
+
+
+_CELL = st.one_of(
+    st.none(), st.integers(-5, 5),
+    st.text(alphabet=',"\r\n\x85 Aé-', max_size=4), st.text(alphabet="AB é", max_size=4),
+)
+
+
+@given(rows=st.lists(st.lists(_CELL, max_size=3), max_size=12))
+@settings(max_examples=300)
+def test_write_rows_is_csv_writer_bytes(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_ROWS_AT_ONCE", 3)  # many chunks, plain and not
+        write_rows(path, ["a", "b"], rows)
+    assert path.read_bytes() == _csv_bytes(["a", "b"], rows)

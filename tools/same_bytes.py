@@ -23,7 +23,11 @@ lots' period), and on a quoted-CRLF copy of them (the lot file split in
 two, in order, each part with the header, every cell quoted, CRLF line
 ends and a byte-order mark, the config listing both parts: every lot line
 takes csv's path, where the other cases' quote-free lines are split on the
-delimiter), and on a dense case at seed 0
+delimiter), and on an awkward-cells copy of them (lot numbers, criterion
+names and buyer and winner names holding `'`, `"`, `,` or a quoted CR,
+CRLF line ends, and a few rows cut in two by a quoted LF: emit writes
+quoted CSV cells and doubles quotes in foppa.sql, which no other case
+makes it do), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). A
@@ -184,6 +188,47 @@ def quote_split_lots(config: Path) -> None:
     config.write_text(json.dumps(data, indent=2), encoding="utf-8")
 
 
+def _rewrite_crlf(path: Path, edit) -> None:
+    """Rewrite a comma-separated file in place with CRLF line ends, its data
+    rows of the header's width through edit(row number, column index by
+    name, row): "\\r\\n" ends a line, so csv quotes a cell holding a CR or
+    an LF."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = {column: i for i, column in enumerate(header)}
+    for n, row in enumerate(rows):
+        if len(row) == len(header):  # the corpus's malformed line stays as it is
+            edit(n, at, row)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([header, *rows])
+
+
+def awkward_cells(config: Path) -> None:
+    """Rewrite a case's lot file in place: lot numbers, criterion names and
+    buyer and winner names hold `'`, `"`, `,` or a quoted CR, and every 97th
+    row's criterion names a quoted LF (a line ends at an LF, so both halves
+    of that row are skipped lines). Lots.csv and Criteria.csv then hold
+    quoted cells, and foppa.sql doubled quotes inside text."""
+    path = Path(json.loads(config.read_text(encoding="utf-8"))["inputs"]["lots"][0])
+    # on every row, the duplicate identity's too, so identities stay as they were
+    lot_numbers = {"1": "1'bis", "2": '2 "B"', "3": "3,\r4"}
+    criteria = [("Prix", "Prix d'achat"), ("Qualité", 'Qualité "technique"'),
+                ("Délai", "Délai, en jours"), ("Valeur technique", "Valeur\rtechnique")]
+    names = ["{} de l'Est", '"{}"', "{}, SA", "{}\rAnnexe", "{}"]
+
+    def lots(n, at, row):
+        row[at["ID_LOT"]] = lot_numbers.get(row[at["ID_LOT"]], row[at["ID_LOT"]])
+        old, new = criteria[n % len(criteria)]
+        row[at["CRIT_CRITERIA"]] = row[at["CRIT_CRITERIA"]].replace(old, new)
+        if n % 97 == 50:
+            row[at["CRIT_CRITERIA"]] += "\nSuite"
+        for column, shift in (("CAE_NAME", 0), ("WIN_NAME", 2)):
+            if row[at[column]]:
+                row[at[column]] = names[(n + shift) % len(names)].format(row[at[column]])
+
+    _rewrite_crlf(path, lots)
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -241,6 +286,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-noisy-zipcodes", WORKLOADS["mask"], 0, noise_zipcodes, pipeline))
         cases.append(("mask-0-registry-variety", WORKLOADS["mask"], 0, vary_registry, pipeline))
         cases.append(("mask-0-quoted-crlf", WORKLOADS["mask"], 0, quote_split_lots, pipeline))
+        cases.append(("mask-0-awkward-cells", WORKLOADS["mask"], 0, awkward_cells, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
