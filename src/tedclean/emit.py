@@ -211,11 +211,9 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
     speed; the row-by-row search for what is wrong runs only when a set
     shows that something is."""
     problems: list[str] = []
-    keys: dict[str, set] = {}  # a table's distinct keys, scalars for a one-column key
     for table in schema.values():
         indices = [table.columns.index(k) for k in table.key]
-        keys[table.name] = set(map(itemgetter(*indices), table.rows))
-        if len(keys[table.name]) == len(table.rows):
+        if len(set(map(itemgetter(*indices), table.rows))) == len(table.rows):
             continue
         seen = set()
         for row in table.rows:
@@ -230,10 +228,7 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
             if ref is None:
                 problems.append(f"{table.name}: reference to unknown table {ref_table}")
                 continue
-            if ref.key == [ref_column]:
-                known = keys[ref_table]
-            else:
-                known = set(map(itemgetter(ref.columns.index(ref_column)), ref.rows))
+            known = set(map(itemgetter(ref.columns.index(ref_column)), ref.rows))
             values = set(map(itemgetter(table.columns.index(column)), table.rows))
             if values <= known:
                 continue
@@ -245,12 +240,9 @@ def verify_integrity(schema: OutputSchema) -> list[str]:
     return problems
 
 
-def _row_functions(table: Table) -> tuple[Callable[[tuple], list[str]], Callable[[tuple], str]]:
-    return _compile_rows(table.name, tuple(table.types))
-
-
 @functools.cache
-def _compile_rows(name: str, types: tuple[str, ...]) -> tuple[Callable, Callable]:
+def _compile_rows(name: str, types: tuple[str, ...]
+                  ) -> tuple[Callable[[tuple], list[str]], Callable[[tuple], str]]:
     """The two row functions of table `name` of `types`, compiled once:
     `cells(r)`, the row's CSV cells as strings, and `insert(r)`, its whole
     INSERT line. Their source is built from column indices and fixed
@@ -280,7 +272,7 @@ def write_csv(schema: OutputSchema, directory: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in TABLE_ORDER:
         table = schema[name]
-        cells, _ = _row_functions(table)
+        cells, _ = _compile_rows(name, tuple(table.types))
         write_rows(out_dir / f"{name}.csv", table.columns, map(cells, table.rows))
 
 
@@ -300,8 +292,9 @@ def write_sql_dump(schema: OutputSchema, path: str) -> None:
                 )
             fh.write(f"CREATE TABLE {name} (\n" + ",\n".join(column_defs) + "\n);\n")
         for name in TABLE_ORDER:
-            _, insert = _row_functions(schema[name])
-            fh.writelines(map(insert, schema[name].rows))
+            table = schema[name]
+            _, insert = _compile_rows(name, tuple(table.types))
+            fh.writelines(map(insert, table.rows))
         fh.write("COMMIT;\n")
 
 
@@ -316,7 +309,7 @@ def verify_roundtrip(schema: OutputSchema, directory: str) -> list[str]:
             reader = csv.reader(fh)
             if next(reader, None) != table.columns:
                 problems.append(f"{name}: header mismatch after round-trip")
-            cells, _ = _row_functions(table)
+            cells, _ = _compile_rows(name, tuple(table.types))
             expected = map(cells, table.rows)
             if any(read != want for read, want in zip_longest(reader, expected)):
                 problems.append(f"{name}: rows differ after round-trip")

@@ -44,7 +44,6 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager, suppress
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -89,53 +88,32 @@ def csv_writer(fh: TextIO):
     return csv.writer(_RowEnds(fh), lineterminator="\r\n")
 
 
-# rows write_rows joins and checks at once: enough that the checks run at C
-# speed, few enough that a chunk's text stays small
-_ROWS_AT_ONCE = 512
-
-
-def _joined(rows: list[Sequence[str]], lines: list[str]) -> str | None:
-    """The rows' lines (their cells joined by commas), each ending in "\\n",
-    when that is what csv writes for them: no row is one "" cell, which csv
-    writes as '""', and no cell holds a comma, nor what csv_writer quotes or
-    some csv version refuses: '"', "\\n", "\\r", NUL (before 3.11)."""
-    text = "\n".join(lines)
-    if (text.count(",") == sum(map(len, rows)) - len(rows)
-            and text.count("\n") == len(lines) - 1 and '"' not in text
-            and "\r" not in text and "\0" not in text and "" not in lines):
-        return text + "\n"
-    return None
-
-
 def write_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """A CSV file: the header, then the rows; None is an empty cell and any
     other value its str().
 
-    The one CSV writer. Rows are taken some hundreds at a time: rows of str
-    cells none of which needs quoting are written as their cells joined by
-    commas, and any other row (a None or int cell, a row of one "" cell, a
-    cell holding what csv quotes) goes through `csv_writer`, so every byte
-    is what csv writes. A caller with many rows passes str cells."""
-    rows = iter(rows)
+    The one CSV writer. A row of str cells none of which needs quoting is
+    written as its cells joined by commas; any other row (a None or int
+    cell, a row of one "" cell, a cell holding what csv quotes) goes through
+    `csv_writer`, so every byte is what csv writes. A caller with many rows
+    passes str cells."""
     with replacing(path) as fh:
         writer = csv_writer(fh)
         writer.writerow(header)
-        while chunk := list(islice(rows, _ROWS_AT_ONCE)):
+        for row in rows:
             try:
-                lines = list(map(",".join, chunk))
+                line = ",".join(row)
             except TypeError:  # a cell that is not a str
-                writer.writerows(chunk)
+                writer.writerow(row)
                 continue
-            text = _joined(chunk, lines)
-            if text is not None:
-                fh.write(text)
-                continue
-            for row, line in zip(chunk, lines):
-                text = _joined([row], [line])
-                if text is None:
-                    writer.writerow(row)
-                else:
-                    fh.write(text)
+            # not one "" cell, which csv writes as '""', and no cell holds a
+            # comma, nor what csv_writer quotes or some csv version refuses:
+            # '"', "\n", "\r", NUL (before 3.11)
+            if (line and line.count(",") == len(row) - 1 and '"' not in line
+                    and "\r" not in line and "\n" not in line and "\0" not in line):
+                fh.write(line + "\n")
+            else:
+                writer.writerow(row)
 
 
 def input_lines(path: str, what: str) -> list[str]:

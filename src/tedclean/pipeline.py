@@ -171,17 +171,10 @@ def _parse_bool(cell: str) -> bool:
     return cell == "1"
 
 
-# each str Enum member a codec writes, to its value: an encoder reads this
-# dict, since on Python 3.11 `.value` is a Python-level descriptor. One dict
-# serves every type, as two str members that compare equal share a value.
-_VALUES: dict[Enum, str] = {}
-
-
-def _value_template(tp: type[Enum]) -> str:
-    """The template of the expression that gives a `tp` member `{}`'s value
-    from _VALUES, to which it adds tp's members."""
-    _VALUES.update((member, member.value) for member in tp)
-    return "V[{}]"
+def _values(tp: type[Enum]) -> dict[Enum, str]:
+    """tp's members to their values: an encoder reads this dict, since on
+    Python 3.11 `.value` is a Python-level descriptor."""
+    return {member: member.value for member in tp}
 
 
 @functools.cache
@@ -191,17 +184,19 @@ def _enum_parser(tp: type[Enum]) -> Callable[[str], Enum]:
     return lambda cell: members.get(cell) or tp(cell)
 
 
-def _cell_plan(tp: type) -> tuple[Callable[[str], object], str]:
-    """(parse, encode) of one column: the cell's parser, and the template
-    of the expression that writes a value `{}` as the string csv writes."""
+def _cell_plan(tp: type, i: int, namespace: dict[str, object]
+               ) -> tuple[Callable[[str], object], str]:
+    """(parse, encode) of column `i`: the cell's parser, and the template of
+    the expression that writes a value `{}` as the string csv writes. An
+    Enum column's values go into the encoder's `namespace` as e<i>."""
     if typing.get_origin(tp) is list:
         (item,) = typing.get_args(tp)
         if item is int:
             return (lambda cell: [int(i) for i in cell.split()]), '" ".join(map(str, {}))'
         parse = _enum_parser(item)
-        value = _value_template(item).format("k")
+        namespace[f"e{i}"] = _values(item)
         return (lambda cell: [parse(k) for k in cell.split("+") if k]), (
-            f'"+".join([{value} for k in {{}}])'
+            f'"+".join([e{i}[k] for k in {{}}])'
         )
     if tp is bool:
         return _parse_bool, '("1" if {} else "0")'
@@ -213,7 +208,8 @@ def _cell_plan(tp: type) -> tuple[Callable[[str], object], str]:
         return dt.date.fromisoformat, "str({})"
     # the value, not str(): str(Role.BUYER) is 'Role.BUYER'
     if issubclass(tp, Enum) and issubclass(tp, str):
-        return _enum_parser(tp), _value_template(tp)
+        namespace[f"e{i}"] = _values(tp)
+        return _enum_parser(tp), f"e{i}[{{}}]"
     raise TypeError(f"no checkpoint codec for {tp!r}")
 
 
@@ -241,7 +237,7 @@ def _codec(cls: type) -> _Codec:
     binds: list[str] = []  # encode: field n of record r is v<n>
     cells: list[str] = []  # encode: one expression per column
     args: list[str] = []  # decode: one expression of cells c per init argument
-    namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier, "V": _VALUES}
+    namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier}
     for n, f in enumerate(dataclasses.fields(cls)):
         if (cls, f.name) in _OMITTED:
             namespace[f"d{n}"] = f.default_factory
@@ -253,13 +249,14 @@ def _codec(cls: type) -> _Codec:
             (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
         i = len(columns)
         if tp is Identifier:
-            templates = [_value_template(IdentifierKind).format("{}.kind"), "{}.value"]
+            namespace[f"e{i}"] = _values(IdentifierKind)
+            templates = [f"e{i}[{{}}.kind]", "{}.value"]
             columns += ["identifierKind", "identifierValue"]
             namespace[f"p{i}"] = kind = _enum_parser(IdentifierKind)
             parsers += [_optional(kind) if optional else kind, str]
             arg = f"Identifier(p{i}(c[{i}]), c[{i + 1}])"
         else:
-            parse, template = _cell_plan(tp)
+            parse, template = _cell_plan(tp, i, namespace)
             templates = [template]
             columns.append(_RENAMES.get(f.name, _camel(f.name)))
             parsers.append(_optional(parse) if optional else parse)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tedclean import files
 from tedclean.files import field_plan, parse_line, read_rows, replacing, write_rows
 from tedclean.models import ConfigError, InputError
 
@@ -167,8 +166,8 @@ def _csv_bytes(header: list, rows: list) -> bytes:
 
 
 def test_write_rows_keeps_every_row_in_its_place(tmp_path):
-    """Plain rows joined at once, and between them rows csv must write: a None
-    or an int cell, a row of one "" cell, a cell csv quotes, an empty row."""
+    """Plain rows joined, and between them rows csv must write: a None or an
+    int cell, a row of one "" cell, a cell csv quotes, an empty row."""
     header = ["lotId", "name"]
     odd = {3: [None, "x"], 700: [1, "Prix"], 701: (Decimal("1.50"), None), 900: [""],
            901: ["a,b", "c"], 1030: ['Valeur "technique"', ""], 1031: ["x\ny", "z"],
@@ -189,7 +188,5 @@ _CELL = st.one_of(
 @settings(max_examples=300)
 def test_write_rows_is_csv_writer_bytes(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(files, "_ROWS_AT_ONCE", 3)  # many chunks, plain and not
-        write_rows(path, ["a", "b"], rows)
+    write_rows(path, ["a", "b"], rows)
     assert path.read_bytes() == _csv_bytes(["a", "b"], rows)
