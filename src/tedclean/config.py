@@ -220,7 +220,7 @@ class PipelineConfig:
     # nothing, since identification runs in one process.
     jobs: int = 1
 
-    def validate(self, check_paths: bool = True) -> list[str]:
+    def validate(self) -> list[str]:
         """Collect every problem instead of failing on the first."""
         errors: list[str] = []
         errors.extend(self.match.validate())
@@ -240,20 +240,19 @@ class PipelineConfig:
             errors.append("separators must be a non-empty list of non-empty strings")
         if self.period[0] > self.period[1]:
             errors.append("period starts after it ends")
-        if check_paths:
-            # os.path.exists answers False for a NUL in a path; Path.exists raises.
-            for path in self.lot_files:
-                if not os.path.exists(path):
-                    errors.append(f"lot file does not exist: {path}")
-            for label, path in [
-                ("registry entity file", self.registry_entity_file),
-                ("registry facility file", self.registry_facility_file),
-                ("postal file", self.postal_file),
-                ("contract notice file", self.contract_notice_file),
-                ("ground truth file", self.ground_truth_file),
-            ]:
-                if path is not None and not os.path.exists(path):
-                    errors.append(f"{label} does not exist: {path}")
+        # os.path.exists answers False for a NUL in a path; Path.exists raises.
+        for path in self.lot_files:
+            if not os.path.exists(path):
+                errors.append(f"lot file does not exist: {path}")
+        for label, path in [
+            ("registry entity file", self.registry_entity_file),
+            ("registry facility file", self.registry_facility_file),
+            ("postal file", self.postal_file),
+            ("contract notice file", self.contract_notice_file),
+            ("ground truth file", self.ground_truth_file),
+        ]:
+            if path is not None and not os.path.exists(path):
+                errors.append(f"{label} does not exist: {path}")
         return errors
 
 

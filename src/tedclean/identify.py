@@ -15,7 +15,8 @@ gives the token overlaps, so every name similarity in the block comes
 from one pass, and every street similarity from one more. Each string's
 tokens and match masks are prepared once, in a bounded memo. Within one
 payload, each distinct facility zipcode and city is compared once, and
-each distinct triple of address similarities weighed once.
+each distinct triple of address similarities weighed once. merge packs
+and scores its blocks of payloads with the same packer and block scorer.
 """
 from __future__ import annotations
 
@@ -111,9 +112,9 @@ def levenshtein(a: str, b: str) -> int:
     return end_a - start + pv.bit_count() - mv.bit_count()
 
 
-# city pairs repeat across payloads and candidates, and name, street and
-# city pairs across merge's pair checks; the bound caps the memory of the pair
-# memo, and of the per-string one, on corpora with many more distinct names
+# city pairs repeat across payloads and candidates, in identification and
+# in merge; the bound caps the memory of the pair memo, and of the
+# per-string one, on corpora with many more distinct names
 NAME_SIMILARITY_MEMO_SIZE = 1 << 16
 
 
@@ -123,7 +124,6 @@ class _Profile(NamedTuple):
 
     tokens: dict[str, int]
     token_total: int
-    chars: dict[str, int]
     match_masks: dict[str, int]  # Myers' Peq: bit i set where text[i] is the char
 
 
@@ -135,7 +135,7 @@ def _profile(text: str) -> _Profile:
     for char in text:
         match_masks[char] = match_masks.get(char, 0) | bit
         bit <<= 1
-    return _Profile(Counter(words), len(words), Counter(text), match_masks)
+    return _Profile(Counter(words), len(words), match_masks)
 
 
 def _overlap(pa: _Profile, pb: _Profile) -> float:
@@ -148,27 +148,6 @@ def _overlap(pa: _Profile, pb: _Profile) -> float:
         if token in other:
             shared += min(count, other[token])
     return shared / min(pa.token_total, pb.token_total)
-
-
-def _edit_ceiling(a: str, b: str, pa: _Profile, pb: _Profile) -> float:
-    """An upper bound on 1 - levenshtein(a, b) / max(len(a), len(b)).
-
-    One edit removes at most one character of a and adds at most one of
-    b, so each one-sided character-multiset difference is at most the edit
-    distance: Ukkonen's q-gram bound with q = 1 (TCS 92, 1992). The two
-    differences part by len(a) - len(b), so one pass over the smaller
-    character set gives the larger.
-    """
-    if len(pa.chars) > len(pb.chars):
-        a, b, pa, pb = b, a, pb, pa
-    other = pb.chars
-    surplus = 0  # characters of a that b lacks
-    for char, count in pa.chars.items():
-        missing = count - other.get(char, 0)
-        if missing > 0:
-            surplus += missing
-    longest = max(len(a), len(b))
-    return 1.0 - (surplus + max(0, len(b) - len(a))) / longest
 
 
 @lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
@@ -188,9 +167,6 @@ def name_similarity(a: str, b: str) -> float:
     overlap = _overlap(pa, pb)
     if overlap >= 1.0:
         return 1.0
-    # the edit distance cannot win where its bound does not
-    if _edit_ceiling(a, b, pa, pb) <= overlap:
-        return overlap
     return max(overlap, 1.0 - levenshtein(a, b) / max(len(a), len(b)))
 
 
@@ -236,9 +212,8 @@ def _similarities(text: str, lanes: _Lanes) -> list[float]:
     """name_similarity(text, name) for every packed name.
 
     Where both have tokens this is the larger of the overlap and the edit
-    term, as in name_similarity: an overlap of 1 or a distance of 0 gives
-    1.0, and where the character ceiling skips the distance the edit term,
-    below the ceiling, is below the overlap too.
+    term, as in name_similarity, where an overlap of 1 or a distance of 0
+    gives 1.0.
     """
     profile = _profile(text)
     tokens, n = profile.token_total, len(text)
@@ -422,35 +397,86 @@ _ScoredBlock = list[tuple[RegistryFacility, CandidateScore | None]]
 
 
 class _PackedBlock(NamedTuple):
-    """A block's facilities in its order, each with the lanes of its
-    candidate names and of its street (None without one), and the block's
-    distinct candidate names and distinct streets packed."""
+    """Records in their order (registry facilities, or merge's payloads),
+    each with the lanes of its names and of its street (None without one),
+    and the records' distinct names and distinct streets packed."""
 
-    facilities: list[RegistryFacility]
+    records: list
     lanes_of: list[list[int]]
     lanes: _Lanes
     street_lanes: list[int | None]
     streets: _Lanes
 
 
-def _pack_block(block: set[str], registry: Registry) -> _PackedBlock:
-    facilities = [registry.facilities[siret] for siret in block]
+def _pack_records(records: list, names_of) -> _PackedBlock:
+    """Records with street, zipcode and city, packed; names_of(record)
+    lists the names a record is compared by."""
     lane_of: dict[str, int] = {}
-    lanes_of = [
-        [lane_of.setdefault(name, len(lane_of)) for name in registry.candidate_names(facility)]
-        for facility in facilities
-    ]
+    lanes_of = [[lane_of.setdefault(name, len(lane_of)) for name in names_of(r)] for r in records]
     street_of: dict[str, int] = {}
     street_lanes = [
-        street_of.setdefault(f.street, len(street_of)) if f.street else None for f in facilities
+        street_of.setdefault(r.street, len(street_of)) if r.street else None for r in records
     ]
     return _PackedBlock(
-        facilities, lanes_of, _pack(list(lane_of)), street_lanes, _pack(list(street_of))
+        records, lanes_of, _pack(list(lane_of)), street_lanes, _pack(list(street_of))
     )
+
+
+def _pack_block(block: set[str], registry: Registry) -> _PackedBlock:
+    return _pack_records([registry.facilities[siret] for siret in block], registry.candidate_names)
 
 
 # the blocks packed in one identification call, by key
 _Packs = dict[_BlockKey, _PackedBlock]
+
+# each packed record's best name similarity and its address_score and presence
+# mask, or None below the name threshold
+_Row = list[tuple[float, float, tuple[str, ...]] | None]
+
+
+def _score_block(
+    payload: Payload, packed: _PackedBlock, config: MatchConfig, threshold: float
+) -> _Row:
+    """The payload scored against every packed record: name_similarity's
+    and address_score's floats, from one name pass and one street pass."""
+    similarities = _similarities(payload.name, packed.lanes)
+    streets = _similarities(payload.street, packed.streets) if payload.street else None
+    zipcode, city = payload.zipcode, payload.city
+    # a block's records share zipcodes, cities and whole addresses, and
+    # each score is a pure function of its inputs: each distinct one is
+    # scored once per payload
+    zipcodes: dict[str, float] = {}
+    cities: dict[str, float] = {}
+    addresses: dict[tuple[float | None, float | None, float | None],
+                    tuple[float, tuple[str, ...]]] = {}
+    row: _Row = []
+    for record, lanes, street in zip(packed.records, packed.lanes_of, packed.street_lanes):
+        if len(lanes) == 1:
+            best_sim = similarities[lanes[0]]
+        else:
+            best_sim = max((similarities[lane] for lane in lanes), default=0.0)
+        if best_sim < threshold:
+            row.append(None)
+            continue
+        street_sim = zipcode_sim = city_sim = None
+        if streets is not None and street is not None:
+            street_sim = streets[street]
+        if zipcode and record.zipcode:
+            zipcode_sim = zipcodes.get(record.zipcode)
+            if zipcode_sim is None:
+                zipcode_sim = zipcodes[record.zipcode] = _zipcode_similarity(
+                    zipcode, record.zipcode
+                )
+        if city and record.city:
+            city_sim = cities.get(record.city)
+            if city_sim is None:
+                city_sim = cities[record.city] = name_similarity(city, record.city)
+        sims = (street_sim, zipcode_sim, city_sim)
+        address = addresses.get(sims)
+        if address is None:
+            address = addresses[sims] = _weigh_address(sims, config)
+        row.append((best_sim, *address))
+    return row
 
 
 def _score_payload(
@@ -475,44 +501,11 @@ def _score_payload(
         if block is None:
             return None
         packed = packs[key] = _pack_block(block, registry)
-    similarities = _similarities(payload.name, packed.lanes)
-    streets = _similarities(payload.street, packed.streets) if payload.street else None
-    zipcode, city, threshold = payload.zipcode, payload.city, config.name_threshold
-    # a block's facilities share zipcodes, cities and whole addresses, and
-    # each score is a pure function of its inputs: each distinct one is
-    # scored once per payload
-    zipcodes: dict[str, float] = {}
-    cities: dict[str, float] = {}
-    addresses: dict[tuple[float | None, float | None, float | None],
-                    tuple[float, tuple[str, ...]]] = {}
-    scored: _ScoredBlock = []
-    for facility, lanes, street in zip(packed.facilities, packed.lanes_of, packed.street_lanes):
-        if len(lanes) == 1:
-            best_sim = similarities[lanes[0]]
-        else:
-            best_sim = max((similarities[lane] for lane in lanes), default=0.0)
-        if best_sim < threshold:
-            scored.append((facility, None))
-            continue
-        street_sim = zipcode_sim = city_sim = None
-        if streets is not None and street is not None:
-            street_sim = streets[street]
-        if zipcode and facility.zipcode:
-            zipcode_sim = zipcodes.get(facility.zipcode)
-            if zipcode_sim is None:
-                zipcode_sim = zipcodes[facility.zipcode] = _zipcode_similarity(
-                    zipcode, facility.zipcode
-                )
-        if city and facility.city:
-            city_sim = cities.get(facility.city)
-            if city_sim is None:
-                city_sim = cities[facility.city] = name_similarity(city, facility.city)
-        sims = (street_sim, zipcode_sim, city_sim)
-        address = addresses.get(sims)
-        if address is None:
-            address = addresses[sims] = _weigh_address(sims, config)
-        scored.append((facility, CandidateScore(facility.siret, best_sim, *address)))
-    return scored
+    row = _score_block(payload, packed, config, config.name_threshold)
+    return [
+        (facility, None if scores is None else CandidateScore(facility.siret, *scores))
+        for facility, scores in zip(packed.records, row)
+    ]
 
 
 def _resolve(

@@ -1,9 +1,12 @@
 """Cluster similar agent occurrences and resolve each cluster's identity.
 
 Occurrences are compared only within blocks (name prefix + department).
-Pairs at or above the merge threshold are joined by transitive closure;
-each cluster then falls into one of four cases that decide its identifier,
-and members merge field-wise under a majority rule.
+Each block's distinct payloads are packed once and scored row by row
+through identify's block scorer, so one bit-parallel pass gives a
+payload's name similarity to the whole block. Pairs at or above the merge
+threshold are joined by transitive closure; each cluster then falls into
+one of four cases that decide its identifier, and members merge
+field-wise under a majority rule.
 """
 from __future__ import annotations
 
@@ -29,17 +32,21 @@ REJECT_BLOCK = None  # key for occurrences that cannot be blocked
 def blocking_key(occurrence: AgentOccurrence) -> str | None:
     """First 4 characters of the first name token, plus the department.
 
-    Occurrences with an empty normalized name land in the reject block
-    (key None) and stay singletons.
+    Occurrences whose normalized name has no token land in the reject
+    block (key None) and stay singletons.
     """
-    name = occurrence.normalized_name or ""
-    if not name:
+    tokens = (occurrence.normalized_name or "").split()
+    if not tokens:
         return REJECT_BLOCK
-    return f"{name.split()[0][:4]}|{occurrence.department or '??'}"
+    return f"{tokens[0][:4]}|{occurrence.department or '??'}"
 
 
 def pair_similarity(a: AgentOccurrence, b: AgentOccurrence, config: MatchConfig) -> float:
-    """Equal-weight mean of name similarity and address agreement."""
+    """Equal-weight mean of name similarity and address agreement.
+
+    The scalar form of what cluster_occurrences computes a block at a time:
+    the tests' reference for it, and a binding a tracer can count.
+    """
     # looked up in the module at call time, like identify's own calls
     name_sim = identify.name_similarity(a.normalized_name or "", b.normalized_name or "")
     addr, _ = identify.address_score(a, b, config)
@@ -65,10 +72,6 @@ class _UnionFind:
 
 
 _MERGE_FIELDS = ("normalized_name", "street", "zipcode", "city")
-
-
-def _merge_payload(occ: AgentOccurrence) -> tuple:
-    return (occ.normalized_name, occ.street, occ.zipcode, occ.city)
 
 
 def field_completeness(occ: AgentOccurrence) -> int:
@@ -99,19 +102,24 @@ def cluster_occurrences(
         if key is REJECT_BLOCK:
             clusters.extend([occ.occurrence_id] for occ in members)
             continue
-        payload_ids: dict[tuple, list[int]] = {}
-        representative: dict[tuple, AgentOccurrence] = {}
+        payload_ids: dict[identify.Payload, list[int]] = {}
         for occ in members:
-            payload = _merge_payload(occ)
+            payload = identify.Payload(
+                occ.normalized_name, occ.street, occ.zipcode, occ.city, None, None
+            )
             payload_ids.setdefault(payload, []).append(occ.occurrence_id)
-            representative.setdefault(payload, occ)
         payloads = sorted(payload_ids, key=lambda p: tuple(x or "" for x in p))
 
+        packed = identify._pack_records(payloads, lambda p: (p.name,))
         dsu = _UnionFind(len(payloads))
-        for i in range(len(payloads)):
-            rep_i = representative[payloads[i]]
+        joins_itself: list[bool] = []
+        for i, payload in enumerate(payloads):
+            row = identify._score_block(payload, packed, config, 0.0)
+            # pair_similarity's sum, so every float is the same
+            similar = [0.5 * name + 0.5 * address >= threshold for name, address, _ in row]
+            joins_itself.append(similar[i])
             for j in range(i + 1, len(payloads)):
-                if pair_similarity(rep_i, representative[payloads[j]], config) >= threshold:
+                if similar[j]:
                     dsu.union(i, j)
 
         components: dict[int, list[int]] = {}
@@ -121,14 +129,10 @@ def cluster_occurrences(
             ids = sorted(
                 oid for i in indices for oid in payload_ids[payloads[i]]
             )
-            if len(indices) == 1:
-                # copies of an isolated payload merge only if the payload
-                # is similar to itself (an address-less payload is not)
-                rep = representative[payloads[indices[0]]]
-                if len(ids) >= 2 and pair_similarity(rep, rep, config) >= threshold:
-                    clusters.append(ids)
-                else:
-                    clusters.extend([oid] for oid in ids)
+            # copies of an isolated payload merge only if the payload is
+            # similar to itself (an address-less one scores 0.5 against itself)
+            if len(indices) == 1 and not joins_itself[indices[0]]:
+                clusters.extend([oid] for oid in ids)
             else:
                 clusters.append(ids)
 

@@ -209,6 +209,27 @@ def test_single_stage_dispatch(tmp_path):
     assert (root / "criteria" / "criteria.csv").exists()
 
 
+def test_tokenless_name_merges_alone(tmp_path):
+    """merge run alone on an identify checkpoint whose normalized name is a
+    space: that name has no token to block on, so, as an empty name does,
+    its occurrence stays a singleton cluster."""
+    base = tmp_path / "run"
+    config_path = write_corpus_config(base / "in", base / "out", rows=20, seed=1)
+    assert main(["pipeline", "--config", config_path, "--stage-to", "identify"]) == EXIT_OK
+
+    def blank(rows):
+        rows[1][rows[0].index("normalizedName")] = " "
+        return rows
+
+    args = _corrupt((config_path, base / "out" / "checkpoints"), tmp_path, "identify",
+                    "occurrences.csv", blank)
+    assert main(["merge"] + args) == EXIT_OK
+    with open(tmp_path / "out" / "checkpoints" / "merge" / "clusters.csv",
+              encoding="utf-8", newline="") as fh:
+        members = [row["memberIds"].split() for row in csv.DictReader(fh)]
+    assert ["1"] in members
+
+
 def test_collector_is_paused_for_the_command_only(tmp_path, monkeypatch):
     config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=12)
     collecting = []

@@ -80,7 +80,7 @@ def test_bad_lexicon_file_exits_2(tmp_path, capsys, lexicon, key):
 def test_range_rules_still_checked():
     for data in ({"jobs": 0}, {"period": ["2020-01-01", "2010-01-01"]},
                  {"match": {"address_weights": {"street": float("nan")}}}):
-        assert config_from_dict(data).validate(check_paths=False)
+        assert config_from_dict(data).validate()
 
 
 @pytest.mark.parametrize("weights,key", [
@@ -88,7 +88,7 @@ def test_range_rules_still_checked():
     ({"street": 0.5, "zipcode": 0.75, "city": -0.25}, "city"),
 ])
 def test_negative_address_weight_is_rejected(weights, key):
-    errors = config_from_dict({"match": {"address_weights": weights}}).validate(check_paths=False)
+    errors = config_from_dict({"match": {"address_weights": weights}}).validate()
     assert f"match.address_weights.{key} must be >= 0, got {float(weights[key])}" in errors
 
 
@@ -197,7 +197,7 @@ def test_maps_merge_ints_widen_and_lexicon_file_wins(tmp_path):
     }
     assert cfg.separators == ["--", "|"]
     assert cfg.period == (dt.date(2012, 3, 1), dt.date(2014, 6, 30))
-    assert cfg.validate(check_paths=False) == []
+    assert cfg.validate() == []
 
 
 # ------------------------------------------------------------------ property

@@ -1,10 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tedclean import identify
+from tedclean import identify, merge
 from tedclean.config import MatchConfig, PipelineConfig
 from tedclean.merge import (
     blocking_key,
@@ -199,6 +200,50 @@ class TestClusterOccurrences:
         assert cluster_occurrences(shuffled, THRESHOLD, MATCH) == cluster_occurrences(
             occs, THRESHOLD, MATCH
         )
+
+
+# address weights that sum to 1, none of them the defaults
+WEIGHTS = st.sampled_from([
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.4), (0.0, 0.5, 0.5),
+    (0.2, 0.3, 0.5),
+]).map(lambda w: MatchConfig(street_weight=w[0], zipcode_weight=w[1], city_weight=w[2]))
+# folded names of several tokens, or of none
+BLOCK_NAMES = st.one_of(
+    st.lists(st.sampled_from(["MAIRIE", "MAIRE", "DE", "LYON", "LYONS", "GAMMA"]),
+             max_size=4).map(" ".join),
+    st.text(alphabet="AB ", max_size=6),
+)
+
+
+class TestBlockScorer:
+    @given(
+        st.lists(st.tuples(
+            BLOCK_NAMES,
+            st.sampled_from([None, "", "1 RUE X", "1 RUE Y", "2 RUE DES LILAS", "RUE"]),
+            st.sampled_from([None, "", "69001", "69003", "75011"]),
+            st.sampled_from([None, "", "LYON", "LYONS", "VILLEURBANNE"]),
+        ), min_size=1, max_size=8),
+        st.one_of(st.just(MATCH), WEIGHTS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_is_pair_similarity(self, rows, config):
+        payloads = [identify.Payload(*row, None, None) for row in rows]
+        packed = identify._pack_records(payloads, lambda p: (p.name,))
+        occs = [occ(i, *row) for i, row in enumerate(rows, 1)]
+        for payload, a in zip(payloads, occs):
+            row = identify._score_block(payload, packed, config, 0.0)
+            assert [0.5 * name + 0.5 * address for name, address, _ in row] == [
+                pair_similarity(a, b, config) for b in occs
+            ]
+
+    @given(occurrence_lists(), st.sampled_from([0.5, THRESHOLD]),
+           st.one_of(st.just(MATCH), WEIGHTS))
+    @settings(max_examples=200, deadline=None)
+    def test_clusters_without_pair_similarity(self, occs, threshold, config):
+        expected = oracle_clusters(occs, threshold, config)
+        refuse = AssertionError("merge scored a pair on its own")
+        with mock.patch.object(merge, "pair_similarity", side_effect=refuse):
+            assert cluster_occurrences(occs, threshold, config) == expected
 
 
 def make_allocator():

@@ -27,7 +27,11 @@ delimiter), and on an awkward-cells copy of them (lot numbers, criterion
 names and buyer and winner names holding `'`, `"`, `,` or a quoted CR,
 CRLF line ends, and a few rows cut in two by a quoted LF: emit writes
 quoted CSV cells and doubles quotes in foppa.sql, which no other case
-makes it do), and on a dense case at seed 0
+makes it do), and on a thresholds copy of them (merge_threshold 0.5,
+address weights street 1, zipcode 0, city 0, and no buyer street: a
+buyer's payload then has no address evidence and scores 0.5 against
+itself, so copies of one that joins no other payload merge, a branch of
+merge that no default-config case takes), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). A
@@ -229,6 +233,22 @@ def awkward_cells(config: Path) -> None:
     _rewrite_crlf(path, lots)
 
 
+def loosen_thresholds(config: Path) -> None:
+    """Rewrite a case's config and lot file in place: merge_threshold 0.5,
+    every address weight on the street, and every buyer street blank."""
+    data = json.loads(config.read_text(encoding="utf-8"))
+    data["merge_threshold"] = 0.5
+    data.setdefault("match", {})["address_weights"] = {"street": 1, "zipcode": 0, "city": 0}
+    config.write_text(json.dumps(data, indent=2), encoding="utf-8")
+
+    def no_buyer_streets(at, rows):
+        for row in rows:
+            if len(row) > at["CAE_ADDRESS"]:  # the corpus's malformed line is short
+                row[at["CAE_ADDRESS"]] = ""
+
+    edit_csv(Path(data["inputs"]["lots"][0]), no_buyer_streets)
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -287,6 +307,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-registry-variety", WORKLOADS["mask"], 0, vary_registry, pipeline))
         cases.append(("mask-0-quoted-crlf", WORKLOADS["mask"], 0, quote_split_lots, pipeline))
         cases.append(("mask-0-awkward-cells", WORKLOADS["mask"], 0, awkward_cells, pipeline))
+        cases.append(("mask-0-thresholds", WORKLOADS["mask"], 0, loosen_thresholds, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
