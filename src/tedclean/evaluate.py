@@ -30,6 +30,7 @@ from .models import (
     MatchOutcome,
     Role,
     ascii_digits,
+    sql_integer,
     validate_siret,
 )
 from .registry import Registry
@@ -205,8 +206,8 @@ def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
     """Read (occurrenceId, siret) labels from a delimiter-separated file.
 
     A row whose siret is not a valid 14-digit value is skipped; a missing
-    column, an id that is not a whole number, or an id on two rows is an
-    InputError.
+    column, an id that is not a whole number or is above SQL's INTEGER, or
+    an id on two rows is an InputError.
     """
     columns = {"occurrence_id": "occurrenceId", "siret": "siret"}
     truth = {}
@@ -217,7 +218,11 @@ def load_ground_truth(path: str, delimiter: str) -> dict[int, Identifier]:
             raise InputError(
                 f"ground truth file {path}: occurrenceId {cell!r} is not a whole number"
             )
-        occ_id = int(cell)
+        occ_id = sql_integer(cell)
+        if occ_id is None:  # foppa.sql holds occurrence ids as INTEGER
+            raise InputError(
+                f"ground truth file {path}: occurrenceId of {len(cell)} digits names no occurrence"
+            )
         if occ_id in seen:
             raise InputError(f"ground truth file {path}: occurrenceId {occ_id} listed twice")
         seen.add(occ_id)

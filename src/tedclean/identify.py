@@ -12,7 +12,8 @@ call and facility set, side by side into the bits of one int, with a
 token index beside them. One bit-parallel column pass over a payload's
 name then gives its edit distance to every packed name, and the index
 gives the token overlaps, so every name similarity in the block comes
-from one pass, and every street similarity from one more. Each string's
+from one pass, and every street similarity from one more; levenshtein
+and name_similarity are one lane of that same pass. Each string's
 tokens and match masks are prepared once, in a bounded memo. Within one
 payload, each distinct facility zipcode and city is compared once, and
 each distinct triple of address similarities weighed once. merge packs
@@ -88,30 +89,6 @@ def _columns(masks: dict[str, int], text: str, mask: int) -> tuple[int, int]:
     return pv, mv & mask
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance, bit-parallel: one lane of the column pass.
-
-    A shared prefix or suffix costs no edit, so the column runs over the
-    rest of the longer string only, on the shorter string's prepared masks
-    shifted past the prefix.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    start, end_a, end_b = 0, len(a), len(b)
-    while start < end_b and a[start] == b[start]:
-        start += 1
-    while end_b > start and a[end_a - 1] == b[end_b - 1]:
-        end_a -= 1
-        end_b -= 1
-    if end_b == start:
-        return end_a - start
-    peq = _profile(b).match_masks
-    if start:
-        peq = {char: bits >> start for char, bits in peq.items()}
-    pv, mv = _columns(peq, a[start:end_a], (1 << (end_b - start)) - 1)
-    return end_a - start + pv.bit_count() - mv.bit_count()
-
-
 # city pairs repeat across payloads and candidates, in identification and
 # in merge; the bound caps the memory of the pair memo, and of the
 # per-string one, on corpora with many more distinct names
@@ -136,38 +113,6 @@ def _profile(text: str) -> _Profile:
         match_masks[char] = match_masks.get(char, 0) | bit
         bit <<= 1
     return _Profile(Counter(words), len(words), match_masks)
-
-
-def _overlap(pa: _Profile, pb: _Profile) -> float:
-    """Token-multiset overlap coefficient of two strings that have tokens."""
-    if len(pa.tokens) > len(pb.tokens):
-        pa, pb = pb, pa
-    other = pb.tokens
-    shared = 0
-    for token, count in pa.tokens.items():
-        if token in other:
-            shared += min(count, other[token])
-    return shared / min(pa.token_total, pb.token_total)
-
-
-@lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
-def name_similarity(a: str, b: str) -> float:
-    """Similarity in [0,1] of two folded names.
-
-    Max of the token-multiset overlap coefficient and 1 minus the
-    normalized edit distance, so both word reorderings and misspellings
-    score high. 1.0 exactly when one token multiset contains the other or
-    the strings are equal. Memoized: the result depends on a and b alone.
-    """
-    pa, pb = _profile(a), _profile(b)
-    if not pa.token_total or not pb.token_total:
-        return 0.0
-    if a == b:
-        return 1.0
-    overlap = _overlap(pa, pb)
-    if overlap >= 1.0:
-        return 1.0
-    return max(overlap, 1.0 - levenshtein(a, b) / max(len(a), len(b)))
 
 
 class _Lanes(NamedTuple):
@@ -198,7 +143,7 @@ def _pack(names: list[str]) -> _Lanes:
 
 
 def _distances(text: str, lanes: _Lanes) -> list[int]:
-    """levenshtein(text, name) for every packed name, from one column pass."""
+    """The edit distance of text to every packed name, from one column pass."""
     pv, mv = _columns(lanes.masks, text, lanes.mask)
     # one digit per bit, lowest first, so a lane's bits are a slice
     rises, falls = f"{pv:b}"[::-1], f"{mv:b}"[::-1]
@@ -209,11 +154,12 @@ def _distances(text: str, lanes: _Lanes) -> list[int]:
 
 
 def _similarities(text: str, lanes: _Lanes) -> list[float]:
-    """name_similarity(text, name) for every packed name.
+    """The similarity in [0,1] of text to every packed name, all folded.
 
-    Where both have tokens this is the larger of the overlap and the edit
-    term, as in name_similarity, where an overlap of 1 or a distance of 0
-    gives 1.0.
+    0.0 where either has no token; else the larger of the token-multiset
+    overlap coefficient and 1 minus the normalized edit distance, so both
+    word reorderings and misspellings score high, and 1.0 exactly when one
+    token multiset contains the other or the strings are equal.
     """
     profile = _profile(text)
     tokens, n = profile.token_total, len(text)
@@ -223,8 +169,8 @@ def _similarities(text: str, lanes: _Lanes) -> list[float]:
     for token, count in profile.tokens.items():
         for lane, other in lanes.postings.get(token, ()):
             shared[lane] += count if count < other else other
-    # min and max written out: the same integers and divisions, and neither
-    # term can be a signed zero or NaN, so every float is name_similarity's
+    # min and max written out: neither term can be a signed zero or NaN,
+    # so every float is the one min() and max() would give
     similarities: list[float] = []
     for (start, end, total), common, distance in zip(lanes.spans, shared, _distances(text, lanes)):
         if not total:
@@ -235,6 +181,18 @@ def _similarities(text: str, lanes: _Lanes) -> list[float]:
         edit = 1.0 - distance / (n if n > width else width)
         similarities.append(overlap if overlap > edit else edit)
     return similarities
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance: one lane of the packed column pass."""
+    return _distances(a, _pack([b]))[0]
+
+
+@lru_cache(maxsize=NAME_SIMILARITY_MEMO_SIZE)
+def name_similarity(a: str, b: str) -> float:
+    """Similarity in [0,1] of two folded names, as _similarities gives it:
+    one lane of the packed pass. Memoized: it depends on a and b alone."""
+    return _similarities(a, _pack([b]))[0]
 
 
 class Payload(NamedTuple):
@@ -293,16 +251,6 @@ def _block_key(
     return payload.department, None if prefixes is None else tuple(sorted(set(prefixes)))
 
 
-def _block_payload(
-    payload: Payload,
-    registry: Registry,
-    config: MatchConfig,
-    cpv_map: dict[str, list[str]] | None,
-) -> set[str] | None:
-    """SIRETs consistent with department and activity on any date; None = refused."""
-    return _block(_block_key(payload, registry, cpv_map), registry, config)
-
-
 def _block(key: _BlockKey, registry: Registry, config: MatchConfig) -> set[str] | None:
     department, prefixes = key
     pool: set[str] | None = None
@@ -333,7 +281,8 @@ def candidate_block(
     set) unless the config allows unblocked scans.
     """
     date = _lot_date(lot)
-    block = _block_payload(payload_of(occurrence, lot), registry, config, cpv_map) or ()
+    key = _block_key(payload_of(occurrence, lot), registry, cpv_map)
+    block = _block(key, registry, config) or ()
     return {siret for siret in block if temporally_valid(registry.facilities[siret], date)}
 
 

@@ -26,7 +26,7 @@ from .models import (
     RawLotRow,
     Role,
     RowRejection,
-    ascii_digits,
+    sql_integer,
 )
 from .normalize import fold_contract_types, fold_words, normalize_name
 
@@ -213,8 +213,7 @@ def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord 
 
         contract_type = contract_types.get(normalize_name(fields["contract_type"]))
 
-        offers_raw = fields["number_of_offers"]
-        offers = int(offers_raw) if ascii_digits(offers_raw) else None
+        offers = sql_integer(fields["number_of_offers"])
 
         value = parse_decimal(fields["awarded_value"])
         if value is not None and value < 0:

@@ -67,6 +67,19 @@ def ascii_digits(text: str, length: int | None = None) -> bool:
     return text.isascii() and text.isdigit() and (length is None or len(text) == length)
 
 
+def sql_integer(text: str) -> int | None:
+    """The whole number that ASCII digits spell, if SQL's INTEGER holds it:
+    None for other text, and above 2**63 - 1, whatever the leading zeros."""
+    if not ascii_digits(text):
+        return None
+    digits = text.lstrip("0")
+    # int() refuses more than 4,300 digits, and more than 19 exceed the range
+    if len(digits) > 19:
+        return None
+    value = int(digits or "0")
+    return value if value < 1 << 63 else None
+
+
 @dataclass(frozen=True, order=True)
 class Identifier:
     """National identifier of an agent, or an internal fallback code.

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import shutil
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,23 @@ def test_tokenless_name_merges_alone(tmp_path):
               encoding="utf-8", newline="") as fh:
         members = [row["memberIds"].split() for row in csv.DictReader(fh)]
     assert ["1"] in members
+
+
+def test_offer_counts_past_sql_integer_are_no_count(tmp_path):
+    """NUMBER_OFFERS cells above SQL's INTEGER, one of 5,000 digits, one of
+    23 nines and 2**63 after 5,000 zeros, read as unparseable: Lots.csv
+    leaves them empty and foppa.sql reloads them as NULL."""
+    config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=40, seed=3)
+    lots = json.loads(Path(config_path).read_text(encoding="utf-8"))["inputs"]["lots"][0]
+    cells = itertools.cycle(["9" * 5000, "9" * 23, "0" * 5000 + str(1 << 63)])
+    _rewrite_column(lots, "NUMBER_OFFERS", lambda _: next(cells))
+    assert main(["pipeline", "--config", config_path]) == EXIT_OK
+    with open(tmp_path / "out" / "Lots.csv", encoding="utf-8", newline="") as fh:
+        assert {row["numberOffers"] for row in csv.DictReader(fh)} == {""}
+    connection = sqlite3.connect(":memory:")
+    connection.executescript((tmp_path / "out" / "foppa.sql").read_text(encoding="utf-8"))
+    assert connection.execute("SELECT DISTINCT numberOffers FROM Lots").fetchall() == [(None,)]
+    connection.close()
 
 
 def test_collector_is_paused_for_the_command_only(tmp_path, monkeypatch):
@@ -587,6 +606,23 @@ class TestExitCodes:
         assert main(["pipeline", "--config", config_path, "--mask"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: ground truth file {path}" in err and message in err
+
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_ground_truth_id_past_sql_integer_is_input_error(self, tmp_path, capsys, digits):
+        """An occurrenceId above SQL's INTEGER names no occurrence, one too
+        long for int() among them."""
+        def edit(inputs, directory):
+            inputs["ground_truth"] = str(directory / "truth.csv")
+            (directory / "truth.csv").write_text(
+                f"occurrenceId,siret\n{'9' * digits},10000000000011\n", encoding="utf-8"
+            )
+
+        config_path, path = _corpus_with(tmp_path, "ground_truth", edit)
+        assert main(["pipeline", "--config", config_path, "--stage-to", "merge"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_path, "--mask"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: ground truth file {path}: occurrenceId of {digits} digits" in err
 
     @pytest.mark.parametrize(
         "key,column",

@@ -239,6 +239,14 @@ class TestBuildLot:
     def test_non_ascii_digits_are_no_count(self, offers):
         assert _build(dict(notice="1", lot="1", NUMBER_OFFERS=offers)).number_of_offers is None
 
+    @pytest.mark.parametrize("zeros", [0, 5000])
+    def test_counts_end_at_sql_integer(self, zeros):
+        def offers(count):
+            return _build(dict(notice="1", lot="1", NUMBER_OFFERS="0" * zeros + str(count)))
+
+        assert offers((1 << 63) - 1).number_of_offers == (1 << 63) - 1
+        assert offers(1 << 63).number_of_offers is None
+
     def test_cancelled_by_marker_without_winner(self):
         lot = _build(dict(notice="1", lot="1", WIN_NAME="", CANCELLED="1"))
         assert lot.cancelled is True

@@ -31,7 +31,11 @@ makes it do), and on a thresholds copy of them (merge_threshold 0.5,
 address weights street 1, zipcode 0, city 0, and no buyer street: a
 buyer's payload then has no address evidence and scores 0.5 against
 itself, so copies of one that joins no other payload merge, a branch of
-merge that no default-config case takes), and on a dense case at seed 0
+merge that no default-config case takes), and on a distinct-cities copy
+of them (the corpus names every city `VILLE<n>`, which folds to `VILLE`,
+so no other case compares two different cities: here each `VILLE<n>` of
+the lot, registry facility and postal files is one town name, of one word
+or two, and some lot cells spell it one letter wrong), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). A
@@ -50,6 +54,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -249,6 +254,46 @@ def loosen_thresholds(config: Path) -> None:
     edit_csv(Path(data["inputs"]["lots"][0]), no_buyer_streets)
 
 
+# the distinct-cities case's towns: VILLE<n> becomes TOWNS[n % len(TOWNS)],
+# with a second word once n reaches len(TOWNS)
+TOWNS = ["AMBERIEU", "BELLEY", "CHAZAY", "DIVONNE", "EVIAN", "FERNEY", "GEX", "HAUTEVILLE",
+         "JASSANS", "LAGNIEU", "MEXIMIEUX", "NANTUA", "OYONNAX", "PERONNAS", "REPLONGES",
+         "SEYSSEL", "THOIRY", "VONNAS"]
+TOWN_SECOND_WORDS = ["", " PLAGE", " BOURG"]
+VILLE = re.compile(r"VILLE(\d+)")
+
+
+def town(match: re.Match) -> str:
+    n = int(match[1])
+    return TOWNS[n % len(TOWNS)] + TOWN_SECOND_WORDS[n // len(TOWNS) % len(TOWN_SECOND_WORDS)]
+
+
+def rename_towns(path: Path, column: str, misspell_every: int = 0) -> None:
+    """Rewrite a comma-separated file in place, every `VILLE<n>` of its
+    column written as its town, and the last letter of every
+    misspell_every-th row's cell changed."""
+    def edit(at, rows):
+        for n, row in enumerate(rows, start=1):
+            if len(row) > at[column]:  # the corpus's malformed line is short
+                cell = VILLE.sub(town, row[at[column]])
+                if misspell_every and n % misspell_every == 0 and cell:
+                    cell = cell[:-1] + ("A" if cell[-1] != "A" else "E")
+                row[at[column]] = cell
+
+    edit_csv(path, edit)
+
+
+def distinct_cities(config: Path) -> None:
+    """Rewrite a case's lot, registry facility and postal files in place,
+    every `VILLE<n>` city written as its town, and every 3rd lot row's
+    winner town and every 5th row's buyer town spelled one letter wrong."""
+    inputs = json.loads(config.read_text(encoding="utf-8"))["inputs"]
+    rename_towns(Path(inputs["lots"][0]), "WIN_TOWN", 3)
+    rename_towns(Path(inputs["lots"][0]), "CAE_TOWN", 5)
+    rename_towns(Path(inputs["registry_facilities"]), "CITY")
+    rename_towns(Path(inputs["postal"]), "city")
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -308,6 +353,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-quoted-crlf", WORKLOADS["mask"], 0, quote_split_lots, pipeline))
         cases.append(("mask-0-awkward-cells", WORKLOADS["mask"], 0, awkward_cells, pipeline))
         cases.append(("mask-0-thresholds", WORKLOADS["mask"], 0, loosen_thresholds, pipeline))
+        cases.append(("mask-0-distinct-cities", WORKLOADS["mask"], 0, distinct_cities, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
