@@ -32,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", help="override the configured output directory")
-        p.add_argument("--jobs", type=int, help="accepted for compatibility; selects nothing")
 
     for stage in STAGE_ORDER:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
@@ -68,10 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         config = validate_config(args.config)
         if args.out:
             config.output_dir = args.out
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-            config.jobs = args.jobs
 
         if args.command == "pipeline":
             run_pipeline(

@@ -216,9 +216,6 @@ class PipelineConfig:
     # CPV prefix -> acceptable registry activity prefixes; None disables the
     # activity filter entirely.
     cpv_activity_map: dict[str, list[str]] | None = None
-    # Accepted and validated so existing configs keep loading; it selects
-    # nothing, since identification runs in one process.
-    jobs: int = 1
 
     def validate(self) -> list[str]:
         """Collect every problem instead of failing on the first."""
@@ -226,8 +223,6 @@ class PipelineConfig:
         errors.extend(self.match.validate())
         if not 0.0 <= self.merge_threshold <= 1.0:
             errors.append(f"merge_threshold must be in [0, 1], got {self.merge_threshold}")
-        if self.jobs < 1:
-            errors.append(f"jobs must be >= 1, got {self.jobs}")
         # csv refuses each of these as a delimiter on some Python version
         if len(self.delimiter) != 1 or self.delimiter in '"\r\n\0':
             errors.append("delimiter must be a single character other than a quote, CR, LF "

@@ -487,18 +487,6 @@ def _resolve(
     )
 
 
-def identify_occurrence(
-    occurrence: AgentOccurrence,
-    lot: LotRecord,
-    registry: Registry,
-    config: MatchConfig,
-    cpv_map: dict[str, list[str]] | None = None,
-) -> MatchResult:
-    """Run the full filter pipeline for one occurrence."""
-    scored = _score_payload(payload_of(occurrence, lot), registry, config, cpv_map)
-    return _resolve(occurrence, _lot_date(lot), scored, config)
-
-
 def payload_groups(
     occurrences: list[AgentOccurrence], lots: list[LotRecord]
 ) -> dict[Payload | None, list[tuple[AgentOccurrence, LotRecord | None]]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -189,8 +190,9 @@ def _parse_stripped_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
 
 
 def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord | RowRejection]:
-    """`build_lot` on `config`, its contract types and unsuccessful markers
-    folded once."""
+    """A function that types one raw row under `config`, with its contract
+    types and unsuccessful markers folded once; unparseable dates and
+    numbers become absent."""
     contract_types = fold_contract_types(tuple(config.contract_type_values.items()))
     markers = fold_words(tuple(config.unsuccessful_markers))
     date_formats = config.date_formats
@@ -216,7 +218,8 @@ def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord 
         offers = sql_integer(fields["number_of_offers"])
 
         value = parse_decimal(fields["awarded_value"])
-        if value is not None and value < 0:
+        # a value past SQL's REAL range would reload as inf
+        if value is not None and (value < 0 or math.isinf(value)):
             value = None
 
         winner_name = fields["winner_name"]
@@ -244,13 +247,6 @@ def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord 
         )
 
     return build
-
-
-def build_lot(
-    row: RawLotRow, config: PipelineConfig, lot_id: int
-) -> LotRecord | RowRejection:
-    """Type one raw row; unparseable dates and numbers become absent."""
-    return lot_builder(config)(row, lot_id)
 
 
 @dataclass

@@ -170,7 +170,7 @@ class LotRecord:
 
 @dataclass(slots=True)
 class RowRejection:
-    """A source row build_lot refused, with the reason code."""
+    """A source row ingest refused, with the reason code."""
 
     source_file: str
     source_line: int

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from corpus import LOT_COLUMNS
-from tedclean.config import PipelineConfig
+from tedclean.config import MatchConfig, PipelineConfig
+from tedclean.identify import MatchResult, identify_all
 from tedclean.models import (
     AgentOccurrence,
     LotRecord,
@@ -60,6 +61,13 @@ def make_occurrence(occurrence_id: int = 1, lot_id: int = 1, **overrides) -> Age
     )
     defaults.update(overrides)
     return AgentOccurrence(**defaults)
+
+
+def identify_one(occurrence: AgentOccurrence, lot: LotRecord, registry: Registry,
+                 match: MatchConfig, cpv_map: dict[str, list[str]] | None = None) -> MatchResult:
+    """One occurrence identified the way the identify stage does it."""
+    config = PipelineConfig(match=match, cpv_activity_map=cpv_map)
+    return identify_all([occurrence], [lot], registry, config)[0]
 
 
 def make_registry(facilities: list[RegistryFacility], entities: list[RegistryEntity] | None = None,

@@ -232,21 +232,33 @@ def test_tokenless_name_merges_alone(tmp_path):
     assert ["1"] in members
 
 
-def test_offer_counts_past_sql_integer_are_no_count(tmp_path):
-    """NUMBER_OFFERS cells above SQL's INTEGER, one of 5,000 digits, one of
-    23 nines and 2**63 after 5,000 zeros, read as unparseable: Lots.csv
-    leaves them empty and foppa.sql reloads them as NULL."""
+def _lots_column_is_no_value(tmp_path, column, cells, table_column):
+    """Pipeline on 40 rows whose lot `column` cycles through `cells`: exit 0,
+    `table_column` empty in every Lots.csv row and NULL in foppa.sql."""
     config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=40, seed=3)
     lots = json.loads(Path(config_path).read_text(encoding="utf-8"))["inputs"]["lots"][0]
-    cells = itertools.cycle(["9" * 5000, "9" * 23, "0" * 5000 + str(1 << 63)])
-    _rewrite_column(lots, "NUMBER_OFFERS", lambda _: next(cells))
+    cells = itertools.cycle(cells)
+    _rewrite_column(lots, column, lambda _: next(cells))
     assert main(["pipeline", "--config", config_path]) == EXIT_OK
     with open(tmp_path / "out" / "Lots.csv", encoding="utf-8", newline="") as fh:
-        assert {row["numberOffers"] for row in csv.DictReader(fh)} == {""}
+        assert {row[table_column] for row in csv.DictReader(fh)} == {""}
     connection = sqlite3.connect(":memory:")
     connection.executescript((tmp_path / "out" / "foppa.sql").read_text(encoding="utf-8"))
-    assert connection.execute("SELECT DISTINCT numberOffers FROM Lots").fetchall() == [(None,)]
+    assert connection.execute(f"SELECT DISTINCT {table_column} FROM Lots").fetchall() == [(None,)]
     connection.close()
+
+
+def test_offer_counts_past_sql_integer_are_no_count(tmp_path):
+    """NUMBER_OFFERS cells above SQL's INTEGER, one of 5,000 digits, one of
+    23 nines and 2**63 after 5,000 zeros, read as unparseable."""
+    cells = ["9" * 5000, "9" * 23, "0" * 5000 + str(1 << 63)]
+    _lots_column_is_no_value(tmp_path, "NUMBER_OFFERS", cells, "numberOffers")
+
+
+def test_award_values_past_sql_real_are_no_value(tmp_path):
+    """AWARD_VALUE_EURO cells of 400 nines, which SQL's REAL would reload as
+    inf, read as no value."""
+    _lots_column_is_no_value(tmp_path, "AWARD_VALUE_EURO", ["9" * 400], "awardedValue")
 
 
 def test_collector_is_paused_for_the_command_only(tmp_path, monkeypatch):
@@ -271,10 +283,11 @@ def test_out_override_redirects_output(tmp_path, cli_run):
     assert (moved / "checkpoints" / "ingest" / "lots.csv").exists()
 
 
-def test_jobs_and_seed_overrides_accepted(tmp_path):
-    config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=6, seed=13)
-    code = main(["pipeline", "--config", config_path, "--jobs", "2", "--stage-to", "ingest"])
-    assert code == EXIT_OK
+def test_jobs_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--config", "x.json", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_masked_evaluate_subcommand(cli_run):
@@ -338,11 +351,6 @@ class TestExitCodes:
         )
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
         assert "lot file does not exist" in capsys.readouterr().err
-
-    def test_bad_jobs_value(self, tmp_path, capsys):
-        config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=14)
-        assert main(["pipeline", "--config", config_path, "--jobs", "0"]) == EXIT_CONFIG
-        assert "--jobs" in capsys.readouterr().err
 
     def test_stage_without_checkpoint(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=15)
@@ -439,8 +447,7 @@ class TestExitCodes:
         assert main(["emit", "--config", config_path]) == EXIT_INVARIANT
         assert "invariant violated" in capsys.readouterr().err
 
-    def test_unknown_lot_fails_alike_serial_and_parallel(self, tmp_path, capsys):
-        # 30 rows: more occurrences than jobs=4, which must change no byte of the error
+    def test_unknown_lot_is_an_invariant_error(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=30, seed=4)
         assert main(["pipeline", "--config", config_path, "--stage-to", "normalize"]) == EXIT_OK
         capsys.readouterr()
@@ -449,12 +456,8 @@ class TestExitCodes:
             rows = [row for row in csv.reader(fh) if row[0] != "1"]
         with open(lots, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-        errors = []
-        for jobs in ("1", "4"):
-            assert main(["identify", "--config", config_path, "--jobs", jobs]) == EXIT_INVARIANT
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert "occurrence 1 references unknown lot 1" in errors[0]
+        assert main(["identify", "--config", config_path]) == EXIT_INVARIANT
+        assert "occurrence 1 references unknown lot 1" in capsys.readouterr().err
 
     def test_corrupted_int_cell(self, normalized, tmp_path, capsys):
         def edit(rows):
@@ -811,7 +814,7 @@ _CELL = st.one_of(
     st.sampled_from(["", "2015-06-01", "2015-06-01T00:00", "45210000", "12345678900011",
                      "12 000,50", "²", "INFRUCTUEUX", "---", "Prix;Qualité", "60;40"]),
 )
-# rows of the header's width reach build_lot and beyond; raw bytes test the reader
+# rows of the header's width reach lot typing and beyond; raw bytes test the reader
 _ROWS = st.lists(
     st.lists(_CELL, min_size=len(LOT_COLUMNS), max_size=len(LOT_COLUMNS)), max_size=4
 ).map(lambda rows: "".join(
@@ -907,10 +910,9 @@ _DROPPED_INPUTS = st.sets(st.sampled_from(
 @settings(max_examples=100, deadline=None)
 def test_any_config_ends_in_an_exit_code(config_corpus, fields, dropped):
     """Values of the right type in every field of a real corpus's config: an
-    exit code, never a traceback (jobs stays 1, so no example forks)."""
+    exit code, never a traceback."""
     config_path, data = config_corpus
     inputs = {k: v for k, v in data["inputs"].items() if k not in dropped}
-    config_path.write_text(json.dumps({**data, **fields, "inputs": inputs, "jobs": 1}),
-                           encoding="utf-8")
+    config_path.write_text(json.dumps({**data, **fields, "inputs": inputs}), encoding="utf-8")
     code = main(["pipeline", "--config", str(config_path), "--mask"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_INVARIANT)

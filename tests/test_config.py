@@ -24,8 +24,6 @@ from tedclean.models import ConfigError, CriterionClass
 
 # (config JSON, text the error message must contain)
 MALFORMED = {
-    "jobs-string": ({"jobs": "4"}, "jobs"),
-    "jobs-bool": ({"jobs": True}, "jobs"),
     "threshold-string": ({"match": {"name_threshold": "high"}}, "match.name_threshold"),
     "unknown-class": ({"criterion_lexicon": {"PRIX": "CHEAP"}}, "criterion_lexicon.PRIX"),
     "bad-date": ({"period": ["2010-13-01", "2020-12-31"]}, "period[0]"),
@@ -78,7 +76,7 @@ def test_bad_lexicon_file_exits_2(tmp_path, capsys, lexicon, key):
 
 
 def test_range_rules_still_checked():
-    for data in ({"jobs": 0}, {"period": ["2020-01-01", "2010-01-01"]},
+    for data in ({"period": ["2020-01-01", "2010-01-01"]},
                  {"match": {"address_weights": {"street": float("nan")}}}):
         assert config_from_dict(data).validate()
 
@@ -113,7 +111,6 @@ README_EXAMPLE = {
         "min_address_score": 0.30,
     },
     "merge_threshold": 0.85,
-    "jobs": 4,
 }
 
 # The shape tests/corpus.generate_corpus writes, plus an output directory.
@@ -145,9 +142,12 @@ def test_readme_example_loads():
         ground_truth_file="data/truth.csv",
         period=(dt.date(2010, 1, 1), dt.date(2020, 12, 31)),
         cpv_activity_map={"45": ["43", "41"]},
-        jobs=4,
     )
     assert cfg.match == MatchConfig(0.80, 0.40, 0.35, 0.25, 0.30, 2, False)
+
+
+def test_jobs_key_of_old_configs_selects_nothing():
+    assert config_from_dict({**README_EXAMPLE, "jobs": 4}) == config_from_dict(README_EXAMPLE)
 
 
 def test_corpus_config_loads():
@@ -216,7 +216,7 @@ KEY_PATHS = [
     ("match", "address_weights", "street"), ("match", "address_weights", "zipcode"),
     ("match", "address_weights", "city"), ("match", "min_address_score"),
     ("match", "activity_prefix_length"), ("match", "allow_unblocked"),
-    ("merge_threshold",), ("cpv_activity_map",), ("cpv_activity_map", "45"), ("jobs",),
+    ("merge_threshold",), ("cpv_activity_map",), ("cpv_activity_map", "45"),
 ]
 
 JSON_VALUES = st.recursive(

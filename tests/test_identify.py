@@ -22,7 +22,6 @@ from tedclean.identify import (
     apply_match_results,
     candidate_block,
     identify_all,
-    identify_occurrence,
     levenshtein,
     name_similarity,
     payload_groups,
@@ -32,7 +31,7 @@ from tedclean.identify import (
 from tedclean.models import InvariantError, RegistryEntity, RegistryFacility, full_siret
 from tedclean.registry import Registry, temporally_valid
 
-from conftest import make_lot, make_occurrence
+from conftest import identify_one, make_lot, make_occurrence
 
 FOLDED = st.text(alphabet="ABCDE ", max_size=12)
 # few code points, astral ones among them, so long strings still share
@@ -609,31 +608,31 @@ class TestIdentifyOccurrence:
             normalized_name="MAIRIE DE LYON", street="1 PLACE DE LA COMEDIE",
             zipcode="69001", city="LYON", department="69",
         )
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.source == "matched"
         assert result.identifier == full_siret("11111111100011")
         assert result.best.address_score == pytest.approx(1.0)
 
     def test_no_name(self, registry):
         occ = make_occurrence(normalized_name=None, department="69")
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.source == "none"
         assert result.reason == REASON_NO_NAME
 
     def test_unblockable(self, registry):
         occ = make_occurrence(normalized_name="MAIRIE DE LYON")
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.reason == REASON_UNBLOCKABLE
 
     def test_blocking_empties(self, registry):
         occ = make_occurrence(normalized_name="MAIRIE DE BREST", department="29")
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.reason == REASON_BLOCKING
         assert result.block_size == 0
 
     def test_name_filter_empties(self, registry):
         occ = make_occurrence(normalized_name="BOULANGERIE MARTIN", department="69")
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.reason == REASON_NAME
         assert result.block_size == 3
 
@@ -642,15 +641,15 @@ class TestIdentifyOccurrence:
             normalized_name="ENTREPRISE DURAND", department="69",
             street="99 CHEMIN VERT", zipcode="13001", city="MARSEILLE",
         )
-        result = identify_occurrence(occ, make_lot(publication_date=dt.date(2014, 1, 1)),
-                                     registry, MATCH)
+        result = identify_one(occ, make_lot(publication_date=dt.date(2014, 1, 1)),
+                              registry, MATCH)
         assert result.reason == REASON_ADDRESS
         assert result.name_survivors == 1
 
     def test_empty_address_mask_survives(self, registry):
         occ = make_occurrence(normalized_name="ENTREPRISE DURAND", department="69")
-        result = identify_occurrence(occ, make_lot(publication_date=dt.date(2014, 1, 1)),
-                                     registry, MATCH)
+        result = identify_one(occ, make_lot(publication_date=dt.date(2014, 1, 1)),
+                              registry, MATCH)
         assert result.source == "matched"
         assert result.identifier == full_siret("22222222200011")
         assert result.best.presence_mask == ()
@@ -661,7 +660,7 @@ class TestIdentifyOccurrence:
             normalized_name="COMMUNE DE LYON", street="2 RUE GARIBALDI",
             zipcode="69003", city="LYON", department="69",
         )
-        result = identify_occurrence(occ, make_lot(), registry, MATCH)
+        result = identify_one(occ, make_lot(), registry, MATCH)
         assert result.identifier == full_siret("11111111100022")
 
     def test_tie_breaks_on_smaller_siret(self):
@@ -670,7 +669,7 @@ class TestIdentifyOccurrence:
         for siret in ("44444444400022", "44444444400011"):
             reg.add_facility(fac(siret, ["AGENCE DE L EAU"], None, "69001", None))
         occ = make_occurrence(normalized_name="AGENCE DE L EAU", department="69")
-        result = identify_occurrence(occ, make_lot(), reg, MATCH)
+        result = identify_one(occ, make_lot(), reg, MATCH)
         assert result.best.siret == "44444444400011"
 
 
@@ -687,7 +686,7 @@ class TestIdentifyAll:
             make_occurrence(3, 1, normalized_name="NOBODY KNOWN", department="69"),
         ]
         individual = [
-            identify_occurrence(o, lots[o.lot_id - 1], registry, MATCH) for o in occs
+            identify_one(o, lots[o.lot_id - 1], registry, MATCH) for o in occs
         ]
         results = identify_all(occs, lots, registry, PipelineConfig())
         assert [r.identifier for r in results] == [r.identifier for r in individual]

@@ -11,7 +11,7 @@ from tedclean.config import MANDATORY_FIELDS, PipelineConfig
 from tedclean.ingest import (
     LINE_WARNINGS,
     AgentFields,
-    build_lot,
+    lot_builder,
     parse_date,
     parse_decimal,
     parse_table,
@@ -197,7 +197,7 @@ def _build(cells: dict, **config_kw) -> LotRecord | RowRejection:
     cells = lot_row(**cells) if "ID_NOTICE_CAN" not in cells else cells
     fields = {field: cells.get(column, "").strip() for field, column in config.column_map.items()}
     row = RawLotRow(fields=fields, source_file="f.csv", source_line=2)
-    return build_lot(row, config, lot_id=7)
+    return lot_builder(config)(row, 7)
 
 
 class TestBuildLot:
@@ -246,6 +246,14 @@ class TestBuildLot:
 
         assert offers((1 << 63) - 1).number_of_offers == (1 << 63) - 1
         assert offers(1 << 63).number_of_offers is None
+
+    def test_values_end_at_sql_real(self):
+        def value(text):
+            return _build(dict(notice="1", lot="1", AWARD_VALUE_EURO=text)).awarded_value
+
+        # sqlite reloads the first as 1e+308 and the second as inf
+        assert value("1" + "0" * 308) == Decimal("1" + "0" * 308)
+        assert value("9" * 309) is None
 
     def test_cancelled_by_marker_without_winner(self):
         lot = _build(dict(notice="1", lot="1", WIN_NAME="", CANCELLED="1"))
