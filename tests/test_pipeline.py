@@ -535,16 +535,18 @@ class TestOrchestration:
         assert stats["lots"] > 0 and stats["occurrences"] > stats["lots"]
 
     @pytest.mark.parametrize(
-        "rows, seed, mask",
+        "rows, seed, overrides, mask",
         [
-            (18, 2, False),
-            # the criterion-7 fixture, masked
-            (100, 42, True),
+            (18, 2, {}, False),
+            # the criterion-7 fixture, masked, from an old config whose jobs
+            # key is read as an unknown key and so selects nothing
+            (100, 42, {"jobs": 1}, True),
+            (100, 42, {"jobs": 4}, True),
         ],
-        ids=["rows18-seed2", "criterion7-mask"],
+        ids=["rows18-seed2", "criterion7-jobs1-mask", "criterion7-jobs4-mask"],
     )
-    def test_pipeline_equals_stage_by_stage(self, tmp_path, rows, seed, mask):
-        cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=rows, seed=seed)
+    def test_pipeline_equals_stage_by_stage(self, tmp_path, rows, seed, overrides, mask):
+        cfg_a = corpus_config(tmp_path / "in", tmp_path / "a", rows=rows, seed=seed, **overrides)
         run_pipeline(cfg_a, mask=mask)
         cfg_b = dataclasses.replace(cfg_a, output_dir=str(tmp_path / "b"))
         for stage in STAGE_ORDER:
@@ -625,10 +627,12 @@ class TestOrchestration:
             dir_b = out_b / "checkpoints" / "identify"
             assert _tree(dir_a) == _tree(dir_b)
 
-    def test_identify_scores_each_payload_once(self, tmp_path, monkeypatch):
-        """Every payload is scored once, in this process."""
+    @pytest.mark.parametrize("registry_agents", [2, 4])
+    def test_identify_scores_each_payload_once(self, tmp_path, monkeypatch, registry_agents):
+        """Every payload is scored once, in this process, however often the
+        registry's few agents repeat a payload across lots."""
         cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=60, seed=4,
-                            registry_agents=4)
+                            registry_agents=registry_agents)
         run_pipeline(cfg, stage_to="normalize")
         root = Path(cfg.output_dir) / "checkpoints"
         occurrences = pl._load(root / "normalize" / "occurrences.csv", AgentOccurrence)
