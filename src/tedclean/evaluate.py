@@ -11,7 +11,7 @@ correctness after each pipeline step.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -279,9 +279,10 @@ def mask_and_rerun(
 ) -> MaskReport:
     """Hide the known identifiers, rerun what that changes, classify recovery.
 
-    `occurrences` are as identification left them, and are changed in
-    place; `clusters` are merge's partition of them. Masking clears only
-    the declared and resolved identifiers of the truth occurrences.
+    `occurrences` are as identification left them, and no record is
+    changed: the truth occurrences are masked in copies. `clusters` are
+    merge's partition of them. Masking clears only the declared and
+    resolved identifiers of the truth occurrences.
     Normalization reads neither, and every other occurrence's identifier
     depends on its own payload alone, so only the truth occurrences are
     identified again. Clustering reads no identifier either, only names,
@@ -292,11 +293,10 @@ def mask_and_rerun(
     if not truth:
         raise InvariantError("mask_and_rerun requires a non-empty ground-truth set")
     by_id = {occ.occurrence_id: occ for occ in occurrences}
-    masked = [by_id[occ_id] for occ_id in truth]
-    for occ in masked:
-        occ.declared_siret = None
-        occ.identifier = None
-        occ.identifier_source = None
+    masked = [
+        replace(by_id[occ_id], declared_siret=None, identifier=None, identifier_source=None)
+        for occ_id in truth
+    ]
 
     # no truth occurrence holds a declared value any more, so separation and
     # normalization know none of the truth identifiers: all missing
@@ -318,8 +318,11 @@ def mask_and_rerun(
         )
     snapshots["identification"] = {occ.occurrence_id: occ.identifier for occ in masked}
 
-    resolve_clusters([c.member_occurrence_ids for c in clusters], by_id)
-    snapshots["clustering"] = {occ.occurrence_id: occ.identifier for occ in masked}
+    by_id.update((occ.occurrence_id, occ) for occ in masked)
+    resolved = resolve_clusters([c.member_occurrence_ids for c in clusters], by_id)
+    snapshots["clustering"] = {
+        i: c.resolved_identifier for c in resolved for i in c.member_occurrence_ids if i in truth
+    }
 
     outcomes = {
         occ_id: classify_outcome(snapshots["clustering"][occ_id], expected)

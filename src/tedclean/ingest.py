@@ -140,7 +140,8 @@ def parse_decimal(raw: str | None) -> Decimal | None:
     """Parse a numeric cell accepting both "." and "," decimal marks.
 
     Spaces and non-breaking spaces are grouping; when both marks appear the
-    rightmost one is the decimal point. Unparseable input is None, never 0.
+    rightmost one is the decimal point, and one mark alone that repeats is
+    grouping. Unparseable input is None, never 0.
     """
     if not raw:
         return None
@@ -153,11 +154,10 @@ def parse_decimal(raw: str | None) -> Decimal | None:
             text = text.replace(".", "").replace(",", ".")
         else:
             text = text.replace(",", "")
-    elif "," in text:
-        if text.count(",") > 1:
-            text = text.replace(",", "")
-        else:
-            text = text.replace(",", ".")
+    elif text.count(",") > 1 or text.count(".") > 1:
+        text = text.replace(",", "").replace(".", "")
+    else:
+        text = text.replace(",", ".")
     if text.count(".") > 1:
         head, _, tail = text.rpartition(".")
         text = head.replace(".", "") + "." + tail

@@ -11,7 +11,7 @@ field-wise under a majority rule.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from operator import attrgetter
 
@@ -214,8 +214,8 @@ def resolve_clusters(
     member_lists: list[list[int]], by_id: dict[int, AgentOccurrence]
 ) -> list[AgentCluster]:
     """Resolve the member lists into clusters 1, 2, ..., internal codes
-    allocated in that order. Side effect: members adopt their cluster's
-    identifier."""
+    allocated in that order. No record is changed: a cluster's members
+    take its resolved_identifier from the cluster."""
     serial = count(1)
 
     def allocate_internal() -> Identifier:
@@ -223,13 +223,8 @@ def resolve_clusters(
 
     clusters = []
     for cluster_id, ids in enumerate(member_lists, 1):
-        members = [by_id[i] for i in ids]
-        case, resolved = resolve_cluster(members, allocate_internal)
+        case, resolved = resolve_cluster([by_id[i] for i in ids], allocate_internal)
         clusters.append(AgentCluster(cluster_id, ids, case, resolved))
-        for occ in members:
-            if occ.identifier != resolved:
-                occ.identifier = resolved
-                occ.identifier_source = "merged"
     return clusters
 
 
@@ -238,11 +233,17 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
 
     Clusters resolving to the same identifier collapse into one agent row
     (several clusters can carry the same SIRET when blocking kept them
-    apart). Side effect: occurrences adopt their cluster's identifier.
+    apart). No record is changed: in `occurrences`, each one whose
+    identifier the resolution changes is replaced by a copy with the
+    cluster's identifier and identifier_source "merged".
     """
     member_lists = cluster_occurrences(occurrences, config.merge_threshold, config.match)
     by_id = {occ.occurrence_id: occ for occ in occurrences}
     result = MergeResult(clusters=resolve_clusters(member_lists, by_id))
+    resolved = {i: c.resolved_identifier for c in result.clusters for i in c.member_occurrence_ids}
+    for n, occ in enumerate(occurrences):
+        if occ.identifier != (ident := resolved[occ.occurrence_id]):
+            occurrences[n] = replace(occ, identifier=ident, identifier_source="merged")
 
     groups: dict[Identifier, list[AgentCluster]] = {}
     for cluster in result.clusters:

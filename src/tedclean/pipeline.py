@@ -79,21 +79,24 @@ log = logging.getLogger(__name__)
 STAGE_ORDER = ("ingest", "criteria", "normalize", "identify", "merge", "emit", "evaluate")
 
 
-_LOTS = ("ingest", "lots.csv")
+# the checkpoints whose records no reader changes
+_SHARED = {("ingest", "lots.csv"), ("identify", "occurrences.csv")}
 
 
 class Checkpoints:
     """The one way a stage gets and gives records: `write` dumps a checkpoint
     and keeps its records, and `read` hands them out.
 
-    ingest/lots.csv is kept for the life of the store and every reader gets
-    the same list, parsed at most once: no stage changes a LotRecord
-    (identify, emit, notice_coverage and mask_and_rerun only read them).
-    Every other list goes to its first reader only and is forgotten, and
-    any later read parses the file: normalize, identify, merge and a masked
-    evaluate change the records they read, so such a list may not reach
-    two readers. A list no stage reads (rejections.csv) lives as long as
-    the store.
+    ingest/lots.csv and identify/occurrences.csv are kept for the life of
+    the store and every reader gets the same list, parsed at most once: no
+    stage changes a LotRecord (identify, emit, notice_coverage and
+    mask_and_rerun only read them), and no stage changes a record identify
+    wrote (merge replaces the ones it resolves in a copy of the list, and a
+    masked evaluate masks copies). Every other list goes to its first
+    reader only and is forgotten, and any later read parses the file:
+    normalize and identify change the records they read, so such a list
+    may not reach two readers. A list no stage reads (rejections.csv) lives
+    as long as the store.
     """
 
     def __init__(self, output_dir: str) -> None:
@@ -131,12 +134,12 @@ class Checkpoints:
 
     def read(self, stage: str, name: str, cls: type) -> list:
         key = (stage, name)
-        kept = self._kept.get(key) if key == _LOTS else self._kept.pop(key, None)
+        kept = self._kept.get(key) if key in _SHARED else self._kept.pop(key, None)
         if kept is not None:
             return kept
         self.require(stage, name)
         records = _load(self.root / stage / name, cls)
-        if key == _LOTS:
+        if key in _SHARED:
             self._kept[key] = records
         return records
 
@@ -414,7 +417,7 @@ def stage_identify(config: PipelineConfig, checkpoints: Checkpoints) -> None:
 
 
 def stage_merge(config: PipelineConfig, checkpoints: Checkpoints) -> None:
-    occurrences = checkpoints.read("identify", "occurrences.csv", AgentOccurrence)
+    occurrences = list(checkpoints.read("identify", "occurrences.csv", AgentOccurrence))
     result: MergeResult = merge_all(occurrences, config)
     checkpoints.write("merge", "occurrences.csv", AgentOccurrence, occurrences)
     checkpoints.write("merge", "clusters.csv", AgentCluster, result.clusters)

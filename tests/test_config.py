@@ -81,6 +81,31 @@ def test_range_rules_still_checked():
         assert config_from_dict(data).validate()
 
 
+def _at(key: str, value) -> dict:
+    """A config dict holding value at the dotted key path."""
+    *parents, last = key.split(".")
+    data = {last: value}
+    for parent in reversed(parents):
+        data = {parent: data}
+    return data
+
+
+UNIT_RANGE_KEYS = ["merge_threshold", "match.name_threshold", "match.min_address_score"]
+
+
+@pytest.mark.parametrize("key", UNIT_RANGE_KEYS)
+@pytest.mark.parametrize("value", [-0.01, 1.01])
+def test_unit_range_rule_names_its_key(key, value):
+    errors = config_from_dict(_at(key, value)).validate()
+    assert errors == [f"{key} must be in [0, 1], got {value}"]
+
+
+@pytest.mark.parametrize("key", UNIT_RANGE_KEYS)
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_unit_range_bounds_pass(key, value):
+    assert config_from_dict(_at(key, value)).validate() == []
+
+
 @pytest.mark.parametrize("weights,key", [
     ({"street": -1, "zipcode": 1, "city": 1}, "street"),
     ({"street": 0.5, "zipcode": 0.75, "city": -0.25}, "city"),

@@ -320,6 +320,13 @@ class TestMaskAndRerun:
         assert report.concentration == [1.0, 1.0, 1.0]
         assert all(0.0 <= s <= 1.0 for s in report.singleton)
 
+    def test_changes_no_occurrence(self):
+        registry, lots, occurrences, truth = mask_world()
+        snapshot = copy.deepcopy(occurrences)
+        mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                       PipelineConfig(), truth)
+        assert occurrences == snapshot
+
     def test_empty_truth_rejected(self):
         registry, lots, occurrences, _ = mask_world()
         with pytest.raises(InvariantError):
@@ -498,6 +505,21 @@ def test_rerun_equals_oracle(tmp_path, truth_source, shape):
     expected = oracle_mask_and_rerun(raw, lots, registry, postal, config, truth)
     clusters = store.read("merge", "clusters.csv", AgentCluster)
     assert mask_and_rerun(identified, clusters, lots, registry, config, truth) == expected
+
+
+def test_rerun_changes_no_occurrence(tmp_path):
+    """On the dense fixture, whose clusters resolve conflicting identifiers,
+    the rerun masks copies and leaves identification's records as they were."""
+    config = corpus_config(tmp_path / "in", tmp_path / "out", **DENSE)
+    run_pipeline(config, stage_to="merge")
+    store = Checkpoints(config.output_dir)
+    identified = store.read("identify", "occurrences.csv", AgentOccurrence)
+    snapshot = copy.deepcopy(identified)
+    truth = truth_from_declared(identified)
+    mask_and_rerun(identified, store.read("merge", "clusters.csv", AgentCluster),
+                   store.read("ingest", "lots.csv", LotRecord),
+                   pl._load_registry_from_config(config), config, truth)
+    assert identified == snapshot
 
 
 def test_masked_evaluate_clusters_nothing(tmp_path, monkeypatch):

@@ -87,6 +87,11 @@ class TestParseDecimal:
             (None, None),
             ("12 345,6", Decimal("12345.6")),
             ("-250", Decimal("-250")),
+            # one mark alone that repeats is grouping, a comma or a dot alike
+            ("1,234,567", Decimal("1234567")),
+            ("1.234.567", Decimal("1234567")),
+            # both marks, the rightmost repeated: its last one is the decimal point
+            ("1,234.567.89", Decimal("1234567.89")),
         ],
     )
     def test_cases(self, raw, expected):

@@ -1,3 +1,4 @@
+import copy
 import random
 from unittest import mock
 
@@ -454,6 +455,24 @@ class TestMergeAll:
         result = merge_all(occs, PipelineConfig())
         ids = [a.agent_id for a in result.agents]
         assert ids == sorted(ids, key=lambda i: (i.kind.value, i.value))
+
+    @given(occurrence_lists(), st.lists(st.sampled_from([None, SIRET_A, SIRET_B]), max_size=14))
+    @settings(max_examples=60, deadline=None)
+    def test_changes_no_record_it_is_given(self, occs, identifiers):
+        """merge_all replaces, in its list, each occurrence whose identifier
+        the resolution changes by a copy, and leaves every record as it was."""
+        for o, identifier in zip(occs, identifiers):
+            o.identifier = identifier
+            o.identifier_source = "declared" if identifier else None
+        given_records = list(occs)
+        snapshot = copy.deepcopy(occs)
+        merge_all(occs, PipelineConfig())
+        assert given_records == snapshot
+        for before, after in zip(given_records, occs):
+            if after.identifier == before.identifier:
+                assert after is before
+            else:
+                assert after is not before and after.identifier_source == "merged"
 
     @given(occurrence_lists(max_size=10), st.randoms())
     @settings(max_examples=60, deadline=None)

@@ -483,6 +483,20 @@ class TestCheckpoints:
         written = pl._load(Path(cfg.output_dir) / "checkpoints" / "ingest" / "lots.csv", LotRecord)
         assert handed["evaluate"] == written
 
+    @pytest.mark.parametrize("mask", [False, True], ids=["plain", "mask"])
+    def test_pipeline_parses_no_checkpoint(self, tmp_path, monkeypatch, mask):
+        """Under `pipeline` every stage takes its records from the store: no
+        stage changes a record identify wrote, so evaluate is handed
+        identify's list and no checkpoint is read back from disk."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+
+        def no_parse(path, cls):
+            raise AssertionError(f"{path} parsed")
+
+        monkeypatch.setattr(pl, "_load", no_parse)
+        run_pipeline(cfg, mask=mask)
+        assert (Path(cfg.output_dir) / "checkpoints" / "evaluate" / "report.txt").exists()
+
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {

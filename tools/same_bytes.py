@@ -38,12 +38,14 @@ the lot, registry facility and postal files is one town name, of one word
 or two, and some lot cells spell it one letter wrong), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
-identifiers, so the masked rerun resolves those clusters). A
-stage-by-stage case runs the mask inputs at seed 0 as one CLI call per
-stage, `ingest` ... `emit` and then `evaluate --mask`, so every stage reads
-its input checkpoints from disk and the decoder of each checkpoint a stage
-reads runs (under `pipeline`, only `evaluate` parses a checkpoint:
-identify/occurrences.csv). The two output trees of each case are compared
+identifiers, so the masked rerun resolves those clusters). Two plain
+cases run `tedclean pipeline` without `--mask` on the match and bulk
+workloads at seed 0, as the benchmark runs them. A stage-by-stage case
+runs the mask inputs at seed 0 as one CLI call per stage, `ingest` ...
+`emit` and then `evaluate --mask`, so every stage reads its input
+checkpoints from disk and the decoder of each checkpoint a stage reads
+runs (under `pipeline`, no stage parses a checkpoint: each takes its
+records from the store). The two output trees of each case are compared
 file by file. Exits 0 when every file matches, and 1, listing the paths
 that differ, when any does not; a run that fails on either side counts as
 a difference. Exits 2 on a usage error, a ref git cannot archive,
@@ -355,6 +357,8 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-thresholds", WORKLOADS["mask"], 0, loosen_thresholds, pipeline))
         cases.append(("mask-0-distinct-cities", WORKLOADS["mask"], 0, distinct_cities, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
+        cases += [(f"{name}-0-plain", WORKLOADS[name], 0, None, [["pipeline"]])
+                  for name in ("match", "bulk")]
         cases.append(("mask-0-stage-by-stage", WORKLOADS["mask"], 0, None, STAGE_BY_STAGE))
         for case_name, workload, seed, rewrite, commands in cases:
             case = work / case_name
