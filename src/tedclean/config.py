@@ -7,21 +7,28 @@ annotation: a bool is not an int, an int is accepted as a float, `null` only
 fits `X | None`, lists and `dict[str, X]` convert element by element, an Enum
 by its value, a date from an ISO string, `match` as a nested object. A field
 sits under its own name except the nine in `_JSON_PATH`; the header maps in
-`_MERGED_MAPS` merge into their defaults; unknown keys are ignored. A bad
-value raises ConfigError naming its key path (`match.name_threshold`,
-`period[0]`); `validate` then checks ranges. `criterion_lexicon_path` names a
-JSON file whose object replaces `criterion_lexicon`, checked the same way.
+`_MERGED_MAPS` merge into their defaults. A bad value raises ConfigError
+naming its key path (`match.name_threshold`, `period[0]`), and so does a key
+that names no field, with the closest known key; only the keys of a map
+(`dict[str, X]`) are data and may be anything. `validate` then checks
+ranges. `criterion_lexicon_path` names a JSON file whose object replaces
+`criterion_lexicon`, checked the same way. A key in `_RETIRED` selects
+nothing and loads with a warning, so that old configs still run.
 """
 import dataclasses
 import datetime as dt
+import difflib
 import enum
 import json
+import logging
 import os
 import types
 import typing
 from dataclasses import dataclass, field
 
 from .models import ConfigError, ContractType, CriterionClass
+
+log = logging.getLogger(__name__)
 
 # Header names of the award-notice table, semantic field -> source column.
 # TED-2010+ style names; real corpora override this in the config file.
@@ -268,6 +275,9 @@ _JSON_PATH: dict[str, tuple[str, ...]] = {
 # Header maps: the file names only the columns that differ from the defaults.
 _MERGED_MAPS = {"column_map", "registry_entity_map", "registry_facility_map"}
 
+# Top-level keys that once named a field and now select nothing.
+_RETIRED = ("jobs",)
+
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
@@ -319,24 +329,39 @@ def _convert(value: object, tp: object, path: str) -> object:
     return value
 
 
-def _from_json(cls: type, data: object, path: str) -> object:
-    """An instance of the dataclass `cls` read from a JSON object."""
+def _from_json(cls: type, data: object, path: str, other_keys: tuple[str, ...] = ()) -> object:
+    """An instance of the dataclass `cls` read from a JSON object; a key of
+    it, or of an object under it such as `inputs`, that names no field and
+    is none of `other_keys` is a ConfigError."""
     if not isinstance(data, dict):
         _fail(path, "an object", data)
     values = {}
+    known = {path: (data, set(other_keys))}  # each object read, by path: it and its keys
     for f in dataclasses.fields(cls):
         *parents, key = _JSON_PATH.get(f.name, (f.name,))
         node, where = data, path
         for parent in parents:
+            known[where][1].add(parent)
             where = _join(where, parent)
             node = node.get(parent, {})
             if not isinstance(node, dict):
                 _fail(where, "an object", node)
+            known.setdefault(where, (node, set()))
+        known[where][1].add(key)
         if key in node:
             value = _convert(node[key], f.type, _join(where, key))
             if f.name in _MERGED_MAPS:
                 value = {**f.default_factory(), **value}
             values[f.name] = value
+    unknown = [
+        f"  - {_join(where, key)}" + "".join(
+            f" (did you mean {_join(where, close)}?)"
+            for close in difflib.get_close_matches(key, keys, 1)
+        )
+        for where, (node, keys) in known.items() for key in node if key not in keys
+    ]
+    if unknown:
+        raise ConfigError("config keys that name no setting:\n" + "\n".join(unknown))
     return cls(**values)
 
 
@@ -351,7 +376,10 @@ def _read_json(path: str, what: str) -> object:
 
 def config_from_dict(data: object) -> PipelineConfig:
     """A config read from parsed JSON; raises ConfigError naming the bad key."""
-    config = _from_json(PipelineConfig, data, "")
+    config = _from_json(PipelineConfig, data, "", ("criterion_lexicon_path", *_RETIRED))
+    for key in _RETIRED:
+        if key in data:
+            log.warning("config key %s is retired and selects nothing", key)
     lexicon_path = _convert(data.get("criterion_lexicon_path"), str | None, "criterion_lexicon_path")
     if lexicon_path:
         config.criterion_lexicon = _convert(

@@ -32,6 +32,7 @@ from typing import Callable
 
 from .files import replacing, write_rows
 from .models import (
+    AgentName,
     AgentOccurrence,
     CanonicalAgent,
     Criterion,
@@ -78,6 +79,7 @@ def _lot_row(lot: LotRecord) -> tuple:
 def build_tables(
     lots: list[LotRecord],
     agents: list[CanonicalAgent],
+    names: list[AgentName],
     occurrences: list[AgentOccurrence],
     criteria: list[Criterion],
 ) -> OutputSchema:
@@ -99,6 +101,9 @@ def build_tables(
         rows=[_lot_row(lot) for lot in sorted(lots, key=lambda l: l.lot_id)],
     )
 
+    names_rows = sorted({(row.agent_id.value, row.name) for row in names})
+    # an agent's name is its smallest: the last pair of the reversed rows wins
+    first_name = dict(reversed(names_rows))
     schema["Agents"] = Table(
         name="Agents",
         columns=[
@@ -111,7 +116,7 @@ def build_tables(
             (
                 agent.agent_id.value,
                 agent.agent_id.kind.value,
-                agent.names[0] if agent.names else None,
+                first_name.get(agent.agent_id.value),
                 agent.street,
                 agent.zipcode,
                 agent.city,
@@ -123,9 +128,6 @@ def build_tables(
         ],
     )
 
-    names_rows = sorted(
-        {(agent.agent_id.value, name) for agent in agents for name in agent.names}
-    )
     schema["Names"] = Table(
         name="Names",
         columns=["agentId", "name"],

@@ -19,6 +19,7 @@ from .config import MatchConfig, PipelineConfig
 from . import identify
 from .models import (
     AgentCluster,
+    AgentName,
     AgentOccurrence,
     CanonicalAgent,
     CaseKind,
@@ -183,24 +184,25 @@ def resolve_cluster(
     return CaseKind.CONFLICTING_IDS, identifier
 
 
+def _agent_names(members: list[AgentOccurrence]) -> list[str]:
+    """The members' distinct normalized names, sorted; without any, their raw names."""
+    names = sorted({occ.normalized_name for occ in members if occ.normalized_name})
+    return names or sorted({occ.raw_name for occ in members if occ.raw_name})
+
+
 def _merge_members(
     agent_id: Identifier,
     members: list[AgentOccurrence],
     case_kinds: list[CaseKind],
 ) -> CanonicalAgent:
-    names = sorted({occ.normalized_name for occ in members if occ.normalized_name})
-    if not names:
-        names = sorted({occ.raw_name for occ in members if occ.raw_name})
     return CanonicalAgent(
         agent_id=agent_id,
-        names=names,
         street=_majority(members, attrgetter("street")),
         zipcode=_majority(members, attrgetter("zipcode")),
         city=_majority(members, attrgetter("city")),
         department=_majority(members, attrgetter("department")),
         country=_majority(members, attrgetter("country")),
         case_kinds=case_kinds,
-        member_occurrence_ids=sorted(occ.occurrence_id for occ in members),
     )
 
 
@@ -208,6 +210,7 @@ def _merge_members(
 class MergeResult:
     clusters: list[AgentCluster] = field(default_factory=list)
     agents: list[CanonicalAgent] = field(default_factory=list)
+    names: list[AgentName] = field(default_factory=list)
 
 
 def resolve_clusters(
@@ -233,9 +236,10 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
 
     Clusters resolving to the same identifier collapse into one agent row
     (several clusters can carry the same SIRET when blocking kept them
-    apart). No record is changed: in `occurrences`, each one whose
-    identifier the resolution changes is replaced by a copy with the
-    cluster's identifier and identifier_source "merged".
+    apart), and `names` gets one row per name of that agent. No record is
+    changed: in `occurrences`, each one whose identifier the resolution
+    changes is replaced by a copy with the cluster's identifier and
+    identifier_source "merged".
     """
     member_lists = cluster_occurrences(occurrences, config.merge_threshold, config.match)
     by_id = {occ.occurrence_id: occ for occ in occurrences}
@@ -253,4 +257,5 @@ def merge_all(occurrences: list[AgentOccurrence], config: PipelineConfig) -> Mer
         members = [by_id[i] for c in clusters for i in c.member_occurrence_ids]
         case_kinds = [c.case_kind for c in clusters]
         result.agents.append(_merge_members(ident, members, case_kinds))
+        result.names += [AgentName(ident, name) for name in _agent_names(members)]
     return result

@@ -250,11 +250,17 @@ class AgentCluster:
 @dataclass(slots=True)
 class CanonicalAgent:
     agent_id: Identifier
-    names: list[str] = field(default_factory=list)
     street: str | None = None
     zipcode: str | None = None
     city: str | None = None
     department: str | None = None
     country: str | None = None
     case_kinds: list[CaseKind] = field(default_factory=list)
-    member_occurrence_ids: list[int] = field(default_factory=list)
+
+
+@dataclass(slots=True)
+class AgentName:
+    """One row of agent_names.csv: a canonical agent and one of its names."""
+
+    agent_id: Identifier
+    name: str

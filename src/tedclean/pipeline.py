@@ -12,8 +12,7 @@ its dataclass fields:
 
 - Columns are the fields in declaration order, camelCased, with three
   renames (number_of_offers -> numberOffers, criterion_class -> class,
-  member_occurrence_ids -> memberIds). CanonicalAgent.names is left out;
-  agent_names.csv holds it, one row per name.
+  member_occurrence_ids -> memberIds).
 - Cells follow the field type: None is an empty cell, bool is 1/0, date is
   ISO, Decimal is str(), Enum is its value (read from a dict of member to
   value, not through `.value`), list[int] is space-joined and list[Enum]
@@ -59,6 +58,7 @@ from .ingest import run_ingest
 from .merge import MergeResult, merge_all
 from .models import (
     AgentCluster,
+    AgentName,
     AgentOccurrence,
     CanonicalAgent,
     ConfigError,
@@ -151,16 +151,7 @@ _RENAMES = {
     "criterion_class": "class",
     "member_occurrence_ids": "memberIds",
 }
-_OMITTED = {(CanonicalAgent, "names")}
 _PARSE_ERRORS = (ValueError, InvalidOperation, csv.Error)
-
-
-@dataclasses.dataclass
-class _AgentName:
-    """One row of agent_names.csv: a canonical agent and one of its names."""
-
-    agent_id: Identifier
-    name: str
 
 
 def _camel(name: str) -> str:
@@ -242,10 +233,6 @@ def _codec(cls: type) -> _Codec:
     args: list[str] = []  # decode: one expression of cells c per init argument
     namespace: dict[str, object] = {"cls": cls, "Identifier": Identifier}
     for n, f in enumerate(dataclasses.fields(cls)):
-        if (cls, f.name) in _OMITTED:
-            namespace[f"d{n}"] = f.default_factory
-            args.append(f"d{n}()")
-            continue
         tp = hints[f.name]
         optional = type(None) in typing.get_args(tp)
         if optional:
@@ -422,8 +409,7 @@ def stage_merge(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     checkpoints.write("merge", "occurrences.csv", AgentOccurrence, occurrences)
     checkpoints.write("merge", "clusters.csv", AgentCluster, result.clusters)
     checkpoints.write("merge", "agents.csv", CanonicalAgent, result.agents)
-    names = (_AgentName(a.agent_id, n) for a in result.agents for n in a.names)
-    checkpoints.write("merge", "agent_names.csv", _AgentName, names)
+    checkpoints.write("merge", "agent_names.csv", AgentName, result.names)
     log.info("merge: %d clusters, %d agents", len(result.clusters), len(result.agents))
 
 
@@ -432,13 +418,9 @@ def stage_emit(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     criteria = checkpoints.read("criteria", "criteria.csv", Criterion)
     checkpoints.require("merge", "occurrences.csv", "agents.csv", "agent_names.csv")
     occurrences = checkpoints.read("merge", "occurrences.csv", AgentOccurrence)
-    names: dict[Identifier, list[str]] = {}
-    for row in checkpoints.read("merge", "agent_names.csv", _AgentName):
-        names.setdefault(row.agent_id, []).append(row.name)
     agents = checkpoints.read("merge", "agents.csv", CanonicalAgent)
-    for agent in agents:
-        agent.names = names.get(agent.agent_id, [])
-    schema = emit_mod.build_tables(lots, agents, occurrences, criteria)
+    names = checkpoints.read("merge", "agent_names.csv", AgentName)
+    schema = emit_mod.build_tables(lots, agents, names, occurrences, criteria)
     emit_mod.write_csv(schema, config.output_dir)
     emit_mod.write_sql_dump(schema, str(Path(config.output_dir) / "foppa.sql"))
     problems = emit_mod.verify_roundtrip(schema, config.output_dir)

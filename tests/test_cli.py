@@ -352,6 +352,23 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
         assert "lot file does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, close", [
+        (["merge_treshold"], "merge_threshold"),
+        (["match", "name_treshold"], "match.name_threshold"),
+        (["inputs", "registy_entities"], "inputs.registry_entities"),
+    ], ids=["merge_treshold", "match.name_treshold", "inputs.registy_entities"])
+    def test_misspelt_config_key(self, tmp_path, capsys, path, close):
+        config_path = Path(write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3))
+        data = json.loads(config_path.read_text(encoding="utf-8"))
+        *parents, key = path
+        node = data
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = "0.5"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["pipeline", "--config", str(config_path)]) == EXIT_CONFIG
+        assert f"{'.'.join(path)} (did you mean {close}?)" in capsys.readouterr().err
+
     def test_stage_without_checkpoint(self, tmp_path, capsys):
         config_path = write_corpus_config(tmp_path / "in", tmp_path / "out", rows=3, seed=15)
         assert main(["identify", "--config", config_path]) == EXIT_CONFIG
@@ -514,6 +531,16 @@ class TestExitCodes:
         args = _corrupt(merged, tmp_path, "merge", "clusters.csv", editor)
         assert main(["evaluate"] + flags + args) == EXIT_INVARIANT
         assert "clusters.csv" in capsys.readouterr().err
+
+    def test_name_of_no_agent_is_invariant_error(self, merged, tmp_path, capsys):
+        """A name row whose agent agents.csv lacks goes into the Names table,
+        whose agentId then dangles."""
+        def ghost(rows):
+            return rows + [["internal", "U999999", "GHOST"]]
+
+        args = _corrupt(merged, tmp_path, "merge", "agent_names.csv", ghost)
+        assert main(["emit"] + args) == EXIT_INVARIANT
+        assert "Names.agentId: 1 dangling value(s): U999999" in capsys.readouterr().err
 
     def test_dropped_column(self, normalized, tmp_path, capsys):
         def edit(rows):

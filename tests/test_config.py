@@ -175,6 +175,13 @@ def test_jobs_key_of_old_configs_selects_nothing():
     assert config_from_dict({**README_EXAMPLE, "jobs": 4}) == config_from_dict(README_EXAMPLE)
 
 
+def test_retired_jobs_key_warns_once(caplog):
+    config_from_dict({"jobs": 4})
+    assert [r.getMessage() for r in caplog.records] == [
+        "config key jobs is retired and selects nothing"
+    ]
+
+
 def test_corpus_config_loads():
     assert dataclasses.asdict(config_from_dict(CORPUS_CONFIG)) == _expect(
         lot_files=["in/lots.csv"],
@@ -206,7 +213,6 @@ def test_maps_merge_ints_widen_and_lexicon_file_wins(tmp_path):
         "criterion_lexicon_path": str(tmp_path / "lexicon.json"),
         "separators": ["--", "|"],
         "period": ["2012-03-01", "2014-06-30"],
-        "unknown_key": {"ignored": True},
     })
     assert list(cfg.column_map.items()) == [
         *{**DEFAULT_COLUMN_MAP, "buyer_name": "ACHETEUR"}.items(), ("extra", "EXTRA")

@@ -13,6 +13,7 @@ from corpus import corpus_config
 from tedclean import emit as emit_mod
 from tedclean.emit import (
     TABLE_ORDER,
+    Table,
     build_tables,
     verify_integrity,
     verify_roundtrip,
@@ -20,6 +21,7 @@ from tedclean.emit import (
     write_sql_dump,
 )
 from tedclean.models import (
+    AgentName,
     CanonicalAgent,
     CaseKind,
     ContractType,
@@ -38,20 +40,16 @@ SIRET_A = full_siret("11111111100011")
 INTERNAL_1 = internal_code(1)
 
 
-def agent(ident, names=("MAIRIE DE LYON",), **kw):
-    defaults = dict(
+def agent(ident):
+    return CanonicalAgent(
         agent_id=ident,
-        names=list(names),
         street="1 RUE X",
         zipcode="69001",
         city="LYON",
         department="69",
         country="FRANCE",
         case_kinds=[CaseKind.SINGLETON],
-        member_occurrence_ids=[1],
     )
-    defaults.update(kw)
-    return CanonicalAgent(**defaults)
 
 
 def small_world():
@@ -67,17 +65,15 @@ def small_world():
                         identifier_source="declared"),
         make_occurrence(3, 2, role=Role.BUYER, identifier=INTERNAL_1),
     ]
-    agents = [
-        agent(SIRET_A, member_occurrence_ids=[1, 2]),
-        agent(INTERNAL_1, names=["AGENT TROIS"], member_occurrence_ids=[3]),
-    ]
+    agents = [agent(SIRET_A), agent(INTERNAL_1)]
+    names = [AgentName(SIRET_A, "MAIRIE DE LYON"), AgentName(INTERNAL_1, "AGENT TROIS")]
     criteria = [
         Criterion(lot_id=1, raw_name="", criterion_class=CriterionClass.PRICE,
                   weight=Decimal("60.00"), weight_is_normalized=True),
         Criterion(lot_id=1, raw_name="Qualité", criterion_class=CriterionClass.TECHNICAL,
                   weight=Decimal("40.00"), weight_is_normalized=True),
     ]
-    return lots, agents, occurrences, criteria
+    return lots, agents, names, occurrences, criteria
 
 
 class TestBuildTables:
@@ -105,11 +101,13 @@ class TestBuildTables:
         assert kinds["U000001"] == "internal"
 
     def test_names_one_row_per_name(self):
-        lots, agents, occs, crit = small_world()
-        agents[0].names = ["MAIRIE DE LYON", "VILLE DE LYON"]
-        schema = build_tables(lots, agents, occs, crit)
+        lots, agents, names, occs, crit = small_world()
+        names.insert(0, AgentName(SIRET_A, "VILLE DE LYON"))
+        schema = build_tables(lots, agents, names, occs, crit)
         assert ("11111111100011", "MAIRIE DE LYON") in schema["Names"].rows
         assert ("11111111100011", "VILLE DE LYON") in schema["Names"].rows
+        # an agent's name is its smallest, in whatever order its rows come
+        assert schema["Agents"].rows[0][:3] == ("11111111100011", "siret", "MAIRIE DE LYON")
 
     def test_links_split_roles(self):
         schema = build_tables(*small_world())
@@ -120,25 +118,24 @@ class TestBuildTables:
         assert schema["LotSuppliers"].rows == [(1, "11111111100011", "declared", 0)]
 
     def test_duplicate_links_collapse(self):
-        lots, agents, occs, crit = small_world()
+        lots, agents, names, occs, crit = small_world()
         occs.append(make_occurrence(4, 1, role=Role.BUYER, identifier=SIRET_A,
                                     identifier_source="merged", split_conflict=True))
-        agents[0].member_occurrence_ids = [1, 2, 4]
-        schema = build_tables(lots, agents, occs, crit)
+        schema = build_tables(lots, agents, names, occs, crit)
         row = schema["LotBuyers"].rows[0]
         assert row == (1, "11111111100011", "matched+merged", 1)
 
     def test_links_collapse_to_distinct_sources_in_order(self):
         """Sorted, a (lotId, agentId) pair's sources are distinct and in
         order, and the row is split when any link is, not just the last."""
-        lots, agents, occs, crit = small_world()
+        lots, agents, names, occs, crit = small_world()
         occs += [
             make_occurrence(4, 1, role=Role.BUYER, identifier=SIRET_A,
                             identifier_source="declared", split_conflict=True),
             make_occurrence(5, 1, role=Role.BUYER, identifier=SIRET_A,
                             identifier_source="matched"),
         ]
-        schema = build_tables(lots, agents, occs, crit)
+        schema = build_tables(lots, agents, names, occs, crit)
         assert schema["LotBuyers"].rows[0] == (1, "11111111100011", "declared+matched", 1)
 
     def test_criteria_ordinals(self):
@@ -149,17 +146,17 @@ class TestBuildTables:
         ]
 
     def test_missing_assignment_fatal(self):
-        lots, agents, occs, crit = small_world()
+        lots, agents, names, occs, crit = small_world()
         occs[2].identifier = None
         with pytest.raises(InvariantError, match="no agent assignment"):
-            build_tables(lots, agents, occs, crit)
+            build_tables(lots, agents, names, occs, crit)
 
     def test_dangling_criteria_fatal(self):
-        lots, agents, occs, crit = small_world()
+        lots, agents, names, occs, crit = small_world()
         crit.append(Criterion(lot_id=99, raw_name="X",
                               criterion_class=CriterionClass.OTHERS, weight=None))
         with pytest.raises(InvariantError, match="dangling"):
-            build_tables(lots, agents, occs, crit)
+            build_tables(lots, agents, names, occs, crit)
 
 
 class TestVerifyIntegrity:
@@ -177,6 +174,13 @@ class TestVerifyIntegrity:
         schema["Names"].rows.append(("99999999999999", "GHOST"))
         problems = verify_integrity(schema)
         assert any("Names.agentId" in p and "dangling" in p for p in problems)
+
+    def test_reference_to_unknown_table(self):
+        names = Table("Names", ["agentId", "name"], ["agentId", "name"], ["TEXT", "TEXT"],
+                      rows=[("A", "X")], foreign=[("agentId", "Agents", "agentId")])
+        assert verify_integrity({"Names": names}) == [
+            "Names: reference to unknown table Agents"
+        ]
 
     def test_duplicate_key_messages(self):
         schema = build_tables(*small_world())
@@ -269,6 +273,16 @@ class TestWriteOutputs:
             "Lots: rows differ after round-trip"
         ]
 
+    def test_roundtrip_detects_header_mismatch(self, tmp_path):
+        schema = build_tables(*small_world())
+        write_csv(schema, str(tmp_path))
+        path = tmp_path / "Names.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("agentId,name\n", "agentId,alias\n", 1), encoding="utf-8")
+        assert verify_roundtrip(schema, str(tmp_path)) == [
+            "Names: header mismatch after round-trip"
+        ]
+
     def test_sql_dump_reloads_in_sqlite(self, tmp_path):
         schema = build_tables(*small_world())
         sql_path = tmp_path / "foppa.sql"
@@ -288,9 +302,9 @@ class TestWriteOutputs:
         connection.close()
 
     def test_sql_quotes_escaped(self, tmp_path):
-        lots, agents, occs, crit = small_world()
-        agents[1].names = ["L'AGENT"]
-        schema = build_tables(lots, agents, occs, crit)
+        lots, agents, names, occs, crit = small_world()
+        names[1] = AgentName(INTERNAL_1, "L'AGENT")
+        schema = build_tables(lots, agents, names, occs, crit)
         sql_path = tmp_path / "foppa.sql"
         write_sql_dump(schema, str(sql_path))
         connection = sqlite3.connect(":memory:")

@@ -1,6 +1,7 @@
 import copy
 import datetime as dt
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,19 @@ class TestMaskAndRerun:
         mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
                        PipelineConfig(), truth)
         assert occurrences == snapshot
+
+    def test_declared_result_for_a_truth_occurrence_is_invariant_error(self, monkeypatch):
+        """Identification calling a masked truth occurrence declared means its
+        identifier leaked through the mask."""
+        registry, lots, occurrences, truth = mask_world()
+
+        def leak(occs, *args):
+            return [replace(r, source="declared") for r in identify_all(occs, *args)]
+
+        monkeypatch.setattr(evaluate, "identify_all", leak)
+        with pytest.raises(InvariantError, match=r"leaked into identification: \[1, 2, 3\]"):
+            mask_and_rerun(occurrences, merged_clusters(occurrences), lots, registry,
+                           PipelineConfig(), truth)
 
     def test_empty_truth_rejected(self):
         registry, lots, occurrences, _ = mask_world()

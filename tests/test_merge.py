@@ -12,12 +12,14 @@ from tedclean.merge import (
     blocking_key,
     cluster_occurrences,
     field_completeness,
+    _agent_names,
     _merge_members,
     merge_all,
     pair_similarity,
     resolve_cluster,
 )
 from tedclean.models import (
+    AgentName,
     CaseKind,
     IdentifierKind,
     full_siret,
@@ -335,8 +337,7 @@ class TestMergeRecords:
         assert agent.street == "1 RUE X"
         assert agent.zipcode == "69001"
         assert agent.city == "LYON"
-        assert agent.names == ["MAIRIE DE LYON", "VILLE DE LYON"]
-        assert agent.member_occurrence_ids == [1, 2, 3]
+        assert _agent_names(members) == ["MAIRIE DE LYON", "VILLE DE LYON"]
 
     def test_absent_values_ignored(self):
         members = [occ(1, "X", None, None, None), occ(2, "X", "1 RUE X", None, None)]
@@ -359,8 +360,7 @@ class TestMergeRecords:
 
     def test_raw_name_fallback(self):
         a, b = make_occurrence(1, raw_name="Nom Brut"), make_occurrence(2, raw_name="Nom Brut")
-        agent = self.merge([a, b])
-        assert agent.names == ["Nom Brut"]
+        assert _agent_names([a, b]) == ["Nom Brut"]
 
     def test_permutation_invariant(self):
         members = [
@@ -368,12 +368,12 @@ class TestMergeRecords:
             occ(2, "VILLE DE LYON", "2 RUE Y", "69002", "LYON"),
             occ(3, "MAIRIE DE LYON", "2 RUE Y", "69001", None),
         ]
-        base = self.merge(members)
+        base, base_names = self.merge(members), _agent_names(members)
         for _ in range(5):
             random.Random(42).shuffle(members)
             again = self.merge(members)
-            assert (again.street, again.zipcode, again.city, again.names) == (
-                base.street, base.zipcode, base.city, base.names,
+            assert (again.street, again.zipcode, again.city, _agent_names(members)) == (
+                base.street, base.zipcode, base.city, base_names,
             )
 
 
@@ -433,7 +433,7 @@ class TestMergeAll:
         assert len(result.agents) == 1
         agent = result.agents[0]
         assert agent.agent_id == SIRET_A
-        assert agent.member_occurrence_ids == [1, 2]
+        assert result.names == [AgentName(SIRET_A, "MAIRIE DE LYON")]
         assert agent.case_kinds == [CaseKind.SINGLETON, CaseKind.SINGLETON]
 
     def test_occurrences_adopt_resolution(self):

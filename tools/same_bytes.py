@@ -46,8 +46,9 @@ runs the mask inputs at seed 0 as one CLI call per stage, `ingest` ...
 checkpoints from disk and the decoder of each checkpoint a stage reads
 runs (under `pipeline`, no stage parses a checkpoint: each takes its
 records from the store). The two output trees of each case are compared
-file by file. Exits 0 when every file matches, and 1, listing the paths
-that differ, when any does not; a run that fails on either side counts as
+file by file. Exits 0 when every file matches, and 1, listing each path
+that differs as `only in ref`, `only here` or `bytes differ`, when any
+does not; a run that fails on either side counts as
 a difference. Exits 2 on a usage error, a ref git cannot archive,
 or inputs that cannot be made.
 """
@@ -64,7 +65,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
-# the dense shape, not a benchmark workload: merge chains distinct agents
+# the dense shape, not a benchmark workload: merge chains distinct agents;
+# make_inputs reads its "jobs" and writes it to the config, a retired key
+# that loads with a warning
 DENSE = {"rows": 1000, "registry_agents": 1000,
          "departments": [str(d) for d in range(10, 16)], "jobs": 1}
 # one CLI call per stage, each reading the checkpoints the one before wrote
@@ -325,13 +328,19 @@ def files_under(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in top.rglob("*") if p.is_file()}
 
 
-def differing(a: Path, b: Path) -> list[str]:
-    """Relative paths present in only one tree or with different bytes."""
-    left, right = files_under(a), files_under(b)
-    return [
-        rel for rel in sorted(left.keys() | right.keys())
-        if rel not in left or rel not in right or left[rel].read_bytes() != right[rel].read_bytes()
-    ]
+def differing(ref: Path, here: Path) -> list[tuple[str, str]]:
+    """(relative path, how it differs) of each path present in only one
+    tree, "only in ref" or "only here", or with "bytes differ"."""
+    left, right = files_under(ref), files_under(here)
+    found = []
+    for rel in sorted(left.keys() | right.keys()):
+        if rel not in right:
+            found.append((rel, "only in ref"))
+        elif rel not in left:
+            found.append((rel, "only here"))
+        elif left[rel].read_bytes() != right[rel].read_bytes():
+            found.append((rel, "bytes differ"))
+    return found
 
 
 def main(argv: list[str]) -> int:
@@ -370,7 +379,8 @@ def main(argv: list[str]) -> int:
                 for side, src in sides.items()
                 if (failure := run_cli(src, config, case / side, commands))
             ]
-            found += [f"{case.name}/{rel}" for rel in differing(case / "ref", case / "here")]
+            found += [f"{case.name}/{rel}: {how}"
+                      for rel, how in differing(case / "ref", case / "here")]
             print(f"{case.name}: {'differs' if found else 'same bytes'}", file=sys.stderr)
             problems += found
     for line in problems:
