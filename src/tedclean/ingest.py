@@ -242,8 +242,6 @@ def lot_builder(config: PipelineConfig) -> Callable[[RawLotRow, int], LotRecord 
             currency=fields["currency"] or None,
             cancelled=cancelled,
             contract_notice_ref=fields["contract_notice_ref"] or None,
-            source_file=row.source_file,
-            source_line=row.source_line,
         )
 
     return build

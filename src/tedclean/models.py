@@ -164,8 +164,6 @@ class LotRecord:
     currency: str | None = None
     cancelled: bool = False
     contract_notice_ref: str | None = None
-    source_file: str = ""
-    source_line: int = 0
 
 
 @dataclass(slots=True)
@@ -232,7 +230,6 @@ class RegistryFacility:
     activity_code: str | None = None
     open_date: dt.date | None = None
     close_date: dt.date | None = None
-    orphan: bool = False
 
     @property
     def parent_siren(self) -> str:

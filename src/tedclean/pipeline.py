@@ -97,9 +97,13 @@ class Checkpoints:
     normalize and identify change the records they read, so such a list
     may not reach two readers. A list no stage reads (rejections.csv) lives
     as long as the store.
+
+    A store made with `keep_registry` hands every stage that asks the
+    registry the first one loaded: under `pipeline --mask`, evaluate reruns
+    identification on identify's registry. One store serves one config.
     """
 
-    def __init__(self, output_dir: str) -> None:
+    def __init__(self, output_dir: str, keep_registry: bool = False) -> None:
         out = Path(output_dir)
         # a file there, or above it, would end the first write in a traceback
         try:
@@ -111,6 +115,8 @@ class Checkpoints:
             raise ConfigError(f"output directory {output_dir!r} cannot be made: {exc}") from None
         self.root = out / "checkpoints"
         self._kept: dict[tuple[str, str], list] = {}
+        self._keep_registry = keep_registry
+        self._registry: Registry | None = None
 
     def stage_dir(self, stage: str) -> Path:
         path = self.root / stage
@@ -131,6 +137,12 @@ class Checkpoints:
         records = list(records)
         _dump(self.stage_dir(stage) / name, cls, records)
         self._kept[stage, name] = records
+
+    def registry(self, config: PipelineConfig) -> Registry:
+        registry = self._registry or _load_registry_from_config(config)
+        if self._keep_registry:
+            self._registry = registry
+        return registry
 
     def read(self, stage: str, name: str, cls: type) -> list:
         key = (stage, name)
@@ -392,7 +404,7 @@ def stage_normalize(config: PipelineConfig, checkpoints: Checkpoints) -> None:
 def stage_identify(config: PipelineConfig, checkpoints: Checkpoints) -> None:
     occurrences = checkpoints.read("normalize", "occurrences.csv", AgentOccurrence)
     lots = checkpoints.read("ingest", "lots.csv", LotRecord)
-    registry = _load_registry_from_config(config)
+    registry = checkpoints.registry(config)
 
     results = identify_all(occurrences, lots, registry, config)
     apply_match_results(occurrences, results)
@@ -464,9 +476,8 @@ def stage_evaluate(
             truth = evaluate_mod.truth_from_declared(identified)
         if not truth:
             raise InputError("masked evaluation needs known identifiers and found none")
-        registry = _load_registry_from_config(config)
         mask_report = evaluate_mod.mask_and_rerun(
-            identified, clusters, lots, registry, config, truth
+            identified, clusters, lots, checkpoints.registry(config), config, truth
         )
 
     report = evaluate_mod.EvaluationReport(
@@ -521,7 +532,9 @@ def run_pipeline(
     stop = _stage_index(stage_to) if stage_to else len(STAGE_ORDER) - 1
     if start > stop:
         raise ConfigError(f"--stage-from {stage_from!r} is after --stage-to {stage_to!r}")
-    checkpoints = Checkpoints(config.output_dir)
-    for stage in STAGE_ORDER[start : stop + 1]:
+    stages = STAGE_ORDER[start : stop + 1]
+    # the registry outlives identify only when a masked evaluate reads it again
+    checkpoints = Checkpoints(config.output_dir, keep_registry=mask and "evaluate" in stages)
+    for stage in stages:
         log.info("stage %s", stage)
         run_stage(stage, config, mask=mask, checkpoints=checkpoints)

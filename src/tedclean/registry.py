@@ -35,8 +35,6 @@ class Registry:
         self.entities[entity.siren] = entity
 
     def add_facility(self, facility: RegistryFacility) -> None:
-        if facility.parent_siren not in self.entities:
-            facility.orphan = True
         self.facilities[facility.siret] = facility
         if facility.department:
             self.by_department.setdefault(facility.department, set()).add(facility.siret)
@@ -84,7 +82,7 @@ def load_registry(
 ) -> Registry:
     """Build the in-memory registry with its two lookup indexes.
 
-    Facilities whose parent entity is missing are kept and flagged orphan.
+    Facilities whose parent entity is missing are kept, with a warning.
     Names and addresses are folded at load, so every comparison is fold-to-fold.
     """
     registry = Registry(activity_prefix_length)
@@ -138,7 +136,7 @@ def load_registry(
             close_date=parse_date(row["close_date"], date_formats),
         )
         registry.add_facility(facility)
-        if facility.orphan:
+        if facility.parent_siren not in registry.entities:
             log.warning("facility %s has no parent entity", siret)
 
     return registry

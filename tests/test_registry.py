@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestRegistry:
         reg = Registry(CONFIG.match.activity_prefix_length)
         fac = facility(siret="99999999900011")
         reg.add_facility(fac)
-        assert fac.orphan is True
+        assert reg.facilities["99999999900011"] is fac
 
     def test_activity_falls_back_to_parent(self):
         reg = Registry(CONFIG.match.activity_prefix_length)
@@ -118,7 +119,7 @@ class TestTemporallyValid:
 
 
 class TestLoadRegistry:
-    def test_load(self, tmp_path):
+    def test_load(self, tmp_path, caplog):
         entity_path, facility_path = write_registry_files(
             tmp_path,
             entities=[
@@ -138,15 +139,16 @@ class TestLoadRegistry:
                 dict(SIRET="short", NAMES="Bad"),
             ],
         )
-        reg = load_registry(
-            entity_path,
-            facility_path,
-            DEFAULT_REGISTRY_ENTITY_MAP,
-            DEFAULT_REGISTRY_FACILITY_MAP,
-            CONFIG.delimiter,
-            CONFIG.date_formats,
-            CONFIG.match.activity_prefix_length,
-        )
+        with caplog.at_level(logging.WARNING, logger="tedclean.registry"):
+            reg = load_registry(
+                entity_path,
+                facility_path,
+                DEFAULT_REGISTRY_ENTITY_MAP,
+                DEFAULT_REGISTRY_FACILITY_MAP,
+                CONFIG.delimiter,
+                CONFIG.date_formats,
+                CONFIG.match.activity_prefix_length,
+            )
         assert set(reg.entities) == {"123456789"}
         assert reg.entities["123456789"].legal_names == [
             "ACME S A", "ANCIEN NOM", "TRES ANCIEN",
@@ -160,14 +162,14 @@ class TestLoadRegistry:
         assert main.zipcode == "69003"
         assert main.department == "69"
         assert main.open_date == dt.date(2001, 5, 5)
-        assert main.orphan is False
 
         bare = reg.facilities["12345678900022"]
         assert bare.zipcode is None
         assert bare.department is None
         assert reg.candidate_names(bare) == ["ACME S A", "ANCIEN NOM", "TRES ANCIEN"]
 
-        assert reg.facilities["33333333300011"].orphan is True
+        orphans = [r.getMessage() for r in caplog.records if "no parent entity" in r.getMessage()]
+        assert orphans == ["facility 33333333300011 has no parent entity"]
 
     def _load(self, tmp_path, entities, facilities, **kw):
         return load_registry(

@@ -5,7 +5,8 @@
 REF's src/ is written to a temporary directory (`git archive REF src | tar
 -x`). The benchmark's inputs (perfbench/run.py's WORKLOADS and make_inputs)
 are made once per workload and seed, so both sides read the same input
-paths: the ingest checkpoints hold the absolute path of each source file. Then
+paths: `checkpoints/ingest/rejections.csv` names the input file of each
+refused line. Then
 `tedclean pipeline --mask` runs from each source tree on the match, bulk and
 mask workloads at seeds 0 and 7, on a remapped copy of the mask inputs at
 seed 0 (every lot and registry column renamed, the lot columns in reverse
