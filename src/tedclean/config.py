@@ -22,6 +22,7 @@ import enum
 import json
 import logging
 import os
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -156,6 +157,8 @@ DEFAULT_CONTRACT_TYPE_VALUES: dict[str, ContractType] = {
 }
 
 DEFAULT_DATE_FORMATS = ["%Y-%m-%d", "%d/%m/%Y"]
+# each date format must read back, whole, the text it writes for this date
+DATE_FORMAT_PROBE = dt.date(2013, 11, 27)
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,16 @@ class PipelineConfig:
             errors.append("separators must be a non-empty list of non-empty strings")
         if self.period[0] > self.period[1]:
             errors.append("period starts after it ends")
+        if not self.date_formats:
+            errors.append("date_formats must list at least one format")
+        for fmt in self.date_formats:
+            try:
+                read = dt.datetime.strptime(DATE_FORMAT_PROBE.strftime(fmt), fmt).date()
+            except (ValueError, re.error):
+                read = None
+            if read != DATE_FORMAT_PROBE:
+                errors.append(f"date_formats: {fmt!r} does not read back the whole date"
+                              f" it writes ({DATE_FORMAT_PROBE.isoformat()})")
         # os.path.exists answers False for a NUL in a path; Path.exists raises.
         for path in self.lot_files:
             if not os.path.exists(path):

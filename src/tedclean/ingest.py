@@ -12,7 +12,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
@@ -74,15 +74,19 @@ def parse_table(
     path: str,
     column_map: dict[str, str],
     delimiter: str,
+    seen_identity: set[tuple[str, str]] | None = None,
 ) -> ParsedTable:
     """Read one delimiter-separated file into rows of mapped fields.
 
     Lines are split and parsed, and the header mapped to fields, by the
     rules of `files`. The header must parse and have every mandatory mapped
     column; a data line that does not parse, or whose cell count does not
-    match the header, is skipped and counted. The first LINE_WARNINGS
-    skipped lines and duplicate identities are logged one by one, and the
-    number of the rest in one warning.
+    match the header, is skipped and counted. A row whose (notice id, lot
+    number) is in seen_identity, the identities of the rows before it, is
+    kept and counted as a duplicate; a caller that passes one set to every
+    file of a run counts duplicates across the files. The first
+    LINE_WARNINGS skipped lines and duplicate identities are logged one by
+    one, and the number of the rest in one warning.
     """
     lines = input_lines(path, "lot file")
     if not lines:
@@ -95,7 +99,7 @@ def parse_table(
 
     rows: list[RawLotRow] = []
     skipped = 0
-    seen_identity: set[tuple[str, str]] = set()
+    seen_identity = set() if seen_identity is None else seen_identity
     duplicates = 0
 
     def warn(message: str, *args: object) -> None:
@@ -133,38 +137,33 @@ def parse_table(
     return ParsedTable(rows=rows, skipped=skipped, duplicate_identities=duplicates)
 
 
-_DECIMAL_JUNK_RE = re.compile(r"[^\d.,+-]")
+_GROUPING = str.maketrans("", "", " \u00a0\u202f'\u2019")
+# a signed number between affixes with no digit and no sign; its marks sit
+# between digits, one may lead
+_DECIMAL_RE = re.compile(r"[^\d+-]*?([+-]?)([.,]?\d+(?:[.,]\d+)*)[^\d+-]*")
 
 
 def parse_decimal(raw: str | None) -> Decimal | None:
     """Parse a numeric cell accepting both "." and "," decimal marks.
 
-    Spaces and non-breaking spaces are grouping; when both marks appear the
-    rightmost one is the decimal point, and one mark alone that repeats is
-    grouping. Unparseable input is None, never 0.
+    Spaces, no-break spaces and apostrophes are grouping and dropped. The
+    rest must be one signed number between affixes that hold no digit and
+    no sign (a currency or unit, as `EUR 1 500` or `60 %`), its marks
+    between its digits, one of them possibly leading (`,57`). The number's
+    last mark is the decimal point, unless its only marks are one mark
+    repeated, which then groups. Any other cell, one with a second number,
+    an exponent or a sign after the number, is None, never 0 and never
+    digits stitched across text.
     """
-    if not raw:
+    match = _DECIMAL_RE.fullmatch((raw or "").translate(_GROUPING))
+    if match is None:
         return None
-    text = raw.replace(" ", "").replace(" ", "").replace(" ", "")
-    text = _DECIMAL_JUNK_RE.sub("", text)
-    if not any(c.isdigit() for c in text):
-        return None
-    if "," in text and "." in text:
-        if text.rfind(",") > text.rfind("."):
-            text = text.replace(".", "").replace(",", ".")
-        else:
-            text = text.replace(",", "")
-    elif text.count(",") > 1 or text.count(".") > 1:
-        text = text.replace(",", "").replace(".", "")
-    else:
-        text = text.replace(",", ".")
-    if text.count(".") > 1:
-        head, _, tail = text.rpartition(".")
-        text = head.replace(".", "") + "." + tail
-    try:
-        return Decimal(text)
-    except InvalidOperation:
-        return None
+    sign, number = match.groups()
+    marks = re.findall("[.,]", number)
+    whole, fraction = number, ""
+    if len(marks) == 1 or len(set(marks)) > 1:
+        whole, fraction = number.rsplit(marks[-1], 1)
+    return Decimal(sign + re.sub("[.,]", "", whole) + "." + fraction)
 
 
 # lots repeat their dates (6,260 dates parsed, 171 distinct, on a 5,000-lot
@@ -354,8 +353,9 @@ def run_ingest(config: PipelineConfig) -> IngestResult:
     # raw cells -> each part's occurrence cells, None for "", and its conflict flag
     parts_of: dict[tuple[str, ...], list[tuple[tuple[str | None, ...], bool]]] = {}
     build = lot_builder(config)
+    seen_identity: set[tuple[str, str]] = set()
     for path in config.lot_files:
-        parsed = parse_table(path, config.column_map, config.delimiter)
+        parsed = parse_table(path, config.column_map, config.delimiter, seen_identity)
         result.skipped_lines += parsed.skipped
         result.duplicate_identities += parsed.duplicate_identities
         for row in parsed.rows:

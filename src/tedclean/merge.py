@@ -109,7 +109,7 @@ def cluster_occurrences(
                 occ.normalized_name, occ.street, occ.zipcode, occ.city, None, None
             )
             payload_ids.setdefault(payload, []).append(occ.occurrence_id)
-        payloads = sorted(payload_ids, key=lambda p: tuple(x or "" for x in p))
+        payloads = list(payload_ids)  # by first occurrence id, so any hash seed
 
         packed = identify._pack_records(payloads, lambda p: (p.name,))
         dsu = _UnionFind(len(payloads))

@@ -43,6 +43,11 @@ MALFORMED = {
     "lexicon-path-missing": ({"criterion_lexicon_path": "/no/such/lexicon.json"},
                              "criterion_lexicon_path"),
     "lexicon-path-int": ({"criterion_lexicon_path": 3}, "criterion_lexicon_path"),
+    # a date format that reads no whole date would refuse every lot
+    "date-formats-empty": ({"date_formats": []}, "date_formats"),
+    "date-format-bad-directive": ({"date_formats": ["%Q"]}, "date_formats"),
+    "date-format-year-only": ({"date_formats": ["%Y"]}, "date_formats"),
+    "date-format-repeated-directive": ({"date_formats": ["%d/%d/%Y"]}, "date_formats"),
 }
 
 

@@ -103,6 +103,60 @@ class TestParseDecimal:
     def test_roundtrip_plain(self, value):
         assert parse_decimal(str(value)) == value
 
+    # a second number or an exponent is refused, never stitched into one amount
+    @pytest.mark.parametrize(
+        "raw", ["1.5E06", "2,5e3", "0x10", "1/2", "12 500 € HT (lot 2)", "Lot 2 : 1 000"]
+    )
+    def test_cell_with_digits_outside_the_number_is_refused(self, raw):
+        assert parse_decimal(raw) is None
+
+    # a trailing sign (`1500-` is negative in some ledgers) is no unit
+    @pytest.mark.parametrize("raw", ["1500-", "1 500 € -", "1 500 +"])
+    def test_sign_after_the_number_is_refused(self, raw):
+        assert parse_decimal(raw) is None
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            # a mark in the unit after the number is not the number's
+            ("1 234,56 €.", Decimal("1234.56")),
+            ("1'234.50", Decimal("1234.50")),
+        ],
+    )
+    def test_affix_and_apostrophe_cases(self, raw, expected):
+        assert parse_decimal(raw) == expected
+
+    @given(
+        st.decimals(allow_nan=False, allow_infinity=False, places=2,
+                    min_value=-(10 ** 12), max_value=10 ** 12),
+        st.sampled_from([" ", "\u00a0", "\u202f", "'", ".", ","]),
+        st.sampled_from([".", ","]),
+        # a prefix ending in a mark would lend it to the number
+        st.text(st.characters(blacklist_categories=("Nd", "Cs"),
+                              blacklist_characters=".,+-"), max_size=4),
+        st.text(st.characters(blacklist_categories=("Nd", "Cs"),
+                              blacklist_characters="+-"), max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_grouped_styles_between_affixes_read_back(
+        self, value, grouping, point, prefix, suffix, fractional
+    ):
+        """A number grouped by a space, a no-break space, an apostrophe or
+        one mark, the other mark its decimal point, reads back as itself; the
+        decimal part is always written when a mark groups, since a lone
+        `1.234` is a decimal."""
+        if grouping in ".,":
+            point = "," if grouping == "." else "."
+        elif not fractional:
+            value = value.to_integral_value()
+        whole, _, fraction = f"{abs(value):f}".partition(".")
+        groups = [whole[max(0, end - 3):end] for end in range(len(whole), 0, -3)][::-1]
+        cell = ("-" if value.is_signed() else "") + grouping.join(groups)
+        if fraction:
+            cell += point + fraction
+        assert str(parse_decimal(prefix + cell + suffix)) == str(value)
+
 
 class TestParseTable:
     def test_reads_rows(self, tmp_path):
@@ -399,6 +453,17 @@ class TestRunIngest:
         result = run_ingest(PipelineConfig(lot_files=[p1, p2]))
         assert [lot.lot_id for lot in result.lots] == [1, 2]
         assert [o.occurrence_id for o in result.occurrences] == [1, 2, 3, 4]
+
+    def test_identity_repeated_in_a_later_file_is_a_duplicate(self, tmp_path):
+        rows = [lot_row(f"n{i}", "1") for i in range(20)]
+        first = write_lot_file(tmp_path / "a.csv", rows)
+        second = write_lot_file(tmp_path / "b.csv", [rows[3], rows[7]])
+        result = run_ingest(PipelineConfig(lot_files=[first, second]))
+        assert len(result.lots) == 22
+        assert result.duplicate_identities == 2
+        # a file read alone counts only its own repeats
+        assert parse_table(second, PipelineConfig().column_map,
+                           DELIMITER).duplicate_identities == 0
 
 
     def test_repeated_descriptions_are_split_as_each_alone(self, tmp_path, caplog):

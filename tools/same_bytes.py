@@ -36,7 +36,12 @@ merge that no default-config case takes), and on a distinct-cities copy
 of them (the corpus names every city `VILLE<n>`, which folds to `VILLE`,
 so no other case compares two different cities: here each `VILLE<n>` of
 the lot, registry facility and postal files is one town name, of one word
-or two, and some lot cells spell it one letter wrong), and on a dense case at seed 0
+or two, and some lot cells spell it one letter wrong), and on a
+number-styles copy of them (the corpus writes every award value as
+`1234567` or `1234 567,89`; here each row's is in one of four styles in
+turn, `1.234.567,89 €`, `EUR 1'234'567.89`, `1 234 567,89 HT` grouped by
+no-break spaces, and `1,234,567.89`, which any change to how a number cell
+reads shows as a difference), and on a dense case at seed 0
 (DENSE: 1,000 rows and 1,000 registry agents in departments 10-15, where
 merge joins distinct agents into large clusters of conflicting
 identifiers, so the masked rerun resolves those clusters). Two plain
@@ -300,6 +305,32 @@ def distinct_cities(config: Path) -> None:
     rename_towns(Path(inputs["postal"]), "city")
 
 
+# the number-styles case's award values: (grouping, decimal point, cell)
+NUMBER_STYLES = [(".", ",", "{} €"), ("'", ".", "EUR {}"), ("\u00a0", ",", "{} HT"),
+                 (",", ".", "{}")]
+
+
+def number_styles(config: Path) -> None:
+    """Rewrite a case's lot file in place, the AWARD_VALUE_EURO cell of
+    the nth row in the nth of NUMBER_STYLES, round robin. A whole amount
+    gains a `00` decimal part where a mark groups, since a lone `48.823` is
+    a decimal."""
+    path = Path(json.loads(config.read_text(encoding="utf-8"))["inputs"]["lots"][0])
+
+    def restyle(at, rows):
+        for n, row in enumerate(rows):
+            if len(row) > at["AWARD_VALUE_EURO"] and row[at["AWARD_VALUE_EURO"]]:
+                grouping, point, cell = NUMBER_STYLES[n % len(NUMBER_STYLES)]
+                # the corpus writes `1234567` or `1234 567,89`
+                whole, _, fraction = row[at["AWARD_VALUE_EURO"]].replace(" ", "").partition(",")
+                number = f"{int(whole):,}".replace(",", grouping)
+                if fraction or grouping in ".,":
+                    number += point + (fraction or "00")
+                row[at["AWARD_VALUE_EURO"]] = cell.format(number)
+
+    edit_csv(path, restyle)
+
+
 def export_src(ref: str, dest: Path) -> Path:
     """REF's src/ written under dest; the path of that src/."""
     dest.mkdir(parents=True)
@@ -366,6 +397,7 @@ def main(argv: list[str]) -> int:
         cases.append(("mask-0-awkward-cells", WORKLOADS["mask"], 0, awkward_cells, pipeline))
         cases.append(("mask-0-thresholds", WORKLOADS["mask"], 0, loosen_thresholds, pipeline))
         cases.append(("mask-0-distinct-cities", WORKLOADS["mask"], 0, distinct_cities, pipeline))
+        cases.append(("mask-0-number-styles", WORKLOADS["mask"], 0, number_styles, pipeline))
         cases.append(("dense-0", DENSE, 0, None, pipeline))
         cases += [(f"{name}-0-plain", WORKLOADS[name], 0, None, [["pipeline"]])
                   for name in ("match", "bulk")]
